@@ -1,11 +1,11 @@
-// End-to-end perf-regression bench for the streaming campaign engine.
+// End-to-end perf-regression bench for the node-tap metering engine.
 //
 // Times whole campaigns — plan in, CampaignResult out — on a 240-node rig
-// in three scenarios:
+// in these scenarios:
 //
 //   l1_pdu       L1 (smallest cohort) with the default pdu-grade meters;
 //   l3_pdu       L3 (every node) with pdu-grade meters — the headline
-//                configuration of the PR contract;
+//                configuration;
 //   l3_perfect   L3 with perfect meters, isolating the simulation kernels
 //                from the (shared, irreducible) noise-draw floor;
 //   l3_reconcile L3 with pdu-grade meters and cross-validation enabled —
@@ -16,24 +16,25 @@
 //                and byte-identity across thread counts instead of
 //                engine speedups.
 //
-// Each scenario runs the historical eager engine single-threaded (the
-// pre-streaming hot path, kept as the reference implementation), the
-// streaming engine single-threaded, and the streaming engine on 8 worker
-// threads, best-of-PV_PERF_REPS wall time per variant.  Two contracts are
-// enforced (ctest `perf_campaign_identity` runs this binary):
+// Each scenario runs the eager reference Meter stage
+// (make_reference_node_meter_stage, swapped into the default stage list)
+// single-threaded as the `eager@1` column, then the engine
+// single-threaded and on 8 worker threads, best-of-PV_PERF_REPS wall time
+// per variant.  Contracts (ctest `perf_regression_gate` runs this binary
+// through tools/check_perf.sh):
 //
 //   1. all three variants produce byte-identical campaign reports
 //      (submitted power/energy, every per-node mean, CI, error);
-//   2. the streaming engine is not slower than eager (ratio >= 1.0 after
-//      the generous machine-noise allowance baked into check_perf.sh;
-//      this binary only *reports* ratios, the gate compares them to the
-//      committed baseline);
-//   3. the live streaming path is bounded-memory: before any timing
-//      scenario runs (ru_maxrss is a monotone high-watermark), the
-//      `rss_flat` scenario compares the peak RSS of a short live campaign
-//      against one 10x as long — growth above kRssGrowthCeilingMb fails
-//      the bench, and the long run's report must still be byte-identical
-//      to the batch engine's.
+//   2. the engine is not slower than the eager reference (ratio >= 1.0
+//      after the generous machine-noise allowance baked into
+//      check_perf.sh; this binary only *reports* ratios, the gate
+//      compares them to the committed baseline);
+//   3. node-tap metering is bounded-memory: before any timing scenario
+//      runs (ru_maxrss is a monotone high-watermark), the `rss_flat`
+//      scenario compares the peak RSS of a short live campaign against
+//      one 10x as long — growth above kRssGrowthCeilingMb fails the
+//      bench, and the long run's report must still be byte-identical to
+//      the batch run's.
 //
 // Results land in BENCH_perf.json (override with PV_PERF_JSON) for
 // tools/check_perf.sh, which diffs them against the committed
@@ -44,7 +45,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -97,40 +97,24 @@ std::size_t planned_samples(const Rig& rig, const MeterAccuracy& acc,
   return per_node * rig.plan.node_count();
 }
 
-// Byte comparison of everything a campaign reports (NaN-safe, unlike ==).
-bool identical_reports(const CampaignResult& a, const CampaignResult& b) {
-  const auto bits = [](const double& x, const double& y) {
-    return std::memcmp(&x, &y, sizeof x) == 0;
-  };
-  if (!bits(a.submitted_power.value(), b.submitted_power.value())) return false;
-  if (!bits(a.submitted_energy.value(), b.submitted_energy.value()))
-    return false;
-  if (a.nodes_measured != b.nodes_measured) return false;
-  if (a.node_mean_powers_w.size() != b.node_mean_powers_w.size()) return false;
-  for (std::size_t i = 0; i < a.node_mean_powers_w.size(); ++i) {
-    if (!bits(a.node_mean_powers_w[i], b.node_mean_powers_w[i])) return false;
-  }
-  if (!bits(a.node_mean_ci.lo, b.node_mean_ci.lo)) return false;
-  if (!bits(a.node_mean_ci.hi, b.node_mean_ci.hi)) return false;
-  if (!bits(a.relative_halfwidth, b.relative_halfwidth)) return false;
-  if (!bits(a.true_power.value(), b.true_power.value())) return false;
-  if (!bits(a.relative_error, b.relative_error)) return false;
-  return true;
-}
-
 struct Timed {
   CampaignResult result;
   double best_ms = 0.0;
 };
 
+// `reference` times the eager reference Meter stage instead of the
+// engine.
 Timed run_best_of(const Rig& rig, const CampaignConfig& cfg,
-                  std::size_t reps) {
+                  std::size_t reps, bool reference = false) {
   Timed out;
   out.best_ms = 1e300;
   for (std::size_t r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     CampaignResult res =
-        run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
+        reference ? bench::run_reference_campaign(*rig.cluster,
+                                                  *rig.electrical, rig.plan,
+                                                  cfg)
+                  : run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
     const auto t1 = std::chrono::steady_clock::now();
     out.best_ms = std::min(
         out.best_ms,
@@ -146,9 +130,9 @@ struct ScenarioResult {
   double eager1_ms = 0.0;
   double stream1_ms = 0.0;
   double stream8_ms = 0.0;
-  double speedup_1t = 0.0;   // eager@1 / streaming@1
-  double speedup_8t = 0.0;   // eager@1 / streaming@8 (PR contract ratio)
-  double samples_per_sec = 0.0;  // streaming@1 throughput
+  double speedup_1t = 0.0;   // eager@1 / engine@1
+  double speedup_8t = 0.0;   // eager@1 / engine@8
+  double samples_per_sec = 0.0;  // engine@1 throughput
   double peak_rss_mb = 0.0;  // process high-watermark after this scenario
   bool identical = false;
   /// async_collect has no eager reference: eager1_ms and the speedups are
@@ -157,9 +141,10 @@ struct ScenarioResult {
   bool has_engine_speedups = true;
 };
 
-// Bounded-memory contract for the live streaming path: the peak RSS of a
-// campaign must be flat in campaign length (O(nodes + windows), never
-// O(total samples)).  Measured as the watermark delta between a short
+// Bounded-memory contract for node-tap metering: the peak RSS of a
+// campaign must be flat in campaign length (O(nodes + chunk), never
+// O(total samples)).  Measured on the live loop, which adds the window
+// ring and sketch to the batch shape's footprint.  Measured as the watermark delta between a short
 // live campaign and one 10x as long, taken before anything larger runs.
 struct RssFlatResult {
   std::size_t samples_short = 0;
@@ -186,7 +171,8 @@ RssFlatResult run_rss_flat(std::size_t nodes) {
   CampaignConfig cfg;
   cfg.seed = 5;
   cfg.meter_interval_override = interval;
-  cfg.live.enabled = true;  // bounded-memory streaming path, no sink
+  cfg.live.enabled = true;  // the chunk-stepped live loop, partials dropped
+  cfg.live_sink = [](const std::string&) {};
 
   RssFlatResult r;
   r.samples_short =
@@ -203,14 +189,14 @@ RssFlatResult run_rss_flat(std::size_t nodes) {
   r.rss_long_mb = bench::peak_rss_mb();
   r.growth_mb = r.rss_long_mb - r.rss_short_mb;
 
-  // The long campaign through the batch engine must still report the
-  // exact bytes the live run produced (runs after both watermark reads,
-  // so its materialized tables cannot contaminate the growth number).
+  // The long campaign in the batch shape must still report the exact
+  // bytes the live run produced (runs after both watermark reads).
   CampaignConfig batch = cfg;
   batch.live.enabled = false;
+  batch.live_sink = nullptr;
   const CampaignResult batch_long = run_campaign(
       *rig_long.cluster, *rig_long.electrical, rig_long.plan, batch);
-  r.identical = identical_reports(live_long, batch_long);
+  r.identical = bench::identical_reports(live_long, batch_long);
   return r;
 }
 
@@ -225,15 +211,11 @@ ScenarioResult run_scenario(const std::string& name, Level level,
   base.meter_interval_override = Seconds{5.0};
   base.reconcile.enabled = reconcile;
 
-  CampaignConfig eager1 = base;
-  eager1.engine = CampaignEngine::kEager;
-  CampaignConfig stream1 = base;
-  stream1.engine = CampaignEngine::kStreaming;
-  CampaignConfig stream8 = stream1;
+  CampaignConfig stream8 = base;
   stream8.threads = 8;
 
-  const Timed te = run_best_of(rig, eager1, reps);
-  const Timed t1 = run_best_of(rig, stream1, reps);
+  const Timed te = run_best_of(rig, base, reps, /*reference=*/true);
+  const Timed t1 = run_best_of(rig, base, reps);
   const Timed t8 = run_best_of(rig, stream8, reps);
 
   ScenarioResult s;
@@ -245,8 +227,8 @@ ScenarioResult run_scenario(const std::string& name, Level level,
   s.speedup_1t = te.best_ms / t1.best_ms;
   s.speedup_8t = te.best_ms / t8.best_ms;
   s.samples_per_sec = static_cast<double>(s.samples) / (t1.best_ms / 1e3);
-  s.identical = identical_reports(te.result, t1.result) &&
-                identical_reports(te.result, t8.result);
+  s.identical = bench::identical_reports(te.result, t1.result) &&
+                bench::identical_reports(te.result, t8.result);
   s.peak_rss_mb = bench::peak_rss_mb();
   return s;
 }
@@ -289,7 +271,7 @@ ScenarioResult run_async_collect(std::size_t nodes, std::size_t reps) {
   s.stream1_ms = ms1;
   s.stream8_ms = ms8;
   s.samples_per_sec = static_cast<double>(s.samples) / (ms1 / 1e3);
-  s.identical = identical_reports(out1.result, out8.result);
+  s.identical = bench::identical_reports(out1.result, out8.result);
   s.peak_rss_mb = bench::peak_rss_mb();
   return s;
 }
@@ -337,7 +319,7 @@ void write_json(const std::string& path,
 
 int main() {
   bench::banner("perf-campaign",
-                "streaming vs eager engine, end-to-end campaigns");
+                "engine vs eager reference, end-to-end campaigns");
 
   const std::size_t nodes = bench::env_size("PV_PERF_NODES", 240);
   const std::size_t reps = bench::env_size("PV_PERF_REPS", 5);

@@ -1,31 +1,31 @@
-// Fleet-scale perf bench for the SoA engine refactor.
+// Fleet-scale perf bench for the node-tap metering engine.
 //
-// Times whole campaigns at 1k / 10k / 100k nodes, each through the fused
-// structure-of-arrays fleet kernels (CampaignConfig::fleet_soa, the
-// default) and through the per-node scalar path (the pre-refactor hot
-// loop, kept as the reference implementation), single-threaded and on 8
-// worker threads:
+// Times whole campaigns at 1k / 10k / 100k nodes through the engine
+// (make_node_meter_stage, the default), single-threaded and on 8 worker
+// threads, and — wherever it finishes within about a second — through
+// the eager reference Meter stage (make_reference_node_meter_stage,
+// swapped into the default stage list, which also integrates the ground
+// truth directly) single-threaded:
 //
 //   fleet1k_l1       1k nodes, L1, perfect meters — the smoke scale
 //                    run_tier1.sh exercises in the plain tier
 //                    (PV_PERF_FLEET_SMOKE=1 runs only this scenario);
-//   fleet10k_l1      10k nodes, L1, perfect meters — the gated headline:
-//                    check_perf.sh enforces soa-vs-scalar speedup at 8
-//                    threads >= the gate_soa_8t carried in the baseline
-//                    (2x).  Perfect meters because the per-sample noise
+//   fleet10k_l1      10k nodes, L1, perfect meters — the headline kernel
+//                    ratio.  Perfect meters because the per-sample noise
 //                    draw (Marsaglia polar, cached pair) is inherently
-//                    scalar and identical in both engines — it would only
-//                    dilute the kernel ratio being gated;
-//   fleet10k_l1_pdu  10k nodes with pdu-grade meters — the realistic mix,
-//                    reported and soft-gated only;
+//                    serial per lane and would only dilute it;
+//   fleet10k_l1_pdu  10k nodes with pdu-grade meters — the realistic mix;
 //   fleet100k_l3     100k nodes, every node metered, 30 s interval, one
-//                    rep — the scale contract: the campaign completes and
-//                    peak RSS stays under an absolute ceiling
-//                    (O(nodes + windows), never O(total samples)).
+//                    rep, no reference (about 3 s there) — the scale
+//                    contract: the campaign completes and peak RSS stays
+//                    under an absolute ceiling (O(nodes + chunk), never
+//                    O(total samples)).
 //
-// Hard in-binary contract: for every scenario the scalar and SoA paths
-// (at any thread count) produce byte-identical campaign reports — this
-// binary exits 1 otherwise.  Ratios are only *reported* here;
+// check_perf.sh gates the engine-over-reference speedup at 1 thread
+// wherever the reference runs.  Hard in-binary contract: every scenario
+// reports byte-identical campaign results from the engine at 1 and 8
+// threads, and from the reference wherever it runs — this binary exits 1
+// otherwise, or when a scenario breaches its RSS ceiling.  Ratios are only *reported* here;
 // tools/check_perf.sh compares them to bench/BENCH_perf_fleet_baseline.json.
 //
 // Env overrides: PV_PERF_REPS (3), PV_PERF_JSON (BENCH_perf_fleet.json),
@@ -33,7 +33,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -81,39 +80,24 @@ std::size_t planned_samples(const Rig& rig, const MeterAccuracy& acc,
   return per_node * rig.plan.node_count();
 }
 
-bool identical_reports(const CampaignResult& a, const CampaignResult& b) {
-  const auto bits = [](const double& x, const double& y) {
-    return std::memcmp(&x, &y, sizeof x) == 0;
-  };
-  if (!bits(a.submitted_power.value(), b.submitted_power.value())) return false;
-  if (!bits(a.submitted_energy.value(), b.submitted_energy.value()))
-    return false;
-  if (a.nodes_measured != b.nodes_measured) return false;
-  if (a.node_mean_powers_w.size() != b.node_mean_powers_w.size()) return false;
-  for (std::size_t i = 0; i < a.node_mean_powers_w.size(); ++i) {
-    if (!bits(a.node_mean_powers_w[i], b.node_mean_powers_w[i])) return false;
-  }
-  if (!bits(a.node_mean_ci.lo, b.node_mean_ci.lo)) return false;
-  if (!bits(a.node_mean_ci.hi, b.node_mean_ci.hi)) return false;
-  if (!bits(a.relative_halfwidth, b.relative_halfwidth)) return false;
-  if (!bits(a.true_power.value(), b.true_power.value())) return false;
-  if (!bits(a.relative_error, b.relative_error)) return false;
-  return true;
-}
-
 struct Timed {
   CampaignResult result;
   double best_ms = 0.0;
 };
 
+// `reference` times the eager reference Meter stage instead of the
+// engine.
 Timed run_best_of(const Rig& rig, const CampaignConfig& cfg,
-                  std::size_t reps) {
+                  std::size_t reps, bool reference = false) {
   Timed out;
   out.best_ms = 1e300;
   for (std::size_t r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     CampaignResult res =
-        run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
+        reference ? bench::run_reference_campaign(*rig.cluster,
+                                                  *rig.electrical, rig.plan,
+                                                  cfg)
+                  : run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
     const auto t1 = std::chrono::steady_clock::now();
     out.best_ms = std::min(
         out.best_ms,
@@ -130,21 +114,18 @@ struct FleetScenario {
   MeterAccuracy acc;
   double interval_s = 5.0;
   std::size_t reps = 0;          ///< 0 = the global PV_PERF_REPS
-  double gate_soa_8t = 0.0;      ///< hard speedup floor (0 = ungated)
+  bool reference = false;        ///< also time the eager reference
   double rss_ceiling_mb = 0.0;   ///< absolute peak-RSS cap (0 = uncapped)
 };
 
 struct FleetResult {
   FleetScenario spec;
   std::size_t samples = 0;
-  double scalar1_ms = 0.0;
-  double scalar8_ms = 0.0;
-  double soa1_ms = 0.0;
-  double soa8_ms = 0.0;
-  double speedup_soa_1t = 0.0;  ///< scalar@1 / soa@1
-  double speedup_soa_8t = 0.0;  ///< scalar@8 / soa@8 (the gated ratio)
-  double samples_per_sec = 0.0;  ///< soa@1 throughput
-  double makespan_ms = 0.0;      ///< soa@8 end-to-end wall (provision in)
+  double ref1_ms = 0.0;          ///< eager reference, 1 thread
+  double eng1_ms = 0.0;
+  double eng8_ms = 0.0;
+  double speedup_ref_1t = 0.0;   ///< ref@1 / engine@1 (the gated ratio)
+  double samples_per_sec = 0.0;  ///< engine@1 throughput
   double peak_rss_mb = 0.0;
   bool identical = false;
 };
@@ -154,39 +135,30 @@ FleetResult run_fleet_scenario(const FleetScenario& fs,
   const std::size_t reps = fs.reps > 0 ? fs.reps : default_reps;
   const Rig rig = make_rig(fs.nodes, fs.level);
 
-  CampaignConfig base;
-  base.seed = 5;
-  base.meter_accuracy = fs.acc;
-  base.meter_interval_override = Seconds{fs.interval_s};
+  CampaignConfig one;
+  one.seed = 5;
+  one.meter_accuracy = fs.acc;
+  one.meter_interval_override = Seconds{fs.interval_s};
+  CampaignConfig eight = one;
+  eight.threads = 8;
 
-  CampaignConfig scalar1 = base;
-  scalar1.fleet_soa = false;
-  CampaignConfig scalar8 = scalar1;
-  scalar8.threads = 8;
-  CampaignConfig soa1 = base;
-  soa1.fleet_soa = true;
-  CampaignConfig soa8 = soa1;
-  soa8.threads = 8;
-
-  const Timed ts1 = run_best_of(rig, scalar1, reps);
-  const Timed ts8 = run_best_of(rig, scalar8, reps);
-  const Timed tf1 = run_best_of(rig, soa1, reps);
-  const Timed tf8 = run_best_of(rig, soa8, reps);
+  const Timed te1 = run_best_of(rig, one, reps);
+  const Timed te8 = run_best_of(rig, eight, reps);
 
   FleetResult r;
   r.spec = fs;
   r.samples = planned_samples(rig, fs.acc, Seconds{fs.interval_s});
-  r.scalar1_ms = ts1.best_ms;
-  r.scalar8_ms = ts8.best_ms;
-  r.soa1_ms = tf1.best_ms;
-  r.soa8_ms = tf8.best_ms;
-  r.speedup_soa_1t = ts1.best_ms / tf1.best_ms;
-  r.speedup_soa_8t = ts8.best_ms / tf8.best_ms;
-  r.samples_per_sec = static_cast<double>(r.samples) / (tf1.best_ms / 1e3);
-  r.makespan_ms = tf8.best_ms;
-  r.identical = identical_reports(ts1.result, tf1.result) &&
-                identical_reports(ts1.result, ts8.result) &&
-                identical_reports(ts1.result, tf8.result);
+  r.eng1_ms = te1.best_ms;
+  r.eng8_ms = te8.best_ms;
+  r.samples_per_sec = static_cast<double>(r.samples) / (te1.best_ms / 1e3);
+  r.identical = bench::identical_reports(te1.result, te8.result);
+  if (fs.reference) {
+    const Timed tr = run_best_of(rig, one, reps, /*reference=*/true);
+    r.ref1_ms = tr.best_ms;
+    r.speedup_ref_1t = tr.best_ms / te1.best_ms;
+    r.identical =
+        r.identical && bench::identical_reports(tr.result, te1.result);
+  }
   r.peak_rss_mb = bench::peak_rss_mb();
   return r;
 }
@@ -195,28 +167,24 @@ void write_json(const std::string& path,
                 const std::vector<FleetResult>& results, std::size_t reps) {
   std::ofstream out(path);
   out.precision(6);
-  out << "{\n  \"schema\": \"powervar-bench-perf-fleet-v1\",\n"
+  out << "{\n  \"schema\": \"powervar-bench-perf-fleet-v2\",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"scenarios\": {\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const FleetResult& r = results[i];
     out << "    \"" << r.spec.name << "\": {\n"
         << "      \"nodes\": " << r.spec.nodes << ",\n"
-        << "      \"samples\": " << r.samples << ",\n"
-        << "      \"scalar1_ms\": " << r.scalar1_ms << ",\n"
-        << "      \"scalar8_ms\": " << r.scalar8_ms << ",\n"
-        << "      \"soa1_ms\": " << r.soa1_ms << ",\n"
-        << "      \"soa8_ms\": " << r.soa8_ms << ",\n"
-        << "      \"speedup_soa_1t\": " << r.speedup_soa_1t << ",\n"
-        << "      \"speedup_soa_8t\": " << r.speedup_soa_8t << ",\n";
-    if (r.spec.gate_soa_8t > 0.0) {
-      out << "      \"gate_soa_8t\": " << r.spec.gate_soa_8t << ",\n";
+        << "      \"samples\": " << r.samples << ",\n";
+    if (r.spec.reference) {
+      out << "      \"ref1_ms\": " << r.ref1_ms << ",\n"
+          << "      \"speedup_ref_1t\": " << r.speedup_ref_1t << ",\n";
     }
+    out << "      \"eng1_ms\": " << r.eng1_ms << ",\n"
+        << "      \"eng8_ms\": " << r.eng8_ms << ",\n";
     if (r.spec.rss_ceiling_mb > 0.0) {
       out << "      \"rss_ceiling_mb\": " << r.spec.rss_ceiling_mb << ",\n";
     }
     out << "      \"samples_per_sec\": " << r.samples_per_sec << ",\n"
-        << "      \"makespan_ms\": " << r.makespan_ms << ",\n"
         << "      \"peak_rss_mb\": " << r.peak_rss_mb << ",\n"
         << "      \"identical\": " << (r.identical ? "true" : "false")
         << "\n    }" << (i + 1 < results.size() ? "," : "") << "\n";
@@ -228,7 +196,7 @@ void write_json(const std::string& path,
 
 int main() {
   bench::banner("perf-fleet",
-                "SoA fleet kernels vs the per-node scalar path, 1k-100k nodes");
+                "node-tap engine vs the eager reference, 1k-100k nodes");
 
   const std::size_t reps = bench::env_size("PV_PERF_REPS", 3);
   const bool smoke = bench::env_size("PV_PERF_FLEET_SMOKE", 0) != 0;
@@ -243,16 +211,16 @@ int main() {
   // the ratio mostly measures provisioning).
   std::vector<FleetScenario> specs;
   specs.push_back({"fleet1k_l1", 1000, Level::kL1, MeterAccuracy::perfect(),
-                   1.0, 0, 0.0, 0.0});
+                   1.0, 0, /*reference=*/true, 0.0});
   if (!smoke) {
     specs.push_back({"fleet10k_l1", 10000, Level::kL1,
-                     MeterAccuracy::perfect(), 1.0, 0, /*gate=*/2.0, 0.0});
+                     MeterAccuracy::perfect(), 1.0, 0, true, 0.0});
     specs.push_back({"fleet10k_l1_pdu", 10000, Level::kL1,
-                     MeterAccuracy::pdu_grade(), 1.0, 0, 0.0, 0.0});
+                     MeterAccuracy::pdu_grade(), 1.0, 0, true, 0.0});
     // 100k nodes, every node metered: one rep — the contract here is
     // completion within an absolute memory ceiling, not a tight ratio.
     specs.push_back({"fleet100k_l3", 100000, Level::kL3,
-                     MeterAccuracy::perfect(), 30.0, 1, 0.0,
+                     MeterAccuracy::perfect(), 30.0, 1, false,
                      /*rss ceiling=*/1024.0});
   }
 
@@ -261,8 +229,8 @@ int main() {
     results.push_back(run_fleet_scenario(fs, reps));
   }
 
-  TextTable t({"scenario", "nodes", "samples", "scalar@1", "soa@1", "soa@8",
-               "soa x@1", "soa x@8", "samples/s", "makespan", "peak rss",
+  TextTable t({"scenario", "nodes", "samples", "ref@1", "engine@1",
+               "engine@8", "x ref@1", "samples/s", "peak rss",
                "identical"});
   const auto ms = [](double v) {
     char buf[32];
@@ -286,10 +254,11 @@ int main() {
   };
   for (const FleetResult& r : results) {
     t.add_row({r.spec.name, std::to_string(r.spec.nodes),
-               std::to_string(r.samples), ms(r.scalar1_ms), ms(r.soa1_ms),
-               ms(r.soa8_ms), x(r.speedup_soa_1t), x(r.speedup_soa_8t),
-               rate(r.samples_per_sec), ms(r.makespan_ms),
-               mb(r.peak_rss_mb), r.identical ? "yes" : "NO"});
+               std::to_string(r.samples),
+               r.spec.reference ? ms(r.ref1_ms) : "-", ms(r.eng1_ms),
+               ms(r.eng8_ms), r.spec.reference ? x(r.speedup_ref_1t) : "-",
+               rate(r.samples_per_sec), mb(r.peak_rss_mb),
+               r.identical ? "yes" : "NO"});
   }
   std::cout << t.render();
 
@@ -302,7 +271,7 @@ int main() {
   for (const FleetResult& r : results) {
     if (!r.identical) {
       std::cout << "CONTRACT VIOLATED: " << r.spec.name
-                << " scalar and SoA reports differ\n";
+                << " reports differ across threads or from the reference\n";
       ok = false;
     }
     if (r.spec.rss_ceiling_mb > 0.0 && r.peak_rss_mb > r.spec.rss_ceiling_mb) {

@@ -232,7 +232,7 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
   fspec.seed = campaign.seed;
   fspec.ac_tap = false;
   const FleetState fleet = build_fleet_state(
-      plan.node_indices, fspec, windows, nullptr, nullptr, nullptr, pool);
+      plan.node_indices, fspec, windows, nullptr, nullptr, pool);
 
   std::exception_ptr poll_error;
   std::mutex poll_error_mu;
@@ -350,8 +350,8 @@ CollectionOutcome collect_campaign(const ClusterPowerModel& cluster,
 
   // The async transport is just another Meter-stage implementation: swap
   // it into the campaign pipeline and reuse the Aggregate/Assess tail the
-  // synchronous engines run (core/pipeline).  The eager truth-function
-  // path is used per meter, so streaming stays off.
+  // synchronous campaigns run (core/pipeline).  The pollers meter each
+  // node's truth function directly, so the memoized truth stays off.
   CampaignContext ctx;
   ctx.cluster = &cluster;
   ctx.electrical = &electrical;

@@ -60,27 +60,4 @@ void apply_dc_conversion(const MeasurementPlan& plan,
   }
 }
 
-// The shared tail every node-tap campaign runs, exposed for collection
-// layers (src/collect) that produced the readings themselves: just the
-// Aggregate and Assess stages of the pipeline over a ready-made context.
-CampaignResult finalize_node_campaign(const ClusterPowerModel& cluster,
-                                      const SystemPowerModel& electrical,
-                                      const MeasurementPlan& plan,
-                                      const std::vector<NodeReading>& readings,
-                                      DataQuality dq, bool streaming) {
-  CampaignContext ctx;
-  ctx.cluster = &cluster;
-  ctx.electrical = &electrical;
-  ctx.plan = &plan;
-  ctx.streaming = streaming;
-  ctx.readings = readings;
-  ctx.result.data_quality = std::move(dq);
-
-  std::vector<StagePtr> stages;
-  stages.push_back(make_aggregate_stage());
-  stages.push_back(make_assess_stage());
-  run_pipeline(stages, ctx);
-  return std::move(ctx.result);
-}
-
 }  // namespace pv

@@ -47,45 +47,27 @@ struct StageTrace {
   std::vector<std::pair<std::string, double>> counters;
 };
 
-/// How the campaign evaluates the node-metering hot path.
-enum class CampaignEngine {
-  /// Historical per-device loop: one std::function truth chain per node,
-  /// evaluated per quadrature point.  Kept as the reference
-  /// implementation the streaming engine is checked against.
-  kEager,
-  /// Streaming kernels (sim/streaming): the balanced-workload shape is
-  /// evaluated once per time-grid point and shared across the cohort;
-  /// per-node readings are produced chunk-by-chunk into reused scratch
-  /// with no per-sample dispatch.  Bit-identical to kEager (enforced by
-  /// tests), and the default.  Campaigns whose electrical model was not
-  /// lowered from the cluster (detected by an exact probe) fall back to
-  /// kEager automatically, as do rack-PDU and facility-feed taps.
-  kStreaming,
-};
-
-/// Execution knobs of a campaign.
-/// Live (bounded-memory) metering options.  When enabled, node-tap
-/// campaigns run the window-major live meter stage: per-window shape
-/// chunks replace the up-front full-campaign tables, per-node window
-/// accumulators replace materialized traces, and partial assessment
-/// Documents can be emitted mid-run on a pinned virtual-time schedule.
-/// The final result is byte-identical to the batch stage (ctest-enforced
-/// by test_streaming_assessment).
+/// Live metering options.  When enabled with a live_sink, the node-tap
+/// Meter stage advances one chunk at a time across the cohort and emits
+/// partial assessment Documents mid-run on a pinned virtual-time
+/// schedule.  The final result is byte-identical to the batch run
+/// (ctest-enforced by test_meter_engine).
 struct LiveOptions {
   bool enabled = false;
   /// Virtual seconds between partial emissions; 0 emits one partial at
   /// every closed metering window.  The schedule is pinned in virtual
   /// time, so reruns emit identical partials.
   double emit_every_s = 0.0;
-  /// Samples streamed per kernel chunk — the peak per-worker footprint
-  /// of the clean streaming path is O(chunk_samples), independent of
-  /// campaign length.
+  /// Samples streamed per kernel chunk, live or not — the peak
+  /// per-worker footprint of clean node-tap metering is
+  /// O(chunk_samples), independent of campaign length.
   std::size_t chunk_samples = 4096;
   /// Closed-window summaries retained in the fixed-capacity ring buffer
   /// (reported in partial Documents' "live" block).
   std::size_t history_windows = 8;
 };
 
+/// Execution knobs of a campaign.
 struct CampaignConfig {
   MeterAccuracy meter_accuracy = MeterAccuracy::pdu_grade();
   std::uint64_t seed = 1;
@@ -103,21 +85,13 @@ struct CampaignConfig {
   /// node-tap campaigns reconcile — rack/facility taps have no sibling
   /// cohort to cross-validate against.
   ReconcilePolicy reconcile;
-  /// Hot-path implementation; results are bit-identical either way.
-  CampaignEngine engine = CampaignEngine::kStreaming;
-  /// Worker threads for the node-metering fan-out (any engine).  Every
+  /// Worker threads for the node-metering fan-out.  Every
   /// RNG stream is keyed by node id and every result lands in its own
   /// slot, so output is bit-identical at any thread count.  1 = serial;
   /// reconciling campaigns also honor reconcile.threads (the larger of
   /// the two wins, preserving the PR3 knob).
   std::size_t threads = 1;
-  /// Structure-of-arrays fleet kernels for clean streaming node-tap
-  /// campaigns: window samples stream with the node index as the SIMD
-  /// lane (sim/fleet_state.hpp).  Results are bit-identical either way
-  /// (every lane runs the per-node expressions operand for operand) —
-  /// the switch exists for differential tests and benchmarks.
-  bool fleet_soa = true;
-  /// Bounded-memory live metering (see LiveOptions).
+  /// Live metering (see LiveOptions).
   LiveOptions live;
   /// Receives each partial assessment Document as one complete rendered
   /// JSON line (render_json output: compact, trailing newline) — a single
@@ -212,7 +186,9 @@ struct CampaignResult {
 /// differences.
 ///
 /// Lifetime: `electrical` must have been built from `cluster` (see
-/// make_system_power_model) and both must outlive the call.
+/// make_system_power_model) and both must outlive the call.  Node-tap
+/// plans check this up front and throw contract_error on a model that
+/// was not lowered from the cluster.
 ///
 /// `cancel` (optional) is a cooperative cancellation/deadline token
 /// consulted at every stage boundary; a fired token unwinds as
@@ -247,21 +223,6 @@ struct NodeReading {
   double mean_w = 0.0;
   double energy_j = 0.0;
 };
-
-/// Shared tail of every node-tap campaign, used by both run_campaign and
-/// the asynchronous collector (src/collect): excludes lost meters,
-/// extrapolates the surviving per-node means to the machine, re-bases
-/// energy to the planned metering scope, computes the Eq. 1 CI, and
-/// finalizes `dq` (whose meters_planned / faults_enabled / collection
-/// fields the caller has already filled).  Readings must be in plan
-/// order.  Throws when every meter was lost.  `streaming` marks callers
-/// that already verified the lowered-model identity (run_campaign's
-/// streaming probe); the ground-truth integral is then memoized on the
-/// shape factor — bit-identical panel values, far fewer model walks.
-[[nodiscard]] CampaignResult finalize_node_campaign(
-    const ClusterPowerModel& cluster, const SystemPowerModel& electrical,
-    const MeasurementPlan& plan, const std::vector<NodeReading>& readings,
-    DataQuality dq, bool streaming = false);
 
 /// Aspect 4: corrects a DC-side node reading back to AC per the plan's
 /// conversion policy.  No-op for AC-side taps.

@@ -73,27 +73,16 @@ std::size_t expected_samples(const std::vector<TimeWindow>& windows,
   return n;
 }
 
-// Streaming context of one node device: the shared per-window shape
-// tables plus this node's mean, PSU curve (null for DC taps) and a
-// reusable scratch buffer owned by the worker's chunk.
-struct StreamScope {
-  const std::vector<ShapeTable>* tables = nullptr;  // parallel to windows
-  double mean_w = 0.0;
-  const CompiledPsuCurve* curve = nullptr;
-  StreamScratch* scratch = nullptr;
-};
-
-// Window-fed metering state machine for one device.  The batch stages
-// drive it window by window (meter_device below) and the live stage
-// drives it chunk by chunk — both end at the identical DeviceReading,
-// because every accumulator here chains in the exact order the historical
-// metering loop used.  Holds no reference to the meter or the window
-// list, so a fleet of these can live in a relocatable slot vector.
+// Window-fed metering state machine for one device: the eager reference
+// and the rack/facility taps drive it through meter_device below, the
+// node-tap engine drives one per lane of a faulted campaign.  Every
+// accumulator chains in the exact order the historical metering loop
+// used.  Holds no reference to the meter or the window list, so a fleet
+// of these can live in a relocatable vector.
 //
-// With faults disabled a device is fed clean readings (whole traces or
-// window chunks); with faults enabled each window's clean trace is
-// corrupted, quality-checked, repaired and despiked, and the device may
-// finish lost.
+// With faults disabled a device is fed clean traces; with faults enabled
+// each window's clean trace is corrupted, quality-checked, repaired and
+// despiked, and the device may finish lost.
 class DeviceMeter {
  public:
   DeviceMeter(const FaultPlan& fp, std::uint64_t seed, std::uint64_t stream,
@@ -126,56 +115,12 @@ class DeviceMeter {
   /// Forced dead at provision time: feed nothing, finish() is final.
   [[nodiscard]] bool dead() const { return dead_; }
 
-  /// Clean path, chunk-fed: samples [first, first + readings.size()) of
-  /// the current window.  Chunks must arrive in order; the running sum
-  /// chains left-to-right, so any chunking reproduces the whole-window
-  /// bits.
-  void feed_clean_chunk(double t_begin, double dt, std::size_t first,
-                        std::span<const double> readings) {
-    double s = win_sum_;
-    for (const double x : readings) s += x;
-    win_sum_ = s;
-    win_n_ += readings.size();
-    win_dt_ = dt;
-    bucket(t_begin, dt, first, readings);
-  }
-
-  /// Adopts a chunk the fused fleet kernels already chained: `chained`
-  /// is the window's running sum *after* this chunk (the kernels add
-  /// into a per-lane accumulator with the exact feed_clean_chunk
-  /// chaining), `count` the chunk's samples.  Keeps win_n_/win_dt_ and
-  /// therefore the live snapshots and close_clean_window() working
-  /// unchanged.  Clean non-reconciling windows only (no buckets).
-  void adopt_clean_chunk(double chained, std::size_t count, double dt) {
-    win_sum_ = chained;
-    win_n_ += count;
-    win_dt_ = dt;
-  }
-
-  /// Closes the current chunk-fed clean window; returns its mean.
-  double close_clean_window() {
-    // 0.0 + win_sum_: the exact expression the historical per-window
-    // FusedAccumulator produced (bulk push into a fresh accumulator adds
-    // the batch sum onto the zero seed), so chunk-fed windows close on
-    // the same bits the batch path computed.
-    const double total = 0.0 + win_sum_;
-    const double window_mean = total / static_cast<double>(win_n_);
-    mean_acc_ += window_mean;
-    r_.energy_j += total * win_dt_;
-    win_sum_ = 0.0;
-    win_n_ = 0;
-    ++windows_contributing_;
-    return window_mean;
-  }
-
-  /// Clean path, whole-trace (eager engine); returns the window mean.
-  double feed_clean_trace(const PowerTrace& trace) {
-    const double window_mean = trace.mean_power().value();
-    mean_acc_ += window_mean;
+  /// Clean path: one whole window's trace.
+  void feed_clean_trace(const PowerTrace& trace) {
+    mean_acc_ += trace.mean_power().value();
     r_.energy_j += trace.energy().value();
-    bucket(trace.t0().value(), trace.dt().value(), 0, trace.watts());
+    bucket(trace.t0().value(), trace.dt().value(), trace.watts());
     ++windows_contributing_;
-    return window_mean;
   }
 
   /// Faulted path: corrupt, flag, repair and despike one window's clean
@@ -199,7 +144,7 @@ class DeviceMeter {
     mean_acc_ += window_mean;
     r_.energy_j += window_mean * w.duration().value();
     ++windows_contributing_;
-    bucket(dense.t0().value(), dense.dt().value(), 0, despiked.filtered);
+    bucket(dense.t0().value(), dense.dt().value(), despiked.filtered);
     return window_mean;
   }
 
@@ -230,43 +175,29 @@ class DeviceMeter {
     return std::move(r_);
   }
 
-  // --- read-only mid-run snapshots for partial (live) reporting.  None
-  // of these mutate state or draw RNG, so emission cannot perturb the
-  // final numbers.
+  // --- read-only mid-run snapshots for partial (live) reporting, taken
+  // between whole windows.  None of these mutate state or draw RNG, so
+  // emission cannot perturb the final numbers.
 
-  /// Device has at least one contributing (or open, partially-fed)
-  /// window to report on.
+  /// Device has at least one contributing window to report on.
   [[nodiscard]] bool live_has_data() const {
-    return !dead_ && (windows_contributing_ > 0 || win_n_ > 0);
+    return !dead_ && windows_contributing_ > 0;
   }
-  /// Running mean over contributing windows, including the open window's
-  /// partial samples when present.
+  /// Running mean over contributing windows.
   [[nodiscard]] double live_mean_w() const {
-    double acc = mean_acc_;
-    std::size_t n = windows_contributing_;
-    if (win_n_ > 0) {
-      acc += (0.0 + win_sum_) / static_cast<double>(win_n_);
-      ++n;
-    }
-    return acc / static_cast<double>(n);
+    return mean_acc_ / static_cast<double>(windows_contributing_);
   }
-  /// Energy accumulated so far, including the open window's samples.
-  [[nodiscard]] double live_energy_j() const {
-    double e = r_.energy_j;
-    if (win_n_ > 0) e += (0.0 + win_sum_) * win_dt_;
-    return e;
-  }
+  /// Energy accumulated so far.
+  [[nodiscard]] double live_energy_j() const { return r_.energy_j; }
 
  private:
-  // Accumulates per-analysis-window sums for cross-validation on the
-  // *window-global* sample index.  Reading already-produced values draws
-  // no RNG, so enabling reconciliation cannot perturb the metered
-  // numbers.
-  void bucket(double t0, double dt, std::size_t first,
-              std::span<const double> values) {
+  // Accumulates per-analysis-window sums for cross-validation.  Reading
+  // already-produced values draws no RNG, so enabling reconciliation
+  // cannot perturb the metered numbers.
+  void bucket(double t0, double dt, std::span<const double> values) {
     if (analysis_ == nullptr) return;
     for (std::size_t j = 0; j < values.size(); ++j) {
-      const double t = t0 + (static_cast<double>(first + j) + 0.5) * dt;
+      const double t = t0 + (static_cast<double>(j) + 0.5) * dt;
       for (std::size_t a = 0; a < analysis_->size(); ++a) {
         const TimeWindow& aw = (*analysis_)[a];
         if (t >= aw.begin.value() && t < aw.end.value()) {
@@ -301,68 +232,33 @@ class DeviceMeter {
   double mean_acc_ = 0.0;
   std::size_t windows_contributing_ = 0;
   std::size_t valid_total_ = 0;
-  // Open clean window: left-to-right chained sum + sample count.
-  double win_sum_ = 0.0;
-  double win_dt_ = 0.0;
-  std::size_t win_n_ = 0;
   // Faulted state: the fate is drawn once; the fault stream persists
   // across windows exactly like the historical single-loop consumption.
   MeterFate fate_;
   std::optional<Rng> fault_rng_;
 };
 
-// Meters `truth` over every window by driving a DeviceMeter through the
-// batch feeding order.  With `stream_scope` set the clean readings come
-// from the streaming kernels instead of the truth function —
-// bit-identical by construction (sim/streaming.hpp), so everything
-// downstream is shared verbatim.
+// Meters `truth` over every window by driving a DeviceMeter eagerly: the
+// meter evaluates the std::function truth chain at every sample.  The
+// rack/facility taps and the node-tap reference stage run this loop.
 DeviceReading meter_device(const MeterModel& meter,
                            const PowerFunction& truth,
                            const std::vector<TimeWindow>& windows,
                            TimeWindow campaign_window, Rng& noise,
                            const CampaignConfig& config,
                            std::uint64_t stream, std::size_t meter_id,
-                           const std::vector<TimeWindow>* analysis = nullptr,
-                           const StreamScope* stream_scope = nullptr) {
+                           const std::vector<TimeWindow>* analysis = nullptr) {
   DeviceMeter dm(config.faults, config.seed, stream, meter_id,
                  campaign_window, windows.size(),
                  expected_samples(windows, meter), analysis);
   if (dm.dead()) return dm.finish();
-
-  if (!config.faults.enabled()) {
-    if (stream_scope != nullptr) {
-      // Streaming clean path: no PowerTrace, no per-window allocation.
-      StreamScratch& scratch = *stream_scope->scratch;
-      for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-        const ShapeTable& table = (*stream_scope->tables)[wi];
-        stream_node_window(table, stream_scope->mean_w, stream_scope->curve,
-                           meter, noise, scratch);
-        dm.feed_clean_chunk(table.t_begin, table.dt, 0, scratch.readings);
-        dm.close_clean_window();
-      }
+  for (const TimeWindow& w : windows) {
+    const PowerTrace trace = meter.measure(truth, w.begin, w.end, noise);
+    if (config.faults.enabled()) {
+      dm.feed_faulted_window(trace, w);
     } else {
-      for (const TimeWindow& w : windows) {
-        dm.feed_clean_trace(meter.measure(truth, w.begin, w.end, noise));
-      }
+      dm.feed_clean_trace(trace);
     }
-    return dm.finish();
-  }
-
-  for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-    const TimeWindow& w = windows[wi];
-    // The fault pipeline consumes a materialized trace either way; the
-    // streaming engine only swaps how the clean readings are produced.
-    const PowerTrace clean = [&] {
-      if (stream_scope == nullptr) {
-        return meter.measure(truth, w.begin, w.end, noise);
-      }
-      stream_node_window((*stream_scope->tables)[wi], stream_scope->mean_w,
-                         stream_scope->curve, meter, noise,
-                         *stream_scope->scratch);
-      return PowerTrace(w.begin, meter.interval(),
-                        stream_scope->scratch->readings);
-    }();
-    dm.feed_faulted_window(clean, w);
   }
   return dm.finish();
 }
@@ -482,18 +378,18 @@ std::vector<HierarchyCheck> build_hierarchy_checks(
   return checks;
 }
 
-// Ground truth for a streaming-verified campaign.  When the electrical
-// model is the cluster lowered through make_system_power_model (which the
-// streaming probe has checked), compute_ac_w depends on t only through
+// Ground truth for a lowered model.  When the electrical model is the
+// cluster lowered through make_system_power_model (which Provision's
+// probe has checked), compute_ac_w depends on t only through
 // the shared shape factor — so panel evaluations over a steady phase are
 // the same double over and over.  Memoizing them on the shape's bit
 // pattern leaves the integration grid, the summation order and every
 // per-panel value untouched: average_over sees a function returning the
 // exact doubles compute_ac_w would return, just without recomputing the
 // 240-node PSU sum per panel.
-Watts streaming_true_scope_power(const ClusterPowerModel& cluster,
-                                 const SystemPowerModel& electrical,
-                                 const MethodologySpec& spec) {
+Watts memoized_true_scope_power(const ClusterPowerModel& cluster,
+                                const SystemPowerModel& electrical,
+                                const MethodologySpec& spec) {
   const TimeWindow core = cluster.phases().core_window();
   std::unordered_map<std::uint64_t, double> memo;
   const auto compute_memo = [&](double t) {
@@ -527,6 +423,29 @@ std::size_t node_fanout(const CampaignConfig& config, bool reconciling) {
        reconciling ? static_cast<std::size_t>(config.reconcile.threads)
                    : std::size_t{1},
        std::size_t{1}});
+}
+
+// True when `electrical` is `cluster` lowered through
+// make_system_power_model: each node's DC truth is its mean times the
+// shared shape factor, which the node-tap engine streams and the
+// memoized ground truth keys on.  Probed exactly on one plan node, over
+// the metered window (the engine) and the core window (the truth).
+bool lowered_from(const ClusterPowerModel& cluster,
+                  const SystemPowerModel& electrical,
+                  const MeasurementPlan& plan) {
+  const std::size_t probe = plan.node_indices.front();
+  PV_EXPECTS(probe < cluster.node_count(), "plan references missing node");
+  const TimeWindow core = cluster.phases().core_window();
+  for (const TimeWindow& w : {plan.window, core}) {
+    for (double frac : {0.25, 0.5, 0.75}) {
+      const double t = w.begin.value() + frac * w.duration().value();
+      if (electrical.node_dc_w(probe, t) !=
+          cluster.node_means()[probe] * cluster.shape_factor(t)) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 class ProvisionStage final : public CampaignStage {
@@ -574,63 +493,30 @@ class ProvisionStage final : public CampaignStage {
           ctx.analysis = make_analysis_windows(
               ctx.windows, config.reconcile.analysis_windows);
         }
-        // Streaming engine: valid when the electrical model really is the
-        // cluster lowered through make_system_power_model, i.e. each
-        // node's DC truth is its mean times the shared shape.  Probed
-        // exactly — any mismatch (a hand-built SystemPowerModel) falls
-        // back to the eager path, whose arithmetic the kernels reproduce
-        // bit-for-bit anyway.
-        bool streaming = config.engine == CampaignEngine::kStreaming;
-        if (streaming) {
-          const std::size_t probe = plan.node_indices.front();
-          PV_EXPECTS(probe < cluster.node_count(),
-                     "plan references missing node");
-          // Probe the metered window (the kernels) and the core window
-          // (the memoized ground truth) alike.
-          const TimeWindow core = cluster.phases().core_window();
-          for (const TimeWindow& w : {plan.window, core}) {
-            for (double frac : {0.25, 0.5, 0.75}) {
-              const double t = w.begin.value() + frac * w.duration().value();
-              const double lowered =
-                  cluster.node_means()[probe] * cluster.shape_factor(t);
-              if (electrical.node_dc_w(probe, t) != lowered) {
-                streaming = false;
-                break;
-              }
-            }
-            if (!streaming) break;
-          }
-        }
-        ctx.streaming = streaming;
-        // The live (bounded-memory) meter stage builds its own per-chunk
-        // shape tables on the fly — materializing every window here would
-        // defeat its O(nodes + windows) footprint.
-        if (streaming && !config.live.enabled) {
-          ctx.tables = build_shape_tables(cluster, ctx.windows, ctx.interval,
-                                          plan.meter_mode);
+        PV_EXPECTS(lowered_from(cluster, electrical, plan),
+                   "node-tap campaigns need the electrical model lowered "
+                   "from the cluster (make_system_power_model)");
+        ctx.memoize_truth = true;
+        // The campaign's one worker pool: the fleet build below and the
+        // Meter stage both fan out over it.
+        const std::size_t fanout = node_fanout(config, ctx.reconciling);
+        if (fanout > 1) {
+          ctx.pool =
+              std::make_unique<ThreadPool>(static_cast<unsigned>(fanout));
         }
         // Transpose the cohort into the fleet table: meter models +
-        // calibration columns, per-node noise streams, PSU lanes and
-        // fault flags, in plan order.  Built once here, shared by every
-        // downstream metering path (batch, live, async collection).
-        // Sharded over the fan-out pool; every lane is a pure function
-        // of its own node id, so the build is bit-identical at any
-        // thread count.
-        {
-          FleetProvisionSpec fspec;
-          fspec.accuracy = config.meter_accuracy;
-          fspec.mode = plan.meter_mode;
-          fspec.interval = ctx.interval;
-          fspec.seed = config.seed;
-          fspec.ac_tap = plan.point != MeasurementPoint::kNodeDc;
-          const std::size_t fanout = node_fanout(config, ctx.reconciling);
-          std::optional<ThreadPool> pool;
-          if (fanout > 1) pool.emplace(static_cast<unsigned>(fanout));
-          ctx.fleet = std::make_unique<FleetState>(build_fleet_state(
-              plan.node_indices, fspec, ctx.windows,
-              ctx.faulty ? &config.faults : nullptr, &cluster, &electrical,
-              pool ? &*pool : nullptr));
-        }
+        // calibration columns, per-node noise streams and PSU lanes, in
+        // plan order.  Every lane is a pure function of its own node id,
+        // so the sharded build is bit-identical at any thread count.
+        FleetProvisionSpec fspec;
+        fspec.accuracy = config.meter_accuracy;
+        fspec.mode = plan.meter_mode;
+        fspec.interval = ctx.interval;
+        fspec.seed = config.seed;
+        fspec.ac_tap = plan.point != MeasurementPoint::kNodeDc;
+        ctx.fleet = std::make_unique<FleetState>(
+            build_fleet_state(plan.node_indices, fspec, ctx.windows, &cluster,
+                              &electrical, ctx.pool.get()));
         break;
       }
     }
@@ -650,7 +536,6 @@ class ProvisionStage final : public CampaignStage {
     trace.counters = {
         {"windows", static_cast<double>(ctx.windows.size())},
         {"analysis_windows", static_cast<double>(ctx.analysis.size())},
-        {"streaming", ctx.streaming ? 1.0 : 0.0},
         {"interval_s", ctx.interval.value()},
         {"fleet_nodes",
          ctx.fleet ? static_cast<double>(ctx.fleet->size()) : 0.0},
@@ -660,524 +545,422 @@ class ProvisionStage final : public CampaignStage {
   }
 };
 
-// Virtual seconds a meter stage covered: every meter reads every window.
-double metered_virtual_s(const CampaignContext& ctx, std::size_t meters) {
-  double s = 0.0;
-  for (const TimeWindow& w : ctx.windows) s += w.duration().value();
-  return s * static_cast<double>(meters);
+// Lane i's reading as the collection layer reports it: spot sampling
+// reports energy as mean power over the window, DC taps convert to AC.
+NodeReading node_reading(const CampaignContext& ctx, std::size_t i,
+                         double mean_w, double energy_j) {
+  const MeasurementPlan& plan = *ctx.plan;
+  NodeReading nr;
+  nr.node = plan.node_indices[i];
+  nr.mean_w = mean_w;
+  nr.energy_j = energy_j;
+  if (plan.timing != TimingStrategy::kContinuous) {
+    nr.energy_j = nr.mean_w * plan.window.duration().value();
+  }
+  apply_dc_conversion(plan, *ctx.electrical, nr.node, nr.mean_w,
+                      nr.energy_j);
+  return nr;
 }
 
-class NodeMeterStage final : public CampaignStage {
- public:
-  [[nodiscard]] const char* name() const override { return "meter"; }
+// The Meter trace of `meters` meters, each reading every window, `lost`
+// of them lost.
+void meter_trace(const CampaignContext& ctx, std::size_t meters,
+                 std::size_t lost, StageTrace& trace) {
+  double window_s = 0.0;
+  for (const TimeWindow& w : ctx.windows) window_s += w.duration().value();
+  trace.items = meters;
+  trace.samples = ctx.samples_per_meter * meters;
+  trace.virtual_s = window_s * static_cast<double>(meters);
+  trace.counters.emplace_back("lost", static_cast<double>(lost));
+}
 
-  void run(CampaignContext& ctx, StageTrace& trace) override {
-    const SystemPowerModel& electrical = *ctx.electrical;
-    const MeasurementPlan& plan = *ctx.plan;
-    const CampaignConfig& config = *ctx.config;
-    const bool streaming = ctx.streaming;
-    const bool reconciling = ctx.reconciling;
-
-    // Meter every selected node through the fleet table Provision built:
-    // calibration errors and noise streams were drawn there, keyed by the
-    // node id, so this stage only consumes lanes.
-    PV_EXPECTS(ctx.fleet != nullptr, "meter stage needs a provisioned fleet");
-    FleetState& fleet = *ctx.fleet;
-    const std::size_t n = plan.node_count();
-    ctx.devices.resize(n);
-    ctx.readings.resize(n);
-    const std::size_t fanout = node_fanout(config, reconciling);
-    // Fused fleet kernels: clean streaming campaigns stream every window
-    // sample-major with the node index as the SIMD lane.  Faulted
-    // campaigns keep the per-node path — the corruption pipeline needs a
-    // materialized trace per node per window.
-    const bool fused = streaming && !ctx.faulty && config.fleet_soa;
-
-    // DeviceReading -> NodeReading, identical to the historical tail.
-    const auto to_node_reading = [&](std::size_t i) {
-      const DeviceReading& reading = ctx.devices[i];
-      NodeReading nr;
-      nr.node = plan.node_indices[i];
-      nr.lost = reading.lost;
-      if (!reading.lost) {
-        nr.mean_w = reading.mean_w;
-        nr.energy_j = reading.energy_j;
-        if (plan.timing != TimingStrategy::kContinuous) {
-          // Spot sampling: report energy as mean power over the window.
-          nr.energy_j = nr.mean_w * plan.window.duration().value();
-        }
-        apply_dc_conversion(plan, electrical, nr.node, nr.mean_w,
-                            nr.energy_j);
-      }
-      ctx.readings[i] = nr;
-    };
-
-    if (fused) {
-      // Each lane runs the per-node expressions operand for operand
-      // (sim/fleet_state.hpp), so the finished devices carry the same
-      // bits meter_device would produce lane by lane.
-      std::vector<std::vector<std::int32_t>> analysis_idx;
-      FleetAccumulators acc;
-      acc.init(n, reconciling ? ctx.analysis.size() : 0);
-      if (reconciling) {
-        // The sample grid is shared across the clean cohort, so the
-        // bucket mapping and counts are computed once per window — the
-        // per-node path recomputed them per device.
-        analysis_idx.reserve(ctx.tables.size());
-        for (const ShapeTable& t : ctx.tables) {
-          analysis_idx.push_back(map_analysis_samples(t, ctx.analysis));
-          count_analysis_samples(analysis_idx.back(), acc.bucket_n);
-        }
-      }
-      const auto stream_lanes = [&](std::size_t b, std::size_t e) {
-        FleetScratch scratch;
-        stream_fleet_windows(ctx.tables, analysis_idx, fleet, b, e, acc,
-                             scratch);
-      };
-      if (fanout > 1) {
-        ThreadPool pool(static_cast<unsigned>(fanout));
-        parallel_chunks(&pool, n, stream_lanes);
-      } else {
-        stream_lanes(0, n);
-      }
-      // Finish: the exact DeviceMeter::finish()/finish_buckets()
-      // expressions per lane.
-      const double n_windows = static_cast<double>(ctx.windows.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        DeviceReading r;
-        r.mean_w = acc.mean_acc[i] / n_windows;
-        r.energy_j = acc.energy_j[i];
-        if (reconciling) {
-          r.analysis_means_w.assign(
-              ctx.analysis.size(), std::numeric_limits<double>::quiet_NaN());
-          for (std::size_t a = 0; a < ctx.analysis.size(); ++a) {
-            if (acc.bucket_n[a] > 0) {
-              r.analysis_means_w[a] = acc.bucket_sum[a * n + i] /
-                                      static_cast<double>(acc.bucket_n[a]);
-            }
-          }
-        }
-        ctx.devices[i] = std::move(r);
-        to_node_reading(i);
-      }
+// Turns the finished node devices into readings and fills the node-tap
+// Meter trace (shared by the engine and the reference stage).
+void finish_node_meter(CampaignContext& ctx, StageTrace& trace) {
+  ctx.readings.resize(ctx.devices.size());
+  std::size_t lost = 0;
+  for (std::size_t i = 0; i < ctx.devices.size(); ++i) {
+    const DeviceReading& reading = ctx.devices[i];
+    if (reading.lost) {
+      ctx.readings[i].node = ctx.plan->node_indices[i];
+      ctx.readings[i].lost = true;
+      ++lost;
     } else {
-      const auto meter_one = [&](std::size_t i, StreamScratch& scratch) {
-        const std::size_t node = plan.node_indices[i];
-        PowerFunction truth;  // only the eager path walks the function chain
-        StreamScope scope;
-        if (streaming) {
-          scope.tables = &ctx.tables;
-          scope.mean_w = fleet.mean_w[i];
-          scope.curve = fleet.curve[i];
-          scope.scratch = &scratch;
-        } else {
-          truth = plan.point == MeasurementPoint::kNodeDc
-                      ? PowerFunction([&electrical, node](double t) {
-                          return electrical.node_dc_w(node, t);
-                        })
-                      : electrical.node_ac_function(node);
-        }
-        ctx.devices[i] = meter_device(
-            fleet.meters[i], truth, ctx.windows, plan.window, fleet.noise[i],
-            config, node, node, reconciling ? &ctx.analysis : nullptr,
-            streaming ? &scope : nullptr);
-        to_node_reading(i);
-      };
-      // Every lane's streams are keyed by its node id and every result
-      // lands in its own slot, so the fan-out is bit-identical at any
-      // thread count.  Chunked sharding gives each worker one contiguous
-      // range and one scratch buffer reused across all of its nodes.
-      if (fanout > 1) {
-        ThreadPool pool(static_cast<unsigned>(fanout));
-        parallel_chunks(&pool, n, [&](std::size_t begin, std::size_t end) {
-          StreamScratch scratch;
-          for (std::size_t i = begin; i < end; ++i) {
-            meter_one(i, scratch);
-          }
-        });
-      } else {
-        StreamScratch scratch;
-        for (std::size_t i = 0; i < n; ++i) {
-          meter_one(i, scratch);
-        }
-      }
+      ctx.readings[i] = node_reading(ctx, i, reading.mean_w, reading.energy_j);
     }
-
-    std::size_t lost = 0;
-    for (const NodeReading& nr : ctx.readings) lost += nr.lost ? 1 : 0;
-    trace.items = ctx.readings.size();
-    trace.samples = ctx.samples_per_meter * ctx.readings.size();
-    trace.virtual_s = metered_virtual_s(ctx, ctx.readings.size());
-    trace.counters = {
-        {"engine_streaming", streaming ? 1.0 : 0.0},
-        {"fleet_fused", fused ? 1.0 : 0.0},
-        {"fanout", static_cast<double>(fanout)},
-        {"lost", static_cast<double>(lost)},
-    };
   }
-};
+  meter_trace(ctx, ctx.readings.size(), lost, trace);
+}
+
+// The scope-matched ground truth, memoized when the context allows it.
+double scope_truth_w(const CampaignContext& ctx) {
+  return (ctx.memoize_truth
+              ? memoized_true_scope_power(*ctx.cluster, *ctx.electrical,
+                                          ctx.plan->spec)
+              : true_scope_power(*ctx.cluster, *ctx.electrical,
+                                 ctx.plan->spec))
+      .value();
+}
 
 // One closed metering window's fleet-level summary, retained in the live
-// stage's fixed-capacity ring buffer.
+// ring buffer.
 struct WindowSummary {
   std::size_t index = 0;
   double fleet_mean_w = 0.0;
-  std::size_t nodes = 0;
 };
 
-// Bounded-memory node-tap Meter stage (config.live).  Window-major: the
-// outer loop walks metering windows — clean streaming campaigns in
-// fixed-size shape chunks — and the inner fan-out walks per-node slots.
-// Peak footprint is O(nodes + chunk_samples + analysis windows),
-// independent of campaign length, versus the batch stage's O(total
-// samples) up-front shape tables.
-//
-// Byte-identity with NodeMeterStage: every per-node RNG stream is keyed
-// identically and consumed in the identical time order (calibration at
-// slot build, noise chunk-by-chunk within each node), kernel chunks
-// evaluate the window-global sample grid, and DeviceMeter chains every
-// accumulator in batch feeding order.  The pool barrier after each chunk
-// gives the serial bookkeeping a happens-before edge over every worker
-// write.  test_streaming_assessment memcmps the result against the batch
-// stage across seeds x levels x threads x fault plans.
-class LiveNodeMeterStage final : public CampaignStage {
+// One run of the node-tap engine (see make_node_meter_stage).  Clean
+// lanes keep SoA accumulators and no per-lane object; faulted campaigns
+// keep one DeviceMeter per lane.  Every lane's RNG streams are keyed by
+// its node id and consumed in sample order, and every accumulator chains
+// in sample order, so no thread count, chunk size or sink setting moves
+// a bit.
+class NodeTapRun {
+ public:
+  explicit NodeTapRun(CampaignContext& ctx)
+      : ctx_(ctx), config_(*ctx.config), fleet_(*ctx.fleet),
+        n_(ctx.fleet->size()) {
+    if (ctx.faulty) {
+      meters_.reserve(n_);
+      for (std::size_t i = 0; i < n_; ++i) {
+        meters_.emplace_back(config_.faults, config_.seed, fleet_.node[i],
+                             fleet_.node[i], ctx.plan->window,
+                             ctx.windows.size(), fleet_.samples_expected[i],
+                             ctx.reconciling ? &ctx.analysis : nullptr);
+      }
+    } else {
+      acc_.init(n_, ctx.reconciling ? ctx.analysis.size() : 0);
+    }
+  }
+
+  // No sink: one fan-out, each worker walking every window of its lanes
+  // with no barrier in between.
+  void run_batch() {
+    parallel_chunks(ctx_.pool.get(), n_, [this](std::size_t b, std::size_t e) {
+      FleetScratch scratch;
+      walk(
+          [&](const ShapeTable& chunk, std::size_t wi,
+              std::span<const std::int32_t> a_idx) {
+            meter(chunk, wi, a_idx, b, e, scratch);
+          },
+          [&](std::size_t, std::size_t samples) { close(samples, b, e); });
+    });
+  }
+
+  // With a sink: the same walk, one step at a time across all lanes,
+  // emitting partial documents between steps on the pinned virtual-time
+  // schedule.  Clean campaigns are checked at every chunk end; faulted
+  // ones step whole windows and emit only at window ends.  Emission
+  // reads the lanes between fan-out barriers and draws no RNG, so it
+  // cannot perturb the final numbers.  Returns the live trace counters.
+  std::vector<std::pair<std::string, double>> run_live();
+
+  // Hands the finished lanes to ctx.devices.
+  void finish() {
+    ctx_.devices.resize(n_);
+    if (ctx_.faulty) {
+      for (std::size_t i = 0; i < n_; ++i) {
+        ctx_.devices[i] = meters_[i].finish();
+      }
+      return;
+    }
+    // The exact DeviceMeter::finish() expressions, per lane.
+    const double n_windows = static_cast<double>(ctx_.windows.size());
+    for (std::size_t i = 0; i < n_; ++i) {
+      DeviceReading& r = ctx_.devices[i];
+      r.mean_w = acc_.mean_acc[i] / n_windows;
+      r.energy_j = acc_.energy_j[i];
+      if (!ctx_.reconciling) continue;
+      r.analysis_means_w.assign(acc_.bucket_n.size(),
+                                std::numeric_limits<double>::quiet_NaN());
+      for (std::size_t a = 0; a < acc_.bucket_n.size(); ++a) {
+        if (acc_.bucket_n[a] > 0) {
+          r.analysis_means_w[a] = acc_.bucket_sum[a * n_ + i] /
+                                  static_cast<double>(acc_.bucket_n[a]);
+        }
+      }
+    }
+  }
+
+ private:
+  // Walks every metered window in steps on the window-global sample
+  // grid — chunks of at most live.chunk_samples for clean lanes, whole
+  // windows for faulted ones (the corruption pipeline needs a trace) —
+  // building each step's shape table and bucket map into reused storage.
+  template <class Step, class Close>
+  void walk(Step&& step, Close&& close_window) const {
+    ShapeTable chunk;
+    std::vector<std::int32_t> a_idx;
+    const bool buckets = !ctx_.faulty && ctx_.reconciling;
+    const std::size_t cap =
+        std::max<std::size_t>(std::size_t{1}, config_.live.chunk_samples);
+    for (std::size_t wi = 0; wi < ctx_.windows.size(); ++wi) {
+      const TimeWindow& w = ctx_.windows[wi];
+      const std::size_t samples = window_sample_count(w, ctx_.interval);
+      PV_EXPECTS(samples > 0, "window shorter than one reporting interval");
+      const std::size_t step_cap = ctx_.faulty ? samples : cap;
+      for (std::size_t first = 0; first < samples; first += step_cap) {
+        build_shape_chunk(*ctx_.cluster, w, ctx_.interval,
+                          ctx_.plan->meter_mode, first,
+                          std::min(step_cap, samples - first), chunk);
+        if (buckets) map_analysis_samples(chunk, ctx_.analysis, a_idx);
+        step(chunk, wi, std::span<const std::int32_t>(a_idx));
+      }
+      close_window(wi, samples);
+    }
+  }
+
+  // Meters lanes [b, e) over one step of window wi.
+  void meter(const ShapeTable& chunk, std::size_t wi,
+             std::span<const std::int32_t> a_idx, std::size_t b,
+             std::size_t e, FleetScratch& scratch) {
+    if (!ctx_.faulty) {
+      // Every clean lane sees every sample, so the bucket counts are the
+      // cohort's: the lane range holding lane 0 tallies them.
+      if (b == 0) count_analysis_samples(a_idx, acc_.bucket_n);
+      stream_fleet_chunk(chunk, a_idx, fleet_, b, e, acc_, scratch);
+      return;
+    }
+    const TimeWindow& w = ctx_.windows[wi];
+    for (std::size_t i = b; i < e; ++i) {
+      if (meters_[i].dead()) continue;
+      stream_node_window(chunk, fleet_.mean_w[i], fleet_.curve[i],
+                         fleet_.meters[i], fleet_.noise[i], scratch.node);
+      const std::optional<double> wm = meters_[i].feed_faulted_window(
+          PowerTrace(w.begin, fleet_.meters[i].interval(),
+                     scratch.node.readings),
+          w);
+      if (!window_mean_.empty()) {
+        in_window_[i] = wm.has_value() ? 1 : 0;
+        window_mean_[i] = wm.value_or(0.0);
+      }
+    }
+  }
+
+  // Closes a window of `samples` samples for lanes [b, e).
+  void close(std::size_t samples, std::size_t b, std::size_t e) {
+    if (ctx_.faulty) return;
+    acc_.close_window(b, e, samples, ctx_.interval.value(),
+                      window_mean_.empty() ? nullptr : window_mean_.data());
+  }
+
+  CampaignContext& ctx_;
+  const CampaignConfig& config_;
+  FleetState& fleet_;
+  std::size_t n_;
+  FleetAccumulators acc_;            // clean lanes
+  std::vector<DeviceMeter> meters_;  // faulted lanes
+  // Live runs only: each lane's mean for the window being closed, and
+  // whether the lane contributed to it.
+  std::vector<double> window_mean_;
+  std::vector<std::uint8_t> in_window_;
+};
+
+std::vector<std::pair<std::string, double>> NodeTapRun::run_live() {
+  const LiveOptions& live = config_.live;
+  const MeasurementPlan& plan = *ctx_.plan;
+  window_mean_.assign(n_, 0.0);
+  in_window_.assign(n_, ctx_.faulty ? 0 : 1);
+
+  // Campaign-wide bounded state: a fixed-capacity ring of closed-window
+  // fleet summaries plus a mergeable quantile sketch over per-node
+  // window means — one small sketch per closed window, merged in, which
+  // is exact (sketch-of-stream == merge-of-window-sketches, pinned by
+  // the sketch property tests).
+  RingBuffer<WindowSummary> ring(
+      std::max<std::size_t>(std::size_t{1}, live.history_windows));
+  QuantileSketch campaign_sketch(0.01);
+  std::size_t windows_closed = 0;
+  std::size_t open_samples = 0;  // clean lanes' samples in the open window
+  std::size_t chunks_run = 0;
+  std::size_t partials = 0;
+  // Ground truth for partial documents, computed once on first use (the
+  // final document's truth comes from AssessStage as usual).
+  std::optional<double> truth_cache;
+
+  // Emits one partial assessment Document from a read-only snapshot of
+  // the lanes, through the exact node-tap Aggregate tail the final
+  // result uses, on a scratch context.
+  const auto emit_partial = [&](double virtual_now) {
+    std::vector<NodeReading> partial;
+    partial.reserve(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      double mean_w = 0.0;
+      double energy_j = 0.0;
+      if (ctx_.faulty) {
+        const DeviceMeter& dm = meters_[i];
+        if (!dm.live_has_data()) continue;
+        mean_w = dm.live_mean_w();
+        energy_j = dm.live_energy_j();
+      } else {
+        if (windows_closed == 0 && open_samples == 0) continue;
+        // The closed windows plus the open window's partial samples, in
+        // the exact expressions a window close would use.
+        double mean_acc = acc_.mean_acc[i];
+        energy_j = acc_.energy_j[i];
+        std::size_t windows = windows_closed;
+        if (open_samples > 0) {
+          const double open = 0.0 + acc_.win_sum[i];
+          mean_acc += open / static_cast<double>(open_samples);
+          energy_j += open * ctx_.interval.value();
+          ++windows;
+        }
+        mean_w = mean_acc / static_cast<double>(windows);
+      }
+      partial.push_back(node_reading(ctx_, i, mean_w, energy_j));
+    }
+    if (partial.empty()) return;
+
+    CampaignContext snap;
+    snap.cluster = ctx_.cluster;
+    snap.electrical = ctx_.electrical;
+    snap.plan = ctx_.plan;
+    snap.config = ctx_.config;
+    snap.readings = std::move(partial);
+    snap.dq().meters_planned = ctx_.dq().meters_planned;
+    snap.dq().faults_enabled = ctx_.faulty;
+    aggregate_nodes(snap);
+    if (!truth_cache) truth_cache = scope_truth_w(ctx_);
+    snap.result.true_power = Watts{*truth_cache};
+    snap.result.relative_error =
+        std::fabs(snap.result.submitted_power.value() - *truth_cache) /
+        *truth_cache;
+
+    LiveProgress prog;
+    prog.seq = partials;
+    prog.virtual_s = virtual_now;
+    prog.windows_closed = windows_closed;
+    prog.nodes_reporting = snap.readings.size();
+    prog.window_capacity = ring.capacity();
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      prog.recent_windows.emplace_back(ring[i].index, ring[i].fleet_mean_w);
+    }
+    prog.sketch_count = campaign_sketch.count();
+    if (!campaign_sketch.empty()) {
+      prog.sketch_bins = campaign_sketch.bin_count();
+      prog.sketch_alpha = campaign_sketch.alpha();
+      prog.p05_w = campaign_sketch.quantile(0.05);
+      prog.p50_w = campaign_sketch.quantile(0.50);
+      prog.p95_w = campaign_sketch.quantile(0.95);
+    }
+    // One complete rendered line per call — the sink never observes a
+    // torn document.
+    config_.live_sink(
+        render_json(live_assessment_document(plan, snap.result, prog)));
+    ++partials;
+  };
+
+  // Pinned virtual-time emission schedule: thresholds advance from the
+  // first window's origin in emit_every_s steps, so reruns emit
+  // identical partials at identical points.
+  double next_emit = ctx_.windows.empty()
+                         ? 0.0
+                         : ctx_.windows.front().begin.value() +
+                               live.emit_every_s;
+  const auto maybe_emit = [&](double virtual_now) {
+    if (live.emit_every_s <= 0.0) return;
+    if (virtual_now + 1e-9 < next_emit) return;
+    emit_partial(virtual_now);
+    while (next_emit <= virtual_now + 1e-9) next_emit += live.emit_every_s;
+  };
+
+  walk(
+      [&](const ShapeTable& chunk, std::size_t wi,
+          std::span<const std::int32_t> a_idx) {
+        parallel_chunks(ctx_.pool.get(), n_,
+                        [&](std::size_t b, std::size_t e) {
+                          FleetScratch scratch;
+                          meter(chunk, wi, a_idx, b, e, scratch);
+                        });
+        ++chunks_run;
+        if (ctx_.faulty) return;
+        open_samples += chunk.samples;
+        maybe_emit(ctx_.windows[wi].begin.value() +
+                   ctx_.interval.value() *
+                       static_cast<double>(chunk.first + chunk.samples));
+      },
+      [&](std::size_t wi, std::size_t samples) {
+        close(samples, 0, n_);
+        open_samples = 0;
+        // Per-lane window means feed one window sketch (merged into the
+        // campaign sketch) and the ring.
+        QuantileSketch window_sketch(campaign_sketch.alpha());
+        FusedAccumulator summary;
+        for (std::size_t i = 0; i < n_; ++i) {
+          if (in_window_[i] == 0) continue;
+          window_sketch.push(window_mean_[i]);
+          summary.push(window_mean_[i]);
+        }
+        campaign_sketch.merge(window_sketch);
+        if (!summary.empty()) {
+          ring.push(WindowSummary{wi, summary.mean()});
+        }
+        ++windows_closed;
+        const double window_end = ctx_.windows[wi].end.value();
+        if (live.emit_every_s <= 0.0) {
+          emit_partial(window_end);
+        } else if (ctx_.faulty) {
+          maybe_emit(window_end);
+        }
+      });
+
+  return {
+      {"chunks", static_cast<double>(chunks_run)},
+      {"windows_stored", static_cast<double>(ring.size())},
+      {"partials_emitted", static_cast<double>(partials)},
+  };
+}
+
+class NodeTapMeterStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "meter"; }
 
   void run(CampaignContext& ctx, StageTrace& trace) override {
-    const ClusterPowerModel& cluster = *ctx.cluster;
+    PV_EXPECTS(ctx.fleet != nullptr, "meter stage needs a provisioned fleet");
+    const CampaignConfig& config = *ctx.config;
+    NodeTapRun engine(ctx);
+    std::vector<std::pair<std::string, double>> live;
+    if (config.live.enabled && config.live_sink) {
+      live = engine.run_live();
+    } else {
+      engine.run_batch();
+    }
+    engine.finish();
+    trace.counters.emplace_back(
+        "fanout", ctx.pool ? static_cast<double>(ctx.pool->size()) : 1.0);
+    finish_node_meter(ctx, trace);
+    trace.counters.insert(trace.counters.end(), live.begin(), live.end());
+  }
+};
+
+// The eager reference: each node's std::function truth chain metered
+// through meter_device, serially, on the lanes Provision built.  It
+// takes no shortcut the lowered-model identity allows, so Assess
+// integrates its truth directly too.
+class ReferenceMeterStage final : public CampaignStage {
+ public:
+  [[nodiscard]] const char* name() const override { return "meter"; }
+
+  void run(CampaignContext& ctx, StageTrace& trace) override {
+    PV_EXPECTS(ctx.fleet != nullptr, "meter stage needs a provisioned fleet");
+    ctx.memoize_truth = false;
     const SystemPowerModel& electrical = *ctx.electrical;
     const MeasurementPlan& plan = *ctx.plan;
-    const CampaignConfig& config = *ctx.config;
-    const LiveOptions& live = config.live;
-    const bool streaming = ctx.streaming;
-    const bool reconciling = ctx.reconciling;
-    const bool faulty = ctx.faulty;
-    const std::size_t n = plan.node_count();
-
-    // The cohort's meters, noise streams, means and PSU lanes live in the
-    // fleet table Provision built; this stage only consumes lanes.
-    PV_EXPECTS(ctx.fleet != nullptr, "meter stage needs a provisioned fleet");
     FleetState& fleet = *ctx.fleet;
-
-    // Per-node driver state: everything a worker mutates for node i lives
-    // in slot i (or lane i of the fleet), so the window-major fan-out is
-    // bit-identical at any thread count.
-    struct NodeSlot {
-      DeviceMeter dm;
-      PowerFunction truth;       // eager truth chain
-      double window_mean = 0.0;  // current window's mean (worker-written)
-      bool window_contributed = false;
-    };
-    std::vector<NodeSlot> slots;
-    slots.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t node = plan.node_indices[i];
-      DeviceMeter dm(config.faults, config.seed, node, node, plan.window,
-                     ctx.windows.size(), fleet.samples_expected[i],
-                     reconciling ? &ctx.analysis : nullptr);
-      NodeSlot slot{std::move(dm), PowerFunction{}, 0.0, false};
-      if (!streaming) {
-        slot.truth = plan.point == MeasurementPoint::kNodeDc
-                         ? PowerFunction([&electrical, node](double t) {
-                             return electrical.node_dc_w(node, t);
-                           })
-                         : electrical.node_ac_function(node);
-      }
-      slots.push_back(std::move(slot));
+    ctx.devices.resize(fleet.size());
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      const std::size_t node = fleet.node[i];
+      const PowerFunction truth =
+          plan.point == MeasurementPoint::kNodeDc
+              ? PowerFunction([&electrical, node](double t) {
+                  return electrical.node_dc_w(node, t);
+                })
+              : electrical.node_ac_function(node);
+      ctx.devices[i] = meter_device(
+          fleet.meters[i], truth, ctx.windows, plan.window, fleet.noise[i],
+          *ctx.config, node, node, ctx.reconciling ? &ctx.analysis : nullptr);
     }
-
-    const std::size_t fanout = node_fanout(config, reconciling);
-    std::optional<ThreadPool> pool;
-    if (fanout > 1) pool.emplace(static_cast<unsigned>(fanout));
-    ThreadPool* const pool_ptr = pool ? &*pool : nullptr;
-
-    // Campaign-wide bounded state: a fixed-capacity ring of closed-window
-    // fleet summaries plus a mergeable quantile sketch over per-node
-    // window means — one small sketch per closed window, merged in, which
-    // is exact (sketch-of-stream == merge-of-window-sketches, pinned by
-    // the sketch property tests).
-    RingBuffer<WindowSummary> ring(
-        std::max<std::size_t>(std::size_t{1}, live.history_windows));
-    QuantileSketch campaign_sketch(0.01);
-    std::size_t windows_closed = 0;
-    std::size_t chunks_run = 0;
-    std::size_t partials = 0;
-
-    // Ground truth for partial documents, computed once on first use (the
-    // final document's truth comes from AssessStage as usual).
-    std::optional<double> truth_cache;
-    const auto truth_w = [&]() -> double {
-      if (!truth_cache) {
-        truth_cache =
-            (streaming
-                 ? streaming_true_scope_power(cluster, electrical, plan.spec)
-                 : true_scope_power(cluster, electrical, plan.spec))
-                .value();
-      }
-      return *truth_cache;
-    };
-
-    // Emits one partial assessment Document from a read-only snapshot of
-    // the slots.  Runs strictly between fan-out barriers; draws no RNG
-    // and mutates no metering state, so emission cannot perturb the
-    // final numbers.
-    const auto emit_partial = [&](double virtual_now) {
-      if (!config.live_sink) return;
-      std::vector<NodeReading> partial;
-      partial.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const NodeSlot& s = slots[i];
-        if (!s.dm.live_has_data()) continue;
-        NodeReading nr;
-        nr.node = plan.node_indices[i];
-        nr.lost = false;
-        nr.mean_w = s.dm.live_mean_w();
-        nr.energy_j = s.dm.live_energy_j();
-        if (plan.timing != TimingStrategy::kContinuous) {
-          nr.energy_j = nr.mean_w * plan.window.duration().value();
-        }
-        apply_dc_conversion(plan, electrical, nr.node, nr.mean_w,
-                            nr.energy_j);
-        partial.push_back(nr);
-      }
-      if (partial.empty()) return;
-
-      // Run the snapshot through the exact node-tap Aggregate tail the
-      // final result uses, on a scratch context.
-      CampaignContext snap;
-      snap.cluster = ctx.cluster;
-      snap.electrical = ctx.electrical;
-      snap.plan = ctx.plan;
-      snap.config = ctx.config;
-      snap.readings = std::move(partial);
-      snap.dq().meters_planned = ctx.dq().meters_planned;
-      snap.dq().faults_enabled = faulty;
-      aggregate_nodes(snap);
-      snap.result.true_power = Watts{truth_w()};
-      snap.result.relative_error =
-          std::fabs(snap.result.submitted_power.value() - truth_w()) /
-          truth_w();
-
-      LiveProgress prog;
-      prog.seq = partials;
-      prog.virtual_s = virtual_now;
-      prog.windows_closed = windows_closed;
-      prog.nodes_reporting = snap.readings.size();
-      prog.window_capacity = ring.capacity();
-      for (std::size_t i = 0; i < ring.size(); ++i) {
-        prog.recent_windows.emplace_back(ring[i].index, ring[i].fleet_mean_w);
-      }
-      prog.sketch_count = campaign_sketch.count();
-      if (!campaign_sketch.empty()) {
-        prog.sketch_bins = campaign_sketch.bin_count();
-        prog.sketch_alpha = campaign_sketch.alpha();
-        prog.p05_w = campaign_sketch.quantile(0.05);
-        prog.p50_w = campaign_sketch.quantile(0.50);
-        prog.p95_w = campaign_sketch.quantile(0.95);
-      }
-      // One complete rendered line per call — the sink never observes a
-      // torn document.
-      config.live_sink(
-          render_json(live_assessment_document(plan, snap.result, prog)));
-      ++partials;
-    };
-
-    // Pinned virtual-time emission schedule: thresholds advance from the
-    // first window's origin in emit_every_s steps, checked at chunk and
-    // window boundaries, so reruns emit identical partials at identical
-    // points.
-    double next_emit = ctx.windows.empty()
-                           ? 0.0
-                           : ctx.windows.front().begin.value() +
-                                 live.emit_every_s;
-    const auto maybe_emit = [&](double virtual_now) {
-      if (live.emit_every_s <= 0.0) return;
-      if (virtual_now + 1e-9 < next_emit) return;
-      emit_partial(virtual_now);
-      while (next_emit <= virtual_now + 1e-9) next_emit += live.emit_every_s;
-    };
-
-    // Closes window `wi` fleet-wide: per-node window means feed one
-    // window sketch (merged into the campaign sketch) and the ring.
-    const auto close_window_stats = [&](std::size_t wi) {
-      QuantileSketch window_sketch(campaign_sketch.alpha());
-      FusedAccumulator fleet;
-      for (const NodeSlot& s : slots) {
-        if (!s.window_contributed) continue;
-        window_sketch.push(s.window_mean);
-        fleet.push(s.window_mean);
-      }
-      campaign_sketch.merge(window_sketch);
-      if (!fleet.empty()) {
-        ring.push(WindowSummary{wi, fleet.mean(), fleet.count()});
-      }
-      ++windows_closed;
-    };
-
-    double virtual_now =
-        ctx.windows.empty() ? 0.0 : ctx.windows.front().begin.value();
-    if (streaming && !faulty) {
-      // Clean streaming driver: each window streams in fixed-size chunks
-      // of the window-global sample grid.  The chunk's shape table is
-      // built serially (once, shared by every node) and its storage is
-      // reused, so peak memory never depends on the window length.
-      //
-      // Fused variant (fleet_soa, no reconcile buckets): the chunk
-      // streams through the fleet kernels with the node index as the
-      // SIMD lane, chaining each lane's running sum in a stage-owned
-      // vector; the serial adopt below hands the chained sums to the
-      // DeviceMeters between barriers, so live snapshots and window
-      // closes observe the exact per-node state.
-      const std::size_t chunk_cap =
-          std::max<std::size_t>(std::size_t{1}, live.chunk_samples);
-      ShapeTable chunk;
-      const bool fused = config.fleet_soa && !reconciling;
-      std::vector<double> fleet_win_sum;
-      if (fused) fleet_win_sum.assign(n, 0.0);
-      for (std::size_t wi = 0; wi < ctx.windows.size(); ++wi) {
-        const TimeWindow& w = ctx.windows[wi];
-        const std::size_t samples = window_sample_count(w, ctx.interval);
-        PV_EXPECTS(samples > 0,
-                   "window shorter than one reporting interval");
-        for (std::size_t first = 0; first < samples; first += chunk_cap) {
-          const std::size_t count = std::min(chunk_cap, samples - first);
-          build_shape_chunk(cluster, w, ctx.interval, plan.meter_mode, first,
-                            count, chunk);
-          if (fused) {
-            parallel_chunks(pool_ptr, n, [&](std::size_t b, std::size_t e) {
-              FleetScratch scratch;
-              stream_fleet_chunk(chunk, fleet, b, e,
-                                 std::span<double>(fleet_win_sum), scratch);
-            });
-            for (std::size_t i = 0; i < n; ++i) {
-              slots[i].dm.adopt_clean_chunk(fleet_win_sum[i], count,
-                                            chunk.dt);
-            }
-          } else {
-            parallel_chunks(pool_ptr, n, [&](std::size_t b, std::size_t e) {
-              StreamScratch scratch;
-              for (std::size_t i = b; i < e; ++i) {
-                NodeSlot& s = slots[i];
-                stream_node_window(chunk, fleet.mean_w[i], fleet.curve[i],
-                                   fleet.meters[i], fleet.noise[i], scratch);
-                s.dm.feed_clean_chunk(chunk.t_begin, chunk.dt, first,
-                                      scratch.readings);
-              }
-            });
-          }
-          ++chunks_run;
-          virtual_now = w.begin.value() +
-                        ctx.interval.value() *
-                            static_cast<double>(first + count);
-          maybe_emit(virtual_now);
-        }
-        for (NodeSlot& s : slots) {
-          s.window_mean = s.dm.close_clean_window();
-          s.window_contributed = true;
-        }
-        if (fused) {
-          std::fill(fleet_win_sum.begin(), fleet_win_sum.end(), 0.0);
-        }
-        close_window_stats(wi);
-        virtual_now = w.end.value();
-        if (live.emit_every_s <= 0.0) emit_partial(virtual_now);
-      }
-    } else {
-      // Whole-window driver (faulted campaigns need a materialized clean
-      // trace per window for the corruption pipeline; eager clean
-      // campaigns measure per window anyway).  Only one window per node
-      // is ever in flight, so memory stays bounded by the window length.
-      ShapeTable chunk;
-      for (std::size_t wi = 0; wi < ctx.windows.size(); ++wi) {
-        const TimeWindow& w = ctx.windows[wi];
-        if (streaming) {
-          const std::size_t samples = window_sample_count(w, ctx.interval);
-          PV_EXPECTS(samples > 0,
-                     "window shorter than one reporting interval");
-          build_shape_chunk(cluster, w, ctx.interval, plan.meter_mode, 0,
-                            samples, chunk);
-        }
-        parallel_chunks(pool_ptr, n, [&](std::size_t b, std::size_t e) {
-          StreamScratch scratch;
-          for (std::size_t i = b; i < e; ++i) {
-            NodeSlot& s = slots[i];
-            s.window_contributed = false;
-            if (s.dm.dead()) continue;
-            if (!faulty) {
-              s.window_mean = s.dm.feed_clean_trace(fleet.meters[i].measure(
-                  s.truth, w.begin, w.end, fleet.noise[i]));
-              s.window_contributed = true;
-              continue;
-            }
-            const PowerTrace clean = [&] {
-              if (!streaming) {
-                return fleet.meters[i].measure(s.truth, w.begin, w.end,
-                                               fleet.noise[i]);
-              }
-              stream_node_window(chunk, fleet.mean_w[i], fleet.curve[i],
-                                 fleet.meters[i], fleet.noise[i], scratch);
-              return PowerTrace(w.begin, fleet.meters[i].interval(),
-                                scratch.readings);
-            }();
-            const std::optional<double> wm =
-                s.dm.feed_faulted_window(clean, w);
-            if (wm.has_value()) {
-              s.window_mean = *wm;
-              s.window_contributed = true;
-            }
-          }
-        });
-        ++chunks_run;
-        close_window_stats(wi);
-        virtual_now = w.end.value();
-        if (live.emit_every_s <= 0.0) {
-          emit_partial(virtual_now);
-        } else {
-          maybe_emit(virtual_now);
-        }
-      }
-    }
-
-    // Finish: identical post-processing to NodeMeterStage.
-    ctx.devices.resize(n);
-    ctx.readings.resize(n);
-    std::size_t lost = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      ctx.devices[i] = slots[i].dm.finish();
-      const DeviceReading& reading = ctx.devices[i];
-      NodeReading nr;
-      nr.node = plan.node_indices[i];
-      nr.lost = reading.lost;
-      if (!reading.lost) {
-        nr.mean_w = reading.mean_w;
-        nr.energy_j = reading.energy_j;
-        if (plan.timing != TimingStrategy::kContinuous) {
-          // Spot sampling: report energy as mean power over the window.
-          nr.energy_j = nr.mean_w * plan.window.duration().value();
-        }
-        apply_dc_conversion(plan, electrical, nr.node, nr.mean_w,
-                            nr.energy_j);
-      }
-      ctx.readings[i] = nr;
-      lost += nr.lost ? 1 : 0;
-    }
-
-    trace.items = ctx.readings.size();
-    trace.samples = ctx.samples_per_meter * ctx.readings.size();
-    trace.virtual_s = metered_virtual_s(ctx, ctx.readings.size());
-    trace.counters = {
-        {"engine_streaming", streaming ? 1.0 : 0.0},
-        {"fleet_fused",
-         streaming && !faulty && config.fleet_soa && !reconciling ? 1.0
-                                                                  : 0.0},
-        {"fanout", static_cast<double>(fanout)},
-        {"lost", static_cast<double>(lost)},
-        {"live", 1.0},
-        {"chunks", static_cast<double>(chunks_run)},
-        {"windows_stored", static_cast<double>(ring.size())},
-        {"partials_emitted", static_cast<double>(partials)},
-    };
+    finish_node_meter(ctx, trace);
   }
 };
 
@@ -1221,11 +1004,7 @@ class RackMeterStage final : public CampaignStage {
       ctx.readings.push_back(nr);
       ctx.rack_nodes_in.push_back(nodes_in_rack);
     }
-
-    trace.items = ctx.readings.size();
-    trace.samples = ctx.samples_per_meter * ctx.readings.size();
-    trace.virtual_s = metered_virtual_s(ctx, ctx.readings.size());
-    trace.counters = {{"lost", static_cast<double>(lost)}};
+    meter_trace(ctx, ctx.readings.size(), lost, trace);
   }
 };
 
@@ -1253,13 +1032,7 @@ class FacilityMeterStage final : public CampaignStage {
     ctx.devices.push_back(meter_device(
         meter, electrical.facility_function(), ctx.windows, plan.window,
         noise, config, kFacilityStream, kFacilityStream));
-
-    trace.items = 1;
-    trace.samples = ctx.samples_per_meter;
-    trace.virtual_s = metered_virtual_s(ctx, 1);
-    trace.counters = {
-        {"lost", ctx.devices.back().lost ? 1.0 : 0.0},
-    };
+    meter_trace(ctx, 1, ctx.devices.back().lost ? 1 : 0, trace);
   }
 };
 
@@ -1565,12 +1338,8 @@ class AssessStage final : public CampaignStage {
   void run(CampaignContext& ctx, StageTrace& trace) override {
     CampaignResult& result = ctx.result;
     // Ground truth and error.  The memoized form returns the exact
-    // doubles the direct form would (streaming probe holding), faster.
-    result.true_power =
-        ctx.streaming
-            ? streaming_true_scope_power(*ctx.cluster, *ctx.electrical,
-                                         ctx.plan->spec)
-            : true_scope_power(*ctx.cluster, *ctx.electrical, ctx.plan->spec);
+    // doubles the direct form would (lowered model), faster.
+    result.true_power = Watts{scope_truth_w(ctx)};
     result.relative_error =
         std::fabs(result.submitted_power.value() - result.true_power.value()) /
         result.true_power.value();
@@ -1579,7 +1348,7 @@ class AssessStage final : public CampaignStage {
     trace.items = 1;
     trace.virtual_s = core.duration().value();
     trace.counters = {
-        {"memoized", ctx.streaming ? 1.0 : 0.0},
+        {"memoized", ctx.memoize_truth ? 1.0 : 0.0},
         {"relative_error", result.relative_error},
     };
   }
@@ -1602,9 +1371,11 @@ Watts true_scope_power(const ClusterPowerModel& cluster,
 }
 
 StagePtr make_provision_stage() { return std::make_unique<ProvisionStage>(); }
-StagePtr make_node_meter_stage() { return std::make_unique<NodeMeterStage>(); }
-StagePtr make_live_node_meter_stage() {
-  return std::make_unique<LiveNodeMeterStage>();
+StagePtr make_node_meter_stage() {
+  return std::make_unique<NodeTapMeterStage>();
+}
+StagePtr make_reference_node_meter_stage() {
+  return std::make_unique<ReferenceMeterStage>();
 }
 StagePtr make_rack_meter_stage() { return std::make_unique<RackMeterStage>(); }
 StagePtr make_facility_meter_stage() {
@@ -1629,8 +1400,7 @@ std::vector<StagePtr> make_campaign_stages(const MeasurementPlan& plan,
       stages.push_back(make_rack_meter_stage());
       break;
     default:
-      stages.push_back(config.live.enabled ? make_live_node_meter_stage()
-                                           : make_node_meter_stage());
+      stages.push_back(make_node_meter_stage());
       break;
   }
   stages.push_back(make_repair_stage());

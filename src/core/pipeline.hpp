@@ -13,12 +13,11 @@
 // any thread count.
 //
 // Why stages?  The Meter slot is the only part that differs between
-// execution modes: the eager per-device loop, the streaming kernels, the
-// rack-PDU and facility-feed taps, and src/collect's asynchronous
-// transport are all just different ways to fill `devices`/`readings`.
+// execution modes: the node-tap engine (batch or live), the rack-PDU and
+// facility-feed taps, and src/collect's asynchronous transport are all
+// just different ways to fill `devices`/`readings`.
 // Making that slot explicit lets the async collector reuse the exact
-// Repair/Aggregate/Assess tail (finalize_node_campaign is now a thin
-// wrapper over those stages), and gives every mode the same per-stage
+// Aggregate/Assess tail, and gives every mode the same per-stage
 // observability: each stage records a StageTrace (items, samples,
 // virtual time, deterministic counters, wall clock) surfaced through
 // `powervar campaign --trace-stages` and the JSON assessment document.
@@ -36,8 +35,8 @@
 #include "core/campaign.hpp"
 #include "core/plan.hpp"
 #include "sim/fleet_state.hpp"
-#include "sim/streaming.hpp"
 #include "util/cancel.hpp"
+#include "util/parallel.hpp"
 
 namespace pv {
 
@@ -67,8 +66,6 @@ struct CampaignContext {
   const ClusterPowerModel* cluster = nullptr;
   const SystemPowerModel* electrical = nullptr;
   const MeasurementPlan* plan = nullptr;
-  /// Null for the tail-only path (finalize_node_campaign): Aggregate and
-  /// Assess are pure functions of readings + dq and never look at it.
   const CampaignConfig* config = nullptr;
   /// Optional cooperative cancellation: run_pipeline consults it at
   /// every stage boundary (null = never cancelled).  Checking only at
@@ -83,17 +80,25 @@ struct CampaignContext {
   std::vector<TimeWindow> analysis;   ///< cross-validation grid (reconcile)
   bool faulty = false;                ///< fault injection enabled
   bool reconciling = false;           ///< byzantine defense enabled
-  bool streaming = false;             ///< streaming probe accepted the model
-  std::vector<ShapeTable> tables;     ///< shared shapes (streaming only)
+  /// Assess may memoize the ground truth on the shared shape factor.
+  /// Provision sets it on node taps once its probe has verified that the
+  /// electrical model is the cluster lowered through
+  /// make_system_power_model; the eager reference Meter stage clears it,
+  /// so a reference run integrates the truth directly as well.
+  bool memoize_truth = false;
   std::size_t samples_per_meter = 0;  ///< expected samples, any one meter
   std::vector<std::size_t> racks;     ///< racks metered (rack-PDU tap only)
+  /// The campaign's worker pool (null when the fan-out is serial or the
+  /// tap has no node cohort).  Provision builds it once and shards the
+  /// fleet build over it; the Meter stage borrows it.
+  std::unique_ptr<ThreadPool> pool;
   /// The node-tap cohort transposed to structure-of-arrays (null for the
   /// rack/facility taps): meter models + calibration columns, per-node
-  /// noise streams, PSU curve lanes and fault flags, all in plan order.
-  /// Provision builds it (sharded over the fan-out pool); the Meter
-  /// stages consume it as views — per-node paths index lanes, the fused
-  /// kernels stream whole lane ranges.  unique_ptr so the context stays
-  /// cheap to default-construct for tail-only snapshots.
+  /// noise streams and PSU curve lanes, all in plan order.
+  /// Provision builds it (sharded over the pool); the Meter stage
+  /// consumes it as views — per-node paths index lanes, the fused kernel
+  /// streams whole lane ranges.  unique_ptr so the context stays cheap to
+  /// default-construct for tail-only snapshots.
   std::unique_ptr<FleetState> fleet;
 
   // --- Meter artifacts ---------------------------------------------------
@@ -125,23 +130,32 @@ class CampaignStage {
 using StagePtr = std::unique_ptr<CampaignStage>;
 
 /// Derives the campaign's execution parameters: effective interval,
-/// metered windows, the analysis grid, the streaming probe + shape
-/// tables (node taps), the rack list (rack tap) and meters_planned.
+/// metered windows, the analysis grid, the rack list (rack tap) and
+/// meters_planned.  On node taps it also checks that the electrical model
+/// is the cluster lowered through make_system_power_model (a
+/// contract_error otherwise), builds the campaign's ThreadPool and
+/// provisions the FleetState.
 [[nodiscard]] StagePtr make_provision_stage();
 
-/// Node-tap Meter stage: one meter device per selected node, eager or
-/// streaming per the provision probe, fanned out over config.threads
-/// (bit-identical at any thread count).
+/// Node-tap Meter stage.  Walks every metered window in chunks of at
+/// most config.live.chunk_samples over the FleetState lanes, so peak
+/// memory is O(nodes + chunk) whatever the campaign length.  Clean lanes
+/// run the fused chunk kernel (sim/fleet_state); faulted campaigns give
+/// each lane a DeviceMeter and materialize one window per lane.  Without
+/// a live sink the campaign is one fan-out over the pool; with
+/// config.live enabled and a sink, the walk advances one chunk at a time
+/// and emits partial assessment Documents on the pinned virtual-time
+/// schedule.  Results are byte-identical at any thread count, chunk size
+/// and sink setting.
 [[nodiscard]] StagePtr make_node_meter_stage();
 
-/// Bounded-memory node-tap Meter stage (config.live): window-major over
-/// per-node window accumulators, streaming each window in fixed-size
-/// shape chunks, so peak memory is O(nodes + windows) independent of
-/// campaign length.  Emits partial assessment Documents to
-/// config.live_sink on the pinned virtual-time schedule.  The finished
-/// devices/readings — and therefore the final Document — are
-/// byte-identical to make_node_meter_stage's.
-[[nodiscard]] StagePtr make_live_node_meter_stage();
+/// The eager reference for the node-tap Meter stage: each node metered
+/// through its std::function truth chain, serially, on the lanes
+/// Provision built; it also turns off the memoized ground truth, so a
+/// reference run shares no shortcut with the engine.  No config selects
+/// it; tests and benches swap it into make_campaign_stages' list to
+/// check the engine against it.
+[[nodiscard]] StagePtr make_reference_node_meter_stage();
 
 /// Rack-PDU Meter stage: one meter per rack containing a selected node;
 /// the reading is later attributed evenly to the rack's nodes.
@@ -169,7 +183,7 @@ using StagePtr = std::unique_ptr<CampaignStage>;
 [[nodiscard]] StagePtr make_aggregate_stage();
 
 /// Ground truth and relative error — the simulation-only assessment.
-/// Uses the memoized integrand when the streaming probe held.
+/// Uses the memoized integrand when ctx.memoize_truth is set.
 [[nodiscard]] StagePtr make_assess_stage();
 
 /// Assembles the full stage list run_campaign executes for `plan`:

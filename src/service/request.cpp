@@ -111,8 +111,10 @@ ServiceRequest parse_request(const std::string& json_line) {
     } else if (key == "reconcile") {
       req.reconcile = need_bool(value, "reconcile");
     } else if (key == "engine") {
-      req.engine = need_string(value, "engine");
-      if (req.engine != "eager" && req.engine != "streaming") {
+      // Retired knob (one metering engine remains): still validated so
+      // older request files and drain checkpoints parse, then ignored.
+      const std::string engine = need_string(value, "engine");
+      if (engine != "eager" && engine != "streaming") {
         bad("field 'engine' must be eager or streaming");
       }
     } else if (key == "threads") {
@@ -156,7 +158,6 @@ std::string render_request_json(const ServiceRequest& req) {
   if (req.dead > 0) o["dead"] = static_cast<unsigned long long>(req.dead);
   if (req.byzantine > 0.0) o["byzantine"] = req.byzantine;
   if (req.reconcile) o["reconcile"] = true;
-  o["engine"] = req.engine;
   if (req.threads > 0) {
     o["threads"] = static_cast<unsigned long long>(req.threads);
   }
@@ -271,7 +272,6 @@ CampaignConfig campaign_config_of(const ServiceRequest& req,
   config.reconcile.enabled = req.reconcile;
   config.reconcile.threads = req.threads;
   config.threads = std::max<std::size_t>(1, req.threads);
-  if (req.engine == "eager") config.engine = CampaignEngine::kEager;
   return config;
 }
 

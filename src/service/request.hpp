@@ -3,8 +3,8 @@
 // each a single powervar-…-v1 JSON object over the core/doc Json layer.
 //
 // A request names a synthetic campaign exactly as the `campaign`
-// subcommand would (nodes, cv, level, seed, fault knobs, engine,
-// threads) plus service-only execution knobs (deadline budget).  The
+// subcommand would (nodes, cv, level, seed, fault knobs, threads) plus
+// service-only execution knobs (deadline budget).  The
 // materialization helpers below reproduce the CLI's rig assembly — the
 // same fleet-seed mixing, the same methodology revision, the same fault
 // wiring — byte for byte: the isolation contract compares service
@@ -49,7 +49,6 @@ struct ServiceRequest {
   std::size_t dead = 0;        ///< meters forced dead (plan-order prefix)
   double byzantine = 0.0;      ///< fraction of meters forced to lie
   bool reconcile = false;
-  std::string engine = "streaming";  ///< eager | streaming
   unsigned threads = 0;        ///< campaign fan-out (0 = serial)
   double interval_s = 0.0;     ///< meter interval override (0 = plan's)
   double deadline_ms = 0.0;    ///< per-request budget (0 = service default)
@@ -131,7 +130,7 @@ struct ServiceResponse {
 
 /// Assembles the campaign config exactly as `cmd_campaign` does (fault
 /// preset, dropout override, dead-meter prefix, forced byzantine
-/// meters, reconcile, engine, threads).
+/// meters, reconcile, threads).
 [[nodiscard]] CampaignConfig campaign_config_of(const ServiceRequest& req,
                                                 const MeasurementPlan& plan);
 

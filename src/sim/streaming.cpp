@@ -51,6 +51,7 @@ void build_shape_chunk(const ClusterPowerModel& cluster, const TimeWindow& w,
   const double dt = interval.value();
   out.t_begin = w.begin.value();
   out.dt = dt;
+  out.first = first;
   out.mode = mode;
   out.samples = count;
   out.levels.clear();
@@ -76,125 +77,67 @@ void build_shape_chunk(const ClusterPowerModel& cluster, const TimeWindow& w,
   index_shape_levels(out);
 }
 
-std::vector<ShapeTable> build_shape_tables(
-    const ClusterPowerModel& cluster, const std::vector<TimeWindow>& windows,
-    Seconds interval, MeterMode mode) {
-  PV_EXPECTS(interval.value() > 0.0, "reporting interval must be positive");
-  std::vector<ShapeTable> tables;
-  tables.reserve(windows.size());
-  for (const TimeWindow& w : windows) {
-    const std::size_t samples = window_sample_count(w, interval);
-    PV_EXPECTS(samples > 0, "window shorter than one reporting interval");
-    ShapeTable table;
-    build_shape_chunk(cluster, w, interval, mode, 0, samples, table);
-    tables.push_back(std::move(table));
-  }
-  return tables;
-}
-
 void stream_node_window(const ShapeTable& table, double node_mean_w,
                         const CompiledPsuCurve* ac_curve,
                         const MeterModel& meter, Rng& noise_rng,
                         StreamScratch& scratch) {
-  std::vector<double>& out = scratch.readings;
-  out.resize(table.samples);
-  const double* const shape = table.shape.data();
   const std::size_t points = table.shape.size();
+  const std::size_t samples = table.samples;
+  // Metered power at every quadrature point: the node's DC draw
+  // (mean * shape), converted through its PSU on AC taps.  Each phase is
+  // elementwise over disjoint arrays, so the compiler vectorizes it, and
+  // each element sees the identical IEEE operations the scalar per-point
+  // path performs, so the bits don't move.
+  scratch.ac.resize(points);
+  double* const ac = scratch.ac.data();
   if (!table.levels.empty()) {
-    // Level-indexed path: one PSU evaluation per distinct shape value —
+    // Level-indexed: one PSU evaluation per distinct shape value —
     // through the same inline ac_from_dc the per-point paths call, on a
     // bit-equal DC load — then an index gather.  Steady phases turn the
     // whole per-point conversion stage into a table lookup.
-    const std::size_t nl = table.levels.size();
     double acl[ShapeTable::kMaxLevels];
-    for (std::size_t l = 0; l < nl; ++l) {
+    for (std::size_t l = 0; l < table.levels.size(); ++l) {
       const double dc = node_mean_w * table.levels[l];
       acl[l] = ac_curve != nullptr ? ac_curve->ac_from_dc(dc) : dc;
     }
     const std::uint32_t* const idx = table.level_idx.data();
-    const std::size_t samples = table.samples;
-    if (table.mode == MeterMode::kIntegrated) {
-      scratch.truth.resize(samples);
-      double* const truth = scratch.truth.data();
-      const std::uint32_t* const i0 = idx;
-      const std::uint32_t* const i1 = idx + samples;
-      const std::uint32_t* const i2 = idx + 2 * samples;
-      const std::uint32_t* const i3 = idx + 3 * samples;
-      for (std::size_t i = 0; i < samples; ++i) {
-        truth[i] = ((gl4::kWs[0] * acl[i0[i]] + gl4::kWs[1] * acl[i1[i]]) +
-                    gl4::kWs[2] * acl[i2[i]]) +
-                   gl4::kWs[3] * acl[i3[i]];
-      }
-      for (std::size_t i = 0; i < samples; ++i) {
-        out[i] = meter.apply_errors(truth[i], noise_rng);
-      }
-    } else {
-      for (std::size_t i = 0; i < samples; ++i) {
-        out[i] = meter.apply_errors(acl[idx[i]], noise_rng);
-      }
-    }
-    return;
-  }
-  if (ac_curve != nullptr) {
-    // Phase-structured AC tap: DC loads for every quadrature point of the
-    // whole window at once, one batched PSU pass over them, then the
-    // quadrature reduce and the (serial, RNG-ordered) error application.
-    // Each phase is elementwise over disjoint arrays, so the compiler
-    // vectorizes it; each element sees the identical IEEE operations the
-    // scalar per-point path performs, so the bits don't move.
+    for (std::size_t k = 0; k < points; ++k) ac[k] = acl[idx[k]];
+  } else if (ac_curve != nullptr) {
+    // One batched PSU pass over every quadrature point of the chunk.
     scratch.dc.resize(points);
-    scratch.ac.resize(points);
     double* const dc = scratch.dc.data();
-    for (std::size_t k = 0; k < points; ++k) dc[k] = node_mean_w * shape[k];
+    for (std::size_t k = 0; k < points; ++k) {
+      dc[k] = node_mean_w * table.shape[k];
+    }
     ac_curve->ac_from_dc_batch(scratch.dc, scratch.ac, scratch.lf,
                                scratch.eff);
-    const double* const ac = scratch.ac.data();
-    if (table.mode == MeterMode::kIntegrated) {
-      // Plane-major reduce: elementwise across samples, with the exact
-      // left-to-right add order of the scalar `truth += kWs[q] * w` loop
-      // (whose 0.0 seed is exact for the non-negative powers here).
-      const std::size_t samples = table.samples;
-      scratch.truth.resize(samples);
-      double* const truth = scratch.truth.data();
-      const double* const a0 = ac;
-      const double* const a1 = ac + samples;
-      const double* const a2 = ac + 2 * samples;
-      const double* const a3 = ac + 3 * samples;
-      for (std::size_t i = 0; i < samples; ++i) {
-        truth[i] = ((gl4::kWs[0] * a0[i] + gl4::kWs[1] * a1[i]) +
+  } else {
+    for (std::size_t k = 0; k < points; ++k) {
+      ac[k] = node_mean_w * table.shape[k];
+    }
+  }
+  const double* truth = ac;
+  if (table.mode == MeterMode::kIntegrated) {
+    // Plane-major reduce: elementwise across samples, with the exact
+    // left-to-right add order of the scalar `truth += kWs[q] * w` loop
+    // (whose 0.0 seed is exact for the non-negative powers here).
+    scratch.truth.resize(samples);
+    double* const reduced = scratch.truth.data();
+    const double* const a0 = ac;
+    const double* const a1 = ac + samples;
+    const double* const a2 = ac + 2 * samples;
+    const double* const a3 = ac + 3 * samples;
+    for (std::size_t i = 0; i < samples; ++i) {
+      reduced[i] = ((gl4::kWs[0] * a0[i] + gl4::kWs[1] * a1[i]) +
                     gl4::kWs[2] * a2[i]) +
                    gl4::kWs[3] * a3[i];
-      }
-      for (std::size_t i = 0; i < samples; ++i) {
-        out[i] = meter.apply_errors(truth[i], noise_rng);
-      }
-    } else {
-      for (std::size_t i = 0; i < table.samples; ++i) {
-        out[i] = meter.apply_errors(ac[i], noise_rng);
-      }
     }
-  } else if (table.mode == MeterMode::kIntegrated) {
-    const std::size_t samples = table.samples;
-    scratch.truth.resize(samples);
-    double* const truth = scratch.truth.data();
-    const double* const s0 = shape;
-    const double* const s1 = shape + samples;
-    const double* const s2 = shape + 2 * samples;
-    const double* const s3 = shape + 3 * samples;
-    for (std::size_t i = 0; i < samples; ++i) {
-      truth[i] = ((gl4::kWs[0] * (node_mean_w * s0[i]) +
-                   gl4::kWs[1] * (node_mean_w * s1[i])) +
-                  gl4::kWs[2] * (node_mean_w * s2[i])) +
-                 gl4::kWs[3] * (node_mean_w * s3[i]);
-    }
-    for (std::size_t i = 0; i < samples; ++i) {
-      out[i] = meter.apply_errors(truth[i], noise_rng);
-    }
-  } else {
-    for (std::size_t i = 0; i < table.samples; ++i) {
-      const double dc = node_mean_w * shape[i];
-      out[i] = meter.apply_errors(dc, noise_rng);
-    }
+    truth = reduced;
+  }
+  // Calibration and noise: serial, in the meter's RNG order.
+  scratch.readings.resize(samples);
+  for (std::size_t i = 0; i < samples; ++i) {
+    scratch.readings[i] = meter.apply_errors(truth[i], noise_rng);
   }
 }
 

@@ -7,8 +7,9 @@
 // that work is shared: every node's DC power is its mean times one common
 // shape factor, so the shape can be evaluated once per time-grid point and
 // reused across the whole cohort.  These kernels do exactly that —
-// build_shape_tables walks the workload model once per metered window;
-// stream_node_window then reduces a node's readings to one multiply, one
+// build_shape_chunk walks the workload model once per chunk of a metered
+// window; stream_node_window then reduces a node's readings to one
+// multiply, one
 // compiled-PSU evaluation and one calibration/noise application per
 // quadrature point, writing into a caller-owned scratch buffer so chunked
 // sharding allocates nothing per node.
@@ -33,11 +34,13 @@
 namespace pv {
 
 /// Shape factors at every quadrature abscissa of every reading in one
-/// metered window, on the exact time grid MeterModel::measure uses.
+/// chunk of a metered window, on the exact time grid MeterModel::measure
+/// uses.
 struct ShapeTable {
-  double t_begin = 0.0;
+  double t_begin = 0.0;     ///< the window's origin
   double dt = 0.0;          ///< reporting interval
-  std::size_t samples = 0;  ///< readings in the window
+  std::size_t first = 0;    ///< window-global index of the chunk's sample 0
+  std::size_t samples = 0;  ///< readings in the chunk
   MeterMode mode = MeterMode::kSampled;
   /// samples entries (kSampled, midpoints) or 4*samples (kIntegrated,
   /// Gauss-Legendre abscissae).  kIntegrated is stored plane-major:
@@ -58,22 +61,15 @@ struct ShapeTable {
   static constexpr std::size_t kMaxLevels = 32;
 };
 
-/// One table per metered window.  Windows shorter than one reporting
-/// interval are rejected exactly like MeterModel::measure.
-[[nodiscard]] std::vector<ShapeTable> build_shape_tables(
-    const ClusterPowerModel& cluster, const std::vector<TimeWindow>& windows,
-    Seconds interval, MeterMode mode);
-
 /// Readings MeterModel::measure would produce over `w` at `interval` —
 /// the same floor arithmetic as samples_in.
 [[nodiscard]] std::size_t window_sample_count(const TimeWindow& w,
                                               Seconds interval);
 
 /// Fills `out` with the shape table for samples [first, first + count) of
-/// window `w` — the bounded-memory building block the live engine uses
-/// instead of materializing every window's table up front.  Sample i of
-/// the chunk sits on the *window-global* time grid (index first + i), so
-/// chunked streaming reproduces the full-window bits exactly.  `out`'s
+/// window `w`, so peak memory never depends on the window length.  Sample
+/// i of the chunk sits on the *window-global* time grid (index first + i),
+/// so chunked streaming reproduces the full-window bits exactly.  `out`'s
 /// storage is reused across calls; out.samples is the chunk's count and
 /// out.t_begin stays the window's origin.
 void build_shape_chunk(const ClusterPowerModel& cluster, const TimeWindow& w,

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/scenario.hpp"
 
@@ -172,20 +173,22 @@ TEST(CampaignProperties, LargerCohortsNeverWidenExpectedCi) {
 
 // A defense that convicts honest meters is worse than no defense: with
 // fault injection off, reconciliation must quarantine and correct nothing
-// at any level, for any seed, on either engine.
+// at any level, for any seed, through the engine or the eager reference
+// Meter stage.
 TEST(CampaignProperties, QuarantineNeverFiresOnCleanRuns) {
   for (const Level level : {Level::kL1, Level::kL3}) {
     for (const std::uint64_t seed : {1u, 7u, 23u, 101u, 202u}) {
       const Rig rig = make_rig(96, level, seed);
-      for (const CampaignEngine engine :
-           {CampaignEngine::kEager, CampaignEngine::kStreaming}) {
-        CampaignConfig cfg;
-        cfg.seed = seed;
-        cfg.engine = engine;
-        cfg.meter_interval_override = Seconds{5.0};
-        cfg.reconcile.enabled = true;
-        const auto r =
-            run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
+      CampaignConfig cfg;
+      cfg.seed = seed;
+      cfg.meter_interval_override = Seconds{5.0};
+      cfg.reconcile.enabled = true;
+      for (const bool reference : {false, true}) {
+        std::vector<StagePtr> stages = make_campaign_stages(rig.plan, cfg);
+        // Provision, Meter, ...: swap in the reference Meter stage.
+        if (reference) stages[1] = make_reference_node_meter_stage();
+        const auto r = run_campaign_stages(*rig.cluster, *rig.electrical,
+                                           rig.plan, cfg, stages);
         EXPECT_TRUE(r.data_quality.reconcile_ran);
         EXPECT_EQ(r.data_quality.integrity.meters_quarantined, 0u)
             << "level " << static_cast<int>(level) << " seed " << seed;

@@ -34,7 +34,7 @@ std::string solo_assessment(const ServiceRequest& req) {
 }
 
 /// Eight deliberately heterogeneous campaigns: different seeds, fault
-/// presets, engines, levels, thread counts — plus two sharing one
+/// presets, levels, thread counts, reconciliation — plus two sharing one
 /// scenario spec (same nodes/cv/seed) so the cache serves both.
 std::vector<ServiceRequest> mixed_requests() {
   std::vector<ServiceRequest> reqs(8);
@@ -48,7 +48,8 @@ std::vector<ServiceRequest> mixed_requests() {
   reqs[2].faults = "harsh";
   reqs[2].dropout = 0.1;
   reqs[3].level = 2;
-  reqs[4].engine = "eager";
+  reqs[4].reconcile = true;
+  reqs[4].threads = 2;
   reqs[5].faults = "harsh";
   reqs[5].reconcile = true;
   reqs[5].level = 3;
@@ -96,6 +97,30 @@ TEST(CampaignService, ConcurrentCampaignsAreBitIdenticalToSoloRuns) {
     EXPECT_GE(report.cache.hits, 1u);
     EXPECT_LE(report.cache.misses, reqs.size() - 1);
   }
+}
+
+// "engine" is a retired request field: older request files and drain
+// checkpoints carry it, so it is still validated, then ignored — the
+// response is byte-identical to the same request without it.
+TEST(CampaignService, RetiredEngineFieldIsAcceptedAndIgnored) {
+  const std::string base =
+      R"({"schema":"powervar-request-v1","id":"eng","nodes":32,"seed":9,)"
+      R"("level":2,"faults":"mild","interval":10)";
+  const auto respond = [](const std::string& line) {
+    ServiceConfig config;
+    config.workers = 1;
+    CampaignService service(config);
+    const AdmissionVerdict verdict = service.submit(parse_request(line));
+    const std::string out = render_response_json(service.wait(verdict.ticket));
+    (void)service.drain();
+    return out;
+  };
+  const std::string plain = respond(base + "}");
+  EXPECT_NE(plain.find("\"code\":\"ok\""), std::string::npos) << plain;
+  EXPECT_EQ(respond(base + R"(,"engine":"eager"})"), plain);
+  EXPECT_EQ(respond(base + R"(,"engine":"streaming"})"), plain);
+  EXPECT_THROW((void)parse_request(base + R"(,"engine":"warp"})"),
+               RequestParseError);
 }
 
 TEST(CampaignService, QueuedRequestsAllCompleteInOrderOfTicket) {

@@ -61,7 +61,6 @@ void expect_parse_or_typed_reject(const std::string& line) {
     EXPECT_LE(req.cv, 1.0);
     EXPECT_TRUE(req.faults == "none" || req.faults == "mild" ||
                 req.faults == "harsh");
-    EXPECT_TRUE(req.engine == "eager" || req.engine == "streaming");
   } catch (const JsonParseError&) {
   } catch (const RequestParseError&) {
   }
@@ -163,7 +162,6 @@ TEST(FuzzServiceRequest, MinimalRequestGetsCliDefaults) {
   EXPECT_EQ(req.seed, 1u);
   EXPECT_EQ(req.faults, "none");
   EXPECT_FALSE(req.dropout.has_value());
-  EXPECT_EQ(req.engine, "streaming");
   EXPECT_DOUBLE_EQ(req.deadline_ms, 0.0);
 }
 

@@ -22,14 +22,13 @@
 //   powervar campaign --nodes N --cv F --level 1|2|3 [--seed S]
 //                     [--faults none|mild|harsh] [--dropout F] [--dead N]
 //                     [--byzantine F] [--reconcile 1] [--threads N]
-//                     [--engine eager|streaming] [--live] [--live-every S]
+//                     [--live] [--live-every S]
 //       Simulates a full measurement campaign on a synthetic cluster and
 //       prints the accuracy assessment; with faults, also the data-quality
-//       block (meters lost, coverage, repairs).  --live runs the
-//       bounded-memory window-major engine and streams partial assessment
-//       documents (JSON lines) to stdout as the campaign advances — every
-//       --live-every virtual seconds, or at every closed window when
-//       omitted — before the final (byte-identical) report.
+//       block (meters lost, coverage, repairs).  --live streams partial
+//       assessment documents (JSON lines) to stdout as the campaign
+//       advances — every --live-every virtual seconds, or at every closed
+//       window when omitted — before the final (byte-identical) report.
 //
 //   powervar reconcile --nodes N [--cv F] [--seed S] [--byzantine F]
 //                      [--defend 0|1] [--windows K] [--threads N]
@@ -126,8 +125,7 @@ class Args {
     // Boolean switches that may appear bare (no value); anything else
     // keeps the strict --key value contract.
     static const std::set<std::string> kBareFlags = {
-        "json", "trace-stages", "once",        "strict-cache",
-        "stream", "live",       "scalar-fleet"};
+        "json", "trace-stages", "once", "strict-cache", "stream", "live"};
     for (int i = first; i < argc; ++i) {
       const std::string token = argv[i];
       if (token.rfind("--", 0) != 0 || token.size() <= 2) {
@@ -405,19 +403,9 @@ int cmd_campaign(const Args& args) {
       static_cast<unsigned>(args.number_or("threads", 0.0));
   config.reconcile.threads = threads;
   config.threads = std::max<std::size_t>(1, threads);
-  const std::string engine = args.text_or("engine", "streaming");
-  if (engine == "eager") {
-    config.engine = CampaignEngine::kEager;
-  } else if (engine != "streaming") {
-    throw std::runtime_error("--engine must be eager or streaming");
-  }
-  // The fused SoA fleet kernels are the default; --scalar-fleet forces
-  // the per-node path (the check_determinism.sh differential uses this —
-  // both paths must report identical bytes).
-  config.fleet_soa = !args.flag_or("scalar-fleet");
-  // Live (bounded-memory) mode: partial assessment documents stream to
-  // stdout as JSON lines while the campaign runs; the final document
-  // (printed last) is byte-identical to a non-live run's.
+  // Live mode: partial assessment documents stream to stdout as JSON
+  // lines while the campaign runs; the final document (printed last) is
+  // byte-identical to a non-live run's.
   config.live.enabled = args.flag_or("live");
   const double live_every = args.number_or("live-every", 0.0);
   if (live_every > 0.0 && !config.live.enabled) {
@@ -788,11 +776,10 @@ int usage() {
       "  tco         --power-kw F --accuracy F [--cost-per-kwh F] [--pue F]"
       " [--duty F] [--years F]\n"
       "  campaign    --nodes N [--cv F] [--level 1|2|3] [--seed S]\n"
-      "              [--engine eager|streaming]\n"
       "              [--faults none|mild|harsh] [--dropout F] [--dead N]"
       " [--interval S]\n"
       "              [--byzantine F] [--reconcile 1] [--threads N]\n"
-      "              [--live] [--live-every S] [--scalar-fleet]\n"
+      "              [--live] [--live-every S]\n"
       "              [--json] [--trace-stages]\n"
       "  reconcile   --nodes N [--cv F] [--seed S] [--byzantine F]\n"
       "              [--defend 0|1] [--windows K] [--threads N]"
