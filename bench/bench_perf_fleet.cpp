@@ -12,8 +12,8 @@
 //                    (PV_PERF_FLEET_SMOKE=1 runs only this scenario);
 //   fleet10k_l1      10k nodes, L1, perfect meters — the headline kernel
 //                    ratio.  Perfect meters because the per-sample noise
-//                    draw (Marsaglia polar, cached pair) is inherently
-//                    serial per lane and would only dilute it;
+//                    draw (a scalar ZIGNOR ziggurat per lane and sample)
+//                    would only dilute it;
 //   fleet10k_l1_pdu  10k nodes with pdu-grade meters — the realistic mix;
 //   fleet100k_l3     100k nodes, every node metered, 30 s interval, one
 //                    rep, no reference (about 3 s there) — the scale

@@ -1,8 +1,10 @@
 // Library micro-benchmarks (google-benchmark): the hot paths behind the
-// reproduction — RNG, quantiles, trace window statistics, fleet
-// generation, sliding-window sweeps and the coverage inner loop.
+// reproduction — RNG, meter noise, quantiles, trace window statistics,
+// fleet generation, sliding-window sweeps and the coverage inner loop.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/coverage.hpp"
@@ -39,6 +41,29 @@ void BM_RngNormal(benchmark::State& state) {
   report_peak_rss(state);
 }
 BENCHMARK(BM_RngNormal);
+
+/// Per-sample meter noise in the fused engine's access pattern: one draw
+/// from each of 4096 lanes' streams at one shared sample index, the index
+/// advancing per iteration.  Items are draws, so ns per draw is
+/// 1e9 / items_per_second.
+void BM_MeterNoise(benchmark::State& state) {
+  constexpr std::size_t kLanes = 4096;
+  std::vector<pv::NoiseStream> lanes;
+  lanes.reserve(kLanes);
+  for (std::size_t i = 0; i < kLanes; ++i) lanes.emplace_back(0xBADCAB1E, i);
+  std::vector<double> out(kLanes);
+  std::uint64_t k = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kLanes; ++i) out[i] = lanes[i].normal(k);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    ++k;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kLanes));
+  report_peak_rss(state);
+}
+BENCHMARK(BM_MeterNoise);
 
 void BM_NormQuantile(benchmark::State& state) {
   double p = 0.0001;

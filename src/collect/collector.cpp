@@ -220,10 +220,10 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
   ThreadPool* pool = local_pool ? &*local_pool : &default_pool();
 
   // Provision the cohort's meters once, as an SoA fleet table sharded
-  // over the poll pool: every lane's calibration stream is keyed by its
-  // node id (Rng(seed ^ kCalibrationSalt, node), as the synchronous
-  // stages draw it), so each poll task just reads its lane instead of
-  // re-deriving the model inline.  Polling walks the eager truth chain,
+  // over the poll pool: every lane's calibration and noise streams are
+  // keyed by its node id (as the synchronous stages key them), so each
+  // poll task just reads its lane instead of re-deriving the model
+  // inline.  Polling walks the eager truth chain,
   // so no PSU lanes are bound (ac_tap = false).
   FleetProvisionSpec fspec;
   fspec.accuracy = campaign.meter_accuracy;
@@ -244,6 +244,7 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
       PollJob job;
       job.meter_id = node;
       job.meter = &fleet.meters[i];
+      job.noise = fleet.noise[i];
       job.truth = plan.point == MeasurementPoint::kNodeDc
                       ? PowerFunction([&electrical, node](double t) {
                           return electrical.node_dc_w(node, t);

@@ -8,13 +8,13 @@
 namespace pv {
 namespace {
 
-constexpr std::uint64_t kChunkNoiseSalt = 0xC011EC7EDULL;
 constexpr std::uint64_t kBackoffSalt = 0xBAC0FF5ALL;
 
 // One request's worth of trace.
 struct Chunk {
   TimeWindow window;
   std::size_t window_index = 0;  ///< which plan window it belongs to
+  std::uint64_t first = 0;       ///< meter-global index of its sample 0
   std::size_t samples = 0;
   double avail_s = 0.0;  ///< virtual time the data exists (chunk end)
 };
@@ -26,6 +26,7 @@ std::vector<Chunk> build_chunks(const PollJob& job,
       1, static_cast<std::size_t>(
              std::floor(config.chunk_duration.value() / dt + 1e-9)));
   std::vector<Chunk> chunks;
+  std::uint64_t window_first = 0;
   for (std::size_t wi = 0; wi < job.windows.size(); ++wi) {
     const TimeWindow& w = job.windows[wi];
     const std::size_t n = job.meter->samples_in(w);
@@ -36,10 +37,12 @@ std::vector<Chunk> build_chunks(const PollJob& job,
                   Seconds{w.begin.value() +
                           dt * static_cast<double>(first + len)}};
       c.window_index = wi;
+      c.first = window_first + first;
       c.samples = len;
       c.avail_s = c.window.end.value() - job.campaign_window.begin.value();
       chunks.push_back(c);
     }
+    window_first += n;
   }
   return chunks;
 }
@@ -102,12 +105,11 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
     }
     if (!got) continue;  // chunk lost: its samples become a gap
 
-    // The reply: this chunk's readings, keyed by (seed, meter, chunk) so
-    // retries, duplicates and resumed runs see identical values.
-    Rng noise(job.seed ^ kChunkNoiseSalt,
-              mix_streams(job.meter_id, ci));
+    // The reply: this chunk's readings at their meter-global draw
+    // indices, so retries, duplicates and resumed runs see identical
+    // values.
     job.meter->measure_into(job.truth, chunk.window.begin, chunk.window.end,
-                            noise, readings);
+                            job.noise, chunk.first, readings);
     double sum = 0.0;
     for (double w : readings) sum += w;
     window_sum[chunk.window_index] += sum;

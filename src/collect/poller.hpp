@@ -13,10 +13,11 @@
 // time — and the meter is probed again (half-open) when its cooldown
 // passes.
 //
-// Chunk sample values come from an RNG stream keyed by (seed, meter,
-// chunk), never from a sequential stream, so a retried or re-polled chunk
-// yields bit-identical readings — duplicates deduplicate trivially and a
-// resumed campaign reproduces an uninterrupted one exactly.
+// Chunk sample values draw the meter's noise stream at their
+// meter-global sample indices (the campaign's own draws for those
+// samples), never from a sequential stream, so a retried or re-polled
+// chunk yields bit-identical readings — duplicates deduplicate trivially
+// and a resumed campaign reproduces an uninterrupted one exactly.
 
 #include <cstdint>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "collect/retry.hpp"
 #include "collect/transport.hpp"
 #include "meter/meter.hpp"
+#include "stats/rng.hpp"
 #include "trace/time_series.hpp"
 
 namespace pv {
@@ -45,6 +47,7 @@ struct PollerConfig {
 struct PollJob {
   std::size_t meter_id = 0;  ///< node id; also the RNG stream key
   const MeterModel* meter = nullptr;
+  NoiseStream noise{0};               ///< the meter's per-sample noise
   PowerFunction truth;                ///< ground truth behind the meter
   std::vector<TimeWindow> windows;    ///< the plan's metered windows
   TimeWindow campaign_window;         ///< full plan window (clock origin)

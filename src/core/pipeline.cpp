@@ -239,12 +239,14 @@ class DeviceMeter {
 };
 
 // Meters `truth` over every window by driving a DeviceMeter eagerly: the
-// meter evaluates the std::function truth chain at every sample.  The
-// rack/facility taps and the node-tap reference stage run this loop.
+// meter evaluates the std::function truth chain at every sample, each
+// window's readings drawing `noise` from where the previous window's
+// left off.  The rack/facility taps and the node-tap reference stage run
+// this loop.
 DeviceReading meter_device(const MeterModel& meter,
                            const PowerFunction& truth,
                            const std::vector<TimeWindow>& windows,
-                           TimeWindow campaign_window, Rng& noise,
+                           TimeWindow campaign_window, NoiseStream noise,
                            const CampaignConfig& config,
                            std::uint64_t stream, std::size_t meter_id,
                            const std::vector<TimeWindow>* analysis = nullptr) {
@@ -252,8 +254,10 @@ DeviceReading meter_device(const MeterModel& meter,
                  campaign_window, windows.size(),
                  expected_samples(windows, meter), analysis);
   if (dm.dead()) return dm.finish();
+  std::uint64_t drawn = 0;
   for (const TimeWindow& w : windows) {
-    const PowerTrace trace = meter.measure(truth, w.begin, w.end, noise);
+    const PowerTrace trace = meter.measure(truth, w.begin, w.end, noise, drawn);
+    drawn += trace.size();
     if (config.faults.enabled()) {
       dm.feed_faulted_window(trace, w);
     } else {
@@ -299,13 +303,15 @@ std::vector<double> measure_check_meter(const PowerFunction& truth,
                                         Seconds interval,
                                         std::uint64_t stream) {
   Rng calibration(config.seed ^ kCalibrationSalt, stream);
-  Rng noise(config.seed ^ kNoiseSalt, stream);
+  const NoiseStream noise(config.seed ^ kNoiseSalt, stream);
   const MeterModel meter(config.meter_accuracy, plan.meter_mode, interval,
                          calibration);
   std::vector<double> means;
   means.reserve(analysis.size());
+  std::uint64_t drawn = 0;
   for (const TimeWindow& w : analysis) {
-    const PowerTrace trace = meter.measure(truth, w.begin, w.end, noise);
+    const PowerTrace trace = meter.measure(truth, w.begin, w.end, noise, drawn);
+    drawn += trace.size();
     means.push_back(trace.mean_power().value());
   }
   return means;
@@ -497,15 +503,13 @@ class ProvisionStage final : public CampaignStage {
                    "node-tap campaigns need the electrical model lowered "
                    "from the cluster (make_system_power_model)");
         ctx.memoize_truth = true;
-        // The campaign's one worker pool: the fleet build below and the
-        // Meter stage both fan out over it.
-        const std::size_t fanout = node_fanout(config, ctx.reconciling);
-        if (fanout > 1) {
-          ctx.pool =
-              std::make_unique<ThreadPool>(static_cast<unsigned>(fanout));
-        }
+        // The fleet build below and the Meter stage fan out into at most
+        // `fanout` lane ranges on the process-wide pool, borrowed: a
+        // campaign starts and joins no threads of its own.
+        ctx.fanout = node_fanout(config, ctx.reconciling);
+        if (ctx.fanout > 1) ctx.pool = &default_pool();
         // Transpose the cohort into the fleet table: meter models +
-        // calibration columns, per-node noise streams and PSU lanes, in
+        // calibration columns, per-node noise origins and PSU lanes, in
         // plan order.  Every lane is a pure function of its own node id,
         // so the sharded build is bit-identical at any thread count.
         FleetProvisionSpec fspec;
@@ -516,7 +520,7 @@ class ProvisionStage final : public CampaignStage {
         fspec.ac_tap = plan.point != MeasurementPoint::kNodeDc;
         ctx.fleet = std::make_unique<FleetState>(
             build_fleet_state(plan.node_indices, fspec, ctx.windows, &cluster,
-                              &electrical, ctx.pool.get()));
+                              &electrical, ctx.pool, ctx.fanout));
         break;
       }
     }
@@ -611,10 +615,10 @@ struct WindowSummary {
 
 // One run of the node-tap engine (see make_node_meter_stage).  Clean
 // lanes keep SoA accumulators and no per-lane object; faulted campaigns
-// keep one DeviceMeter per lane.  Every lane's RNG streams are keyed by
-// its node id and consumed in sample order, and every accumulator chains
-// in sample order, so no thread count, chunk size or sink setting moves
-// a bit.
+// keep one DeviceMeter per lane.  Every lane's streams are keyed by its
+// node id, every reading draws noise at its meter-global sample index,
+// and every accumulator chains in sample order, so no thread count, chunk
+// size or sink setting moves a bit.
 class NodeTapRun {
  public:
   explicit NodeTapRun(CampaignContext& ctx)
@@ -636,15 +640,18 @@ class NodeTapRun {
   // No sink: one fan-out, each worker walking every window of its lanes
   // with no barrier in between.
   void run_batch() {
-    parallel_chunks(ctx_.pool.get(), n_, [this](std::size_t b, std::size_t e) {
-      FleetScratch scratch;
-      walk(
-          [&](const ShapeTable& chunk, std::size_t wi,
-              std::span<const std::int32_t> a_idx) {
-            meter(chunk, wi, a_idx, b, e, scratch);
-          },
-          [&](std::size_t, std::size_t samples) { close(samples, b, e); });
-    });
+    parallel_chunks(
+        ctx_.pool, n_,
+        [this](std::size_t b, std::size_t e) {
+          FleetScratch scratch;
+          walk(
+              [&](const ShapeTable& chunk, std::size_t wi, std::uint64_t k0,
+                  std::span<const std::int32_t> a_idx) {
+                meter(chunk, wi, k0, a_idx, b, e, scratch);
+              },
+              [&](std::size_t, std::size_t samples) { close(samples, b, e); });
+        },
+        ctx_.fanout);
   }
 
   // With a sink: the same walk, one step at a time across all lanes,
@@ -687,6 +694,8 @@ class NodeTapRun {
   // grid — chunks of at most live.chunk_samples for clean lanes, whole
   // windows for faulted ones (the corruption pipeline needs a trace) —
   // building each step's shape table and bucket map into reused storage.
+  // Each step also gets the meter-global index of its first sample: the
+  // samples of earlier windows plus the chunk's offset in its own.
   template <class Step, class Close>
   void walk(Step&& step, Close&& close_window) const {
     ShapeTable chunk;
@@ -694,6 +703,7 @@ class NodeTapRun {
     const bool buckets = !ctx_.faulty && ctx_.reconciling;
     const std::size_t cap =
         std::max<std::size_t>(std::size_t{1}, config_.live.chunk_samples);
+    std::uint64_t window_k0 = 0;
     for (std::size_t wi = 0; wi < ctx_.windows.size(); ++wi) {
       const TimeWindow& w = ctx_.windows[wi];
       const std::size_t samples = window_sample_count(w, ctx_.interval);
@@ -704,28 +714,31 @@ class NodeTapRun {
                           ctx_.plan->meter_mode, first,
                           std::min(step_cap, samples - first), chunk);
         if (buckets) map_analysis_samples(chunk, ctx_.analysis, a_idx);
-        step(chunk, wi, std::span<const std::int32_t>(a_idx));
+        step(chunk, wi, window_k0 + first,
+             std::span<const std::int32_t>(a_idx));
       }
       close_window(wi, samples);
+      window_k0 += samples;
     }
   }
 
-  // Meters lanes [b, e) over one step of window wi.
-  void meter(const ShapeTable& chunk, std::size_t wi,
+  // Meters lanes [b, e) over one step of window wi, whose first sample is
+  // meter-global sample k0.
+  void meter(const ShapeTable& chunk, std::size_t wi, std::uint64_t k0,
              std::span<const std::int32_t> a_idx, std::size_t b,
              std::size_t e, FleetScratch& scratch) {
     if (!ctx_.faulty) {
       // Every clean lane sees every sample, so the bucket counts are the
       // cohort's: the lane range holding lane 0 tallies them.
       if (b == 0) count_analysis_samples(a_idx, acc_.bucket_n);
-      stream_fleet_chunk(chunk, a_idx, fleet_, b, e, acc_, scratch);
+      stream_fleet_chunk(chunk, a_idx, fleet_, k0, b, e, acc_, scratch);
       return;
     }
     const TimeWindow& w = ctx_.windows[wi];
     for (std::size_t i = b; i < e; ++i) {
       if (meters_[i].dead()) continue;
       stream_node_window(chunk, fleet_.mean_w[i], fleet_.curve[i],
-                         fleet_.meters[i], fleet_.noise[i], scratch.node);
+                         fleet_.meters[i], fleet_.noise[i], k0, scratch.node);
       const std::optional<double> wm = meters_[i].feed_faulted_window(
           PowerTrace(w.begin, fleet_.meters[i].interval(),
                      scratch.node.readings),
@@ -746,7 +759,7 @@ class NodeTapRun {
 
   CampaignContext& ctx_;
   const CampaignConfig& config_;
-  FleetState& fleet_;
+  const FleetState& fleet_;
   std::size_t n_;
   FleetAccumulators acc_;            // clean lanes
   std::vector<DeviceMeter> meters_;  // faulted lanes
@@ -865,13 +878,15 @@ std::vector<std::pair<std::string, double>> NodeTapRun::run_live() {
   };
 
   walk(
-      [&](const ShapeTable& chunk, std::size_t wi,
+      [&](const ShapeTable& chunk, std::size_t wi, std::uint64_t k0,
           std::span<const std::int32_t> a_idx) {
-        parallel_chunks(ctx_.pool.get(), n_,
-                        [&](std::size_t b, std::size_t e) {
-                          FleetScratch scratch;
-                          meter(chunk, wi, a_idx, b, e, scratch);
-                        });
+        parallel_chunks(
+            ctx_.pool, n_,
+            [&](std::size_t b, std::size_t e) {
+              FleetScratch scratch;
+              meter(chunk, wi, k0, a_idx, b, e, scratch);
+            },
+            ctx_.fanout);
         ++chunks_run;
         if (ctx_.faulty) return;
         open_samples += chunk.samples;
@@ -926,8 +941,7 @@ class NodeTapMeterStage final : public CampaignStage {
       engine.run_batch();
     }
     engine.finish();
-    trace.counters.emplace_back(
-        "fanout", ctx.pool ? static_cast<double>(ctx.pool->size()) : 1.0);
+    trace.counters.emplace_back("fanout", static_cast<double>(ctx.fanout));
     finish_node_meter(ctx, trace);
     trace.counters.insert(trace.counters.end(), live.begin(), live.end());
   }
@@ -946,7 +960,7 @@ class ReferenceMeterStage final : public CampaignStage {
     ctx.memoize_truth = false;
     const SystemPowerModel& electrical = *ctx.electrical;
     const MeasurementPlan& plan = *ctx.plan;
-    FleetState& fleet = *ctx.fleet;
+    const FleetState& fleet = *ctx.fleet;
     ctx.devices.resize(fleet.size());
     for (std::size_t i = 0; i < fleet.size(); ++i) {
       const std::size_t node = fleet.node[i];
@@ -980,7 +994,7 @@ class RackMeterStage final : public CampaignStage {
     std::size_t lost = 0;
     for (std::size_t rack : ctx.racks) {
       Rng calibration(config.seed ^ kCalibrationSalt, kRackStreamBase + rack);
-      Rng noise(config.seed ^ kNoiseSalt, kRackStreamBase + rack);
+      const NoiseStream noise(config.seed ^ kNoiseSalt, kRackStreamBase + rack);
       const MeterModel meter(config.meter_accuracy, plan.meter_mode,
                              ctx.interval, calibration);
       const std::size_t first = rack * electrical.nodes_per_rack();
@@ -1026,7 +1040,7 @@ class FacilityMeterStage final : public CampaignStage {
           "instrumentation exists");
     }
     Rng calibration(config.seed ^ kCalibrationSalt, kFacilityStream);
-    Rng noise(config.seed ^ kNoiseSalt, kFacilityStream);
+    const NoiseStream noise(config.seed ^ kNoiseSalt, kFacilityStream);
     const MeterModel meter(config.meter_accuracy, plan.meter_mode,
                            ctx.interval, calibration);
     ctx.devices.push_back(meter_device(

@@ -88,13 +88,17 @@ struct CampaignContext {
   bool memoize_truth = false;
   std::size_t samples_per_meter = 0;  ///< expected samples, any one meter
   std::vector<std::size_t> racks;     ///< racks metered (rack-PDU tap only)
-  /// The campaign's worker pool (null when the fan-out is serial or the
-  /// tap has no node cohort).  Provision builds it once and shards the
-  /// fleet build over it; the Meter stage borrows it.
-  std::unique_ptr<ThreadPool> pool;
+  /// The requested node fan-out (Provision: the larger of config.threads
+  /// and, when reconciling, reconcile.threads): the most lane ranges a
+  /// node-tap fan-out splits into, whatever the pool's size.
+  std::size_t fanout = 1;
+  /// The pool the node fan-outs run on: util's process-wide
+  /// default_pool(), borrowed (never owned) by Provision when fanout > 1;
+  /// null when the fan-out is serial or the tap has no node cohort.
+  ThreadPool* pool = nullptr;
   /// The node-tap cohort transposed to structure-of-arrays (null for the
   /// rack/facility taps): meter models + calibration columns, per-node
-  /// noise streams and PSU curve lanes, all in plan order.
+  /// noise origins and PSU curve lanes, all in plan order.
   /// Provision builds it (sharded over the pool); the Meter stage
   /// consumes it as views — per-node paths index lanes, the fused kernel
   /// streams whole lane ranges.  unique_ptr so the context stays cheap to
@@ -133,8 +137,8 @@ using StagePtr = std::unique_ptr<CampaignStage>;
 /// metered windows, the analysis grid, the rack list (rack tap) and
 /// meters_planned.  On node taps it also checks that the electrical model
 /// is the cluster lowered through make_system_power_model (a
-/// contract_error otherwise), builds the campaign's ThreadPool and
-/// provisions the FleetState.
+/// contract_error otherwise), borrows the process-wide pool for a
+/// fan-out above one and provisions the FleetState.
 [[nodiscard]] StagePtr make_provision_stage();
 
 /// Node-tap Meter stage.  Walks every metered window in chunks of at

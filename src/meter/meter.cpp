@@ -32,7 +32,8 @@ MeterModel::MeterModel(MeterAccuracy accuracy, MeterMode mode,
 }
 
 void MeterModel::measure_into(const PowerFunction& truth_w, Seconds t_begin,
-                              Seconds t_end, Rng& noise_rng,
+                              Seconds t_end, NoiseStream noise,
+                              std::uint64_t first,
                               std::vector<double>& readings) const {
   PV_EXPECTS(truth_w != nullptr, "null ground-truth function");
   PV_EXPECTS(t_end.value() > t_begin.value(), "empty metering window");
@@ -58,14 +59,15 @@ void MeterModel::measure_into(const PowerFunction& truth_w, Seconds t_begin,
     } else {
       truth = truth_w(a + 0.5 * dt);
     }
-    readings[i] = apply_errors(truth, noise_rng);
+    readings[i] = apply_errors(truth, noise, first + i);
   }
 }
 
 PowerTrace MeterModel::measure(const PowerFunction& truth_w, Seconds t_begin,
-                               Seconds t_end, Rng& noise_rng) const {
+                               Seconds t_end, NoiseStream noise,
+                               std::uint64_t first) const {
   std::vector<double> readings;
-  measure_into(truth_w, t_begin, t_end, noise_rng, readings);
+  measure_into(truth_w, t_begin, t_end, noise, first, readings);
   return PowerTrace(t_begin, interval_, std::move(readings));
 }
 
@@ -77,8 +79,9 @@ std::size_t MeterModel::samples_in(TimeWindow w) const {
 
 Joules MeterModel::measure_energy(const PowerFunction& truth_w,
                                   Seconds t_begin, Seconds t_end,
-                                  Rng& noise_rng) const {
-  return measure(truth_w, t_begin, t_end, noise_rng).energy();
+                                  NoiseStream noise,
+                                  std::uint64_t first) const {
+  return measure(truth_w, t_begin, t_end, noise, first).energy();
 }
 
 }  // namespace pv

@@ -77,42 +77,49 @@ class MeterModel {
   [[nodiscard]] double offset_w() const { return offset_w_; }
 
   /// Meters the ground-truth power over [t_begin, t_end), producing one
-  /// reading per reporting interval.  `noise_rng` drives per-sample noise.
+  /// reading per reporting interval.  Reading i draws `noise` at
+  /// meter-global sample index first + i: a meter metering several
+  /// windows passes the count of readings it took before this one, so no
+  /// two of its samples share a draw.
   /// In kIntegrated mode each reading is the true interval average (plus
   /// calibration error); in kSampled mode it is the value at the interval
   /// midpoint (plus calibration and noise), which aliases fast transients
   /// exactly the way a 1 Hz sampling meter does.
   [[nodiscard]] PowerTrace measure(const PowerFunction& truth_w,
                                    Seconds t_begin, Seconds t_end,
-                                   Rng& noise_rng) const;
+                                   NoiseStream noise,
+                                   std::uint64_t first) const;
 
   /// measure() into a caller-owned buffer (resized to the sample count) —
-  /// identical arithmetic and RNG draws, but no per-window allocation, so
-  /// chunked pollers and the live engine can reuse one buffer throughout.
+  /// identical arithmetic and draws, but no per-window allocation, so
+  /// chunked pollers can reuse one buffer throughout.
   void measure_into(const PowerFunction& truth_w, Seconds t_begin,
-                    Seconds t_end, Rng& noise_rng,
+                    Seconds t_end, NoiseStream noise, std::uint64_t first,
                     std::vector<double>& readings) const;
 
   /// Total energy over a window as this meter would report it.
   [[nodiscard]] Joules measure_energy(const PowerFunction& truth_w,
                                       Seconds t_begin, Seconds t_end,
-                                      Rng& noise_rng) const;
+                                      NoiseStream noise,
+                                      std::uint64_t first) const;
 
   /// How many readings measure() produces over `w` — the same floor
   /// arithmetic, so sample accounting (expected vs delivered) and poll
   /// chunking agree with the meter exactly.
   [[nodiscard]] std::size_t samples_in(TimeWindow w) const;
 
-  /// One reading from one truth value: calibration error then per-sample
-  /// noise (consumes one normal draw iff noise_sd > 0).  Inline so the
-  /// streaming kernels, compiled in another translation unit, report
-  /// bit-identical values to measure() (the project builds with
-  /// -ffp-contract=off, so the multiply-add rounds the same way in every
-  /// TU).
-  [[nodiscard]] double apply_errors(double truth, Rng& noise_rng) const {
+  /// One reading from one truth value: calibration error, then noise
+  /// draw k of `noise` (k the meter-global sample index; drawn iff
+  /// noise_sd > 0).  Inline, and the fused fleet kernel spells the same
+  /// `v *= 1.0 + sd * z`, so the streaming kernels, compiled in another
+  /// translation unit, report bit-identical values to measure() (the
+  /// project builds with -ffp-contract=off, so the multiply-add rounds
+  /// the same way in every TU).
+  [[nodiscard]] double apply_errors(double truth, NoiseStream noise,
+                                    std::uint64_t k) const {
     double v = truth * gain_ + offset_w_;
     if (accuracy_.noise_sd > 0.0) {
-      v *= 1.0 + noise_rng.normal(0.0, accuracy_.noise_sd);
+      v *= 1.0 + accuracy_.noise_sd * noise.normal(k);
     }
     return v;
   }

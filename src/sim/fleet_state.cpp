@@ -14,7 +14,7 @@ FleetState build_fleet_state(std::span<const std::size_t> nodes,
                              const std::vector<TimeWindow>& windows,
                              const ClusterPowerModel* cluster,
                              const SystemPowerModel* electrical,
-                             ThreadPool* pool) {
+                             ThreadPool* pool, std::size_t max_chunks) {
   const std::size_t n = nodes.size();
   FleetState fs;
   fs.node.assign(nodes.begin(), nodes.end());
@@ -23,14 +23,14 @@ FleetState build_fleet_state(std::span<const std::size_t> nodes,
   fs.offset_w.assign(n, 0.0);
   fs.noise_sd = spec.accuracy.noise_sd;
   fs.meters.resize(n);
-  fs.noise.assign(n, Rng(0, 0));
+  fs.noise.assign(n, NoiseStream(0, 0));
   fs.curve.assign(n, nullptr);
   fs.samples_expected.assign(n, 0);
 
   // Every slot is a pure function of its own node id: calibration and
   // noise streams are keyed per node, the mean and curve are lookups, so
-  // sharding preserves the per-node RNG streams and is thread-invariant.
-  parallel_chunks(pool, n, [&](std::size_t b, std::size_t e) {
+  // sharding preserves the per-node streams and is thread-invariant.
+  const auto provision = [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       const std::size_t id = fs.node[i];
       Rng calibration(spec.seed ^ kCalibrationSalt, id);
@@ -41,7 +41,7 @@ FleetState build_fleet_state(std::span<const std::size_t> nodes,
       for (const TimeWindow& w : windows) expected += meter.samples_in(w);
       fs.samples_expected[i] = expected;
       fs.meters[i] = std::move(meter);
-      fs.noise[i] = Rng(spec.seed ^ kNoiseSalt, id);
+      fs.noise[i] = NoiseStream(spec.seed ^ kNoiseSalt, id);
       if (cluster != nullptr) {
         PV_EXPECTS(id < cluster->node_count(),
                    "plan references missing node");
@@ -51,7 +51,8 @@ FleetState build_fleet_state(std::span<const std::size_t> nodes,
         fs.curve[i] = &electrical->node_psu(id).compiled();
       }
     }
-  });
+  };
+  parallel_chunks(pool, n, provision, max_chunks);
   fs.bank = FleetPsuBank::build(fs.curve);
   return fs;
 }
@@ -120,10 +121,11 @@ namespace {
 // for lanes [begin, end).  Level-indexed tables only — the caller routes
 // dense tables through the per-node kernel.  Every lane evaluates the
 // per-node expressions of stream_node_window + apply_errors + the
-// left-to-right window sum, operand for operand, with that node's own
-// noise stream consumed in sample order.
-void fused_level_chunk(const ShapeTable& table, FleetState& fleet,
-                       std::size_t begin, std::size_t end, double* win_sum,
+// left-to-right window sum, operand for operand, drawing its own noise
+// stream at the sample's meter-global index k0 + k.
+void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
+                       std::uint64_t k0, std::size_t begin, std::size_t end,
+                       double* win_sum,
                        const std::int32_t* a_idx, double* bucket_sum,
                        std::size_t bucket_stride, FleetScratch& scratch) {
   const std::size_t m = end - begin;
@@ -148,7 +150,7 @@ void fused_level_chunk(const ShapeTable& table, FleetState& fleet,
   const double* const gain = fleet.gain.data() + begin;
   const double* const off = fleet.offset_w.data() + begin;
   double* const win = win_sum + begin;
-  Rng* const noise = fleet.noise.data() + begin;
+  const NoiseStream* const noise = fleet.noise.data() + begin;
   const double sd = fleet.noise_sd;
   const std::uint32_t* const idx = table.level_idx.data();
   const double* const acl = scratch.acl.data();
@@ -172,13 +174,14 @@ void fused_level_chunk(const ShapeTable& table, FleetState& fleet,
       const double* const r3 = acl + static_cast<std::size_t>(i3[k]) * m;
       double* const bs = bucket_row(k);
       if (sd > 0.0) {
+        const std::uint64_t draw = k0 + k;
         for (std::size_t i = 0; i < m; ++i) {
           const double truth =
               ((gl4::kWs[0] * r0[i] + gl4::kWs[1] * r1[i]) +
                gl4::kWs[2] * r2[i]) +
               gl4::kWs[3] * r3[i];
           double v = truth * gain[i] + off[i];
-          v *= 1.0 + noise[i].normal(0.0, sd);
+          v *= 1.0 + sd * noise[i].normal(draw);
           win[i] += v;
           if (bs != nullptr) bs[i] += v;
         }
@@ -208,9 +211,10 @@ void fused_level_chunk(const ShapeTable& table, FleetState& fleet,
       const double* const row = acl + static_cast<std::size_t>(idx[k]) * m;
       double* const bs = bucket_row(k);
       if (sd > 0.0) {
+        const std::uint64_t draw = k0 + k;
         for (std::size_t i = 0; i < m; ++i) {
           double v = row[i] * gain[i] + off[i];
-          v *= 1.0 + noise[i].normal(0.0, sd);
+          v *= 1.0 + sd * noise[i].normal(draw);
           win[i] += v;
           if (bs != nullptr) bs[i] += v;
         }
@@ -232,13 +236,15 @@ void fused_level_chunk(const ShapeTable& table, FleetState& fleet,
 
 // Dense-table fallback: one per-node pass through the proven scalar
 // kernel, chained into the fleet accumulators in sample order.
-void dense_chunk(const ShapeTable& table, FleetState& fleet,
-                 std::size_t begin, std::size_t end, double* win_sum,
+void dense_chunk(const ShapeTable& table, const FleetState& fleet,
+                 std::uint64_t k0, std::size_t begin, std::size_t end,
+                 double* win_sum,
                  const std::int32_t* a_idx, double* bucket_sum,
                  std::size_t bucket_stride, FleetScratch& scratch) {
   for (std::size_t lane = begin; lane < end; ++lane) {
     stream_node_window(table, fleet.mean_w[lane], fleet.curve[lane],
-                       fleet.meters[lane], fleet.noise[lane], scratch.node);
+                       fleet.meters[lane], fleet.noise[lane], k0,
+                       scratch.node);
     const std::vector<double>& readings = scratch.node.readings;
     double s = win_sum[lane];
     for (const double x : readings) s += x;
@@ -259,7 +265,8 @@ void dense_chunk(const ShapeTable& table, FleetState& fleet,
 
 void stream_fleet_chunk(const ShapeTable& chunk,
                         std::span<const std::int32_t> a_idx,
-                        FleetState& fleet, std::size_t begin, std::size_t end,
+                        const FleetState& fleet, std::uint64_t k0,
+                        std::size_t begin, std::size_t end,
                         FleetAccumulators& acc, FleetScratch& scratch) {
   PV_EXPECTS(end <= fleet.size() && begin <= end, "lane range out of fleet");
   PV_EXPECTS(acc.nodes == fleet.size(), "accumulators not sized to fleet");
@@ -267,10 +274,10 @@ void stream_fleet_chunk(const ShapeTable& chunk,
              "analysis map not parallel to the chunk");
   const std::int32_t* const map = a_idx.empty() ? nullptr : a_idx.data();
   if (!chunk.levels.empty()) {
-    fused_level_chunk(chunk, fleet, begin, end, acc.win_sum.data(), map,
+    fused_level_chunk(chunk, fleet, k0, begin, end, acc.win_sum.data(), map,
                       acc.bucket_sum.data(), acc.nodes, scratch);
   } else {
-    dense_chunk(chunk, fleet, begin, end, acc.win_sum.data(), map,
+    dense_chunk(chunk, fleet, k0, begin, end, acc.win_sum.data(), map,
                 acc.bucket_sum.data(), acc.nodes, scratch);
   }
 }

@@ -2,23 +2,25 @@
 // FleetState: per-node campaign state in structure-of-arrays layout.
 //
 // The historical engine walks one node at a time: a NodeInstance-derived
-// mean, a MeterModel, a noise Rng and a DeviceMeter per node, each node's
+// mean, a MeterModel, a noise stream and a DeviceMeter per node, each node's
 // window streamed start-to-finish before the next node begins.  That
 // array-of-structs walk leaves the only loop-carried dependency — the
 // window's running sum — serial *within* a node, so the reduction never
 // vectorizes.  FleetState transposes the fleet: contiguous per-field
 // vectors (node ids, provisioned DC draw, meter gain/offset, PSU curve
-// lanes, per-node RNG streams) let the streaming
+// lanes, per-node noise origins) let the streaming
 // window kernels run sample-major with the *node index as the SIMD lane*.
 // Per-node accumulator chains are independent across lanes, so the
 // previously serial sum becomes an elementwise vector add.
 //
 // Byte-identity contract (the repo's signature): every lane performs the
 // exact scalar expressions of the per-node path, operand for operand, in
-// the per-node order — each node's samples are still consumed
-// left-to-right, each node's RNG streams are keyed and drawn identically —
-// so gathered results are bit-identical to the per-node reference at any
-// thread count and chunk size (ctest-enforced by test_meter_engine).  The
+// the per-node order — each node's window sums still chain left-to-right,
+// and each reading draws its node's noise stream at the same meter-global
+// sample index — so gathered results are bit-identical to the per-node
+// reference at any thread count and chunk size (ctest-enforced by
+// test_meter_engine).  After provisioning the table is read-only: the
+// noise streams are random-access origins, not generator state.  The
 // project builds with -ffp-contract=off, so the shared expressions round
 // identically in every translation unit.
 //
@@ -43,9 +45,10 @@
 
 namespace pv {
 
-/// RNG stream salts for per-meter calibration and per-sample noise —
-/// shared by every provisioning site (batch stages, live stage, async
-/// collector) so a node's streams are identical wherever it is metered.
+/// Stream salts for per-meter calibration and per-sample noise — shared
+/// by every provisioning site (node, rack, facility and check meters, the
+/// async collector) so a node's streams are identical wherever it is
+/// metered.
 inline constexpr std::uint64_t kCalibrationSalt = 0x5CA1AB1EULL;
 inline constexpr std::uint64_t kNoiseSalt = 0xBADCAB1EULL;
 
@@ -67,10 +70,9 @@ struct FleetState {
   /// streams keyed by node id, exactly as the inline construction sites
   /// draw them.
   std::vector<MeterModel> meters;
-  /// Per-node per-sample noise streams (Rng(seed ^ kNoiseSalt, node)).
-  /// Mutable state: whichever metering path runs consumes them in the
-  /// node's sample order.
-  std::vector<Rng> noise;
+  /// Per-node per-sample noise (NoiseStream(seed ^ kNoiseSalt, node)):
+  /// 8-byte immutable origins, read at each sample's meter-global index.
+  std::vector<NoiseStream> noise;
 
   // --- PSU lanes ----------------------------------------------------------
   std::vector<const CompiledPsuCurve*> curve;  ///< null lanes = DC tap
@@ -91,15 +93,17 @@ struct FleetProvisionSpec {
 };
 
 /// Provisions a FleetState for the cohort `nodes`, sharded over `pool`
-/// when given.  Every lane is a pure function of its own node id (RNG
-/// streams keyed per node, slots disjoint), so the build is bit-identical
-/// at any thread count.  `cluster` fills mean_w; `electrical` + ac_tap
+/// into at most `max_chunks` ranges (0 = one per worker) when given.
+/// Every lane is a pure function of its own node id (streams keyed per
+/// node, slots disjoint), so the build is bit-identical at any thread
+/// count.  `cluster` fills mean_w; `electrical` + ac_tap
 /// binds the PSU curve lanes and the bank.  `windows` sizes
 /// samples_expected.
 [[nodiscard]] FleetState build_fleet_state(
     std::span<const std::size_t> nodes, const FleetProvisionSpec& spec,
     const std::vector<TimeWindow>& windows, const ClusterPowerModel* cluster,
-    const SystemPowerModel* electrical, ThreadPool* pool = nullptr);
+    const SystemPowerModel* electrical, ThreadPool* pool = nullptr,
+    std::size_t max_chunks = 0);
 
 /// Fleet-major accumulator block: the SoA transpose of DeviceMeter's
 /// clean-path state (open window sum, closed-window means, energy,
@@ -157,12 +161,13 @@ void count_analysis_samples(std::span<const std::int32_t> a_idx,
 /// chunk's map_analysis_samples) is non-empty, into its reconcile bucket
 /// row.  Chunks with deduplicated shape levels run the fused lane
 /// kernels; dense chunks (ramps past the level cap) fall back to the
-/// per-node kernel, chained into the same accumulators.  Consumes
-/// fleet.noise in each lane's sample order.  Workers must own disjoint
-/// lane ranges.
+/// per-node kernel, chained into the same accumulators.  Chunk sample i
+/// draws every lane's noise at meter-global index k0 + i.  Workers must
+/// own disjoint lane ranges.
 void stream_fleet_chunk(const ShapeTable& chunk,
                         std::span<const std::int32_t> a_idx,
-                        FleetState& fleet, std::size_t begin, std::size_t end,
+                        const FleetState& fleet, std::uint64_t k0,
+                        std::size_t begin, std::size_t end,
                         FleetAccumulators& acc, FleetScratch& scratch);
 
 }  // namespace pv

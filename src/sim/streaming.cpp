@@ -79,8 +79,8 @@ void build_shape_chunk(const ClusterPowerModel& cluster, const TimeWindow& w,
 
 void stream_node_window(const ShapeTable& table, double node_mean_w,
                         const CompiledPsuCurve* ac_curve,
-                        const MeterModel& meter, Rng& noise_rng,
-                        StreamScratch& scratch) {
+                        const MeterModel& meter, NoiseStream noise,
+                        std::uint64_t k0, StreamScratch& scratch) {
   const std::size_t points = table.shape.size();
   const std::size_t samples = table.samples;
   // Metered power at every quadrature point: the node's DC draw
@@ -134,10 +134,10 @@ void stream_node_window(const ShapeTable& table, double node_mean_w,
     }
     truth = reduced;
   }
-  // Calibration and noise: serial, in the meter's RNG order.
+  // Calibration and noise, each reading at its meter-global draw index.
   scratch.readings.resize(samples);
   for (std::size_t i = 0; i < samples; ++i) {
-    scratch.readings[i] = meter.apply_errors(truth[i], noise_rng);
+    scratch.readings[i] = meter.apply_errors(truth[i], noise, k0 + i);
   }
 }
 

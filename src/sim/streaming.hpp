@@ -15,9 +15,9 @@
 // sharding allocates nothing per node.
 //
 // Byte-identity contract: for a SystemPowerModel lowered from the same
-// cluster, stream_node_window produces bit-identical readings (and
-// consumes bit-identical RNG draws) to MeterModel::measure over the node's
-// AC/DC truth function.  Sample times and quadrature replicate
+// cluster, stream_node_window produces bit-identical readings (from the
+// same noise draws) to MeterModel::measure over the node's AC/DC truth
+// function.  Sample times and quadrature replicate
 // MeterModel::measure expression-for-expression (the project builds with
 // -ffp-contract=off, so both TUs round identically), and the shape/PSU
 // arithmetic is the same compiled code both paths call.
@@ -90,14 +90,15 @@ struct StreamScratch {
   std::vector<double> truth;  ///< per-sample quadrature-reduced truth
 };
 
-/// Streams one node's clean readings over one window into
+/// Streams one node's clean readings over one chunk into
 /// `scratch.readings` (resized to table.samples).  The node's DC power at
 /// table point t is node_mean_w * shape; `ac_curve` non-null converts
 /// through the node PSU (AC tap, evaluated in batch), null meters the DC
-/// tap.  Consumes exactly the noise draws MeterModel::measure would.
+/// tap.  Reading i draws `noise` at meter-global index k0 + i — the draws
+/// MeterModel::measure makes for the same samples.
 void stream_node_window(const ShapeTable& table, double node_mean_w,
                         const CompiledPsuCurve* ac_curve,
-                        const MeterModel& meter, Rng& noise_rng,
-                        StreamScratch& scratch);
+                        const MeterModel& meter, NoiseStream noise,
+                        std::uint64_t k0, StreamScratch& scratch);
 
 }  // namespace pv

@@ -7,6 +7,12 @@
 #include "util/expects.hpp"
 
 namespace pv {
+namespace {
+
+// The pool whose worker the calling thread is (null off-pool).
+thread_local const ThreadPool* t_worker_of = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
@@ -17,6 +23,8 @@ ThreadPool::ThreadPool(unsigned threads) {
 }
 
 ThreadPool::~ThreadPool() { shutdown(); }
+
+bool ThreadPool::on_worker() const { return t_worker_of == this; }
 
 void ThreadPool::shutdown() {
   {
@@ -48,6 +56,7 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
   for (;;) {
     Task task;
     {
@@ -80,7 +89,8 @@ void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain) {
   if (n == 0) return;
-  if (pool == nullptr || pool->size() <= 1 || n < grain) {
+  if (pool == nullptr || pool->size() <= 1 || n < grain ||
+      pool->on_worker()) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
@@ -127,13 +137,10 @@ void parallel_chunks(
     const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t max_chunks) {
   if (n == 0) return;
-  if (pool == nullptr || pool->size() <= 1) {
-    body(0, n);
-    return;
-  }
-  std::size_t chunks = max_chunks == 0 ? pool->size() : max_chunks;
+  std::size_t chunks = 1;
+  if (pool != nullptr) chunks = max_chunks == 0 ? pool->size() : max_chunks;
   chunks = std::min(chunks, n);
-  if (chunks <= 1) {
+  if (chunks <= 1 || pool->on_worker()) {
     body(0, n);
     return;
   }
@@ -171,7 +178,7 @@ void parallel_chunks(
 void parallel_for_dynamic(ThreadPool* pool, std::size_t n,
                           const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  if (pool == nullptr || pool->size() <= 1) {
+  if (pool == nullptr || pool->size() <= 1 || pool->on_worker()) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }

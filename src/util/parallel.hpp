@@ -5,6 +5,12 @@
 // parallel_for splits the index range into contiguous chunks, one per
 // worker, so per-node RNG streams (which are seeded by node index) stay
 // deterministic regardless of thread count.
+//
+// Every fan-out helper runs inline when called from a worker of the pool
+// it would fan out over: the caller already occupies one of the pool's
+// threads, so a nested fan-out waiting on the others could deadlock once
+// every worker nests.  That lets campaigns share default_pool() whoever
+// starts them, a pool task included.
 
 #include <condition_variable>
 #include <cstddef>
@@ -43,6 +49,9 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] unsigned size() const { return static_cast<unsigned>(workers_.size()); }
+
+  /// True when the calling thread is one of this pool's workers.
+  [[nodiscard]] bool on_worker() const;
 
   /// Enqueues a job; throws PoolStoppedError if the pool is shut down
   /// (or shutting down) — the job is guaranteed not to run in that case,
@@ -85,18 +94,21 @@ class ThreadPool {
 
 /// Runs body(i) for i in [0, n) across the pool, in contiguous chunks.
 /// Exceptions from body are rethrown on the calling thread (first one wins).
-/// With a null pool or n below `grain`, runs inline on the caller.
+/// With a null or single-worker pool, n below `grain`, or a caller on one
+/// of the pool's workers, runs inline on the caller.
 void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain = 256);
 
 /// Runs body(begin, end) over a partition of [0, n) into contiguous
-/// ranges — at most one per pool worker (or `max_chunks` if nonzero).
-/// Unlike parallel_for, the body sees its whole range at once, so scratch
-/// buffers allocated per chunk are reused across every index in it — the
-/// shape the streaming campaign kernels need.  Exceptions from body are
-/// rethrown on the caller (first wins).  With a null or single-worker
-/// pool, runs body(0, n) inline.
+/// ranges — at most one per pool worker, or at most `max_chunks` if
+/// nonzero (the caller's requested fan-out, honored whatever the pool's
+/// size).  Unlike parallel_for, the body sees its whole range at once, so
+/// scratch buffers allocated per chunk are reused across every index in
+/// it — the shape the streaming campaign kernels need.  Exceptions from
+/// body are rethrown on the caller (first wins).  With a null pool, a
+/// single range, or a caller on one of the pool's workers, runs
+/// body(0, n) inline.
 void parallel_chunks(
     ThreadPool* pool, std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& body,
@@ -108,11 +120,14 @@ void parallel_chunks(
 /// their deadline next to healthy ones) still load-balances.  Use
 /// parallel_for when per-index cost is uniform — its contiguous chunks are
 /// cheaper.  Exceptions from body are rethrown on the caller (first wins).
-/// With a null pool or single worker, runs inline on the caller in order.
+/// With a null pool, a single worker, or a caller on one of the pool's
+/// workers, runs inline on the caller in order.
 void parallel_for_dynamic(ThreadPool* pool, std::size_t n,
                           const std::function<void(std::size_t)>& body);
 
-/// Process-wide default pool, created on first use.
+/// Process-wide pool, started on first use (one worker per hardware
+/// thread) and joined at exit.  Campaigns borrow it for their fan-out,
+/// the collector for its pollers.
 ThreadPool& default_pool();
 
 }  // namespace pv

@@ -27,9 +27,9 @@ TEST(MeterModel, PerfectMeterReportsTruth) {
   Rng cal(1);
   const MeterModel meter(MeterAccuracy::perfect(), MeterMode::kSampled,
                          Seconds{1.0}, cal);
-  Rng noise(2);
+  const NoiseStream noise(2);
   const auto trace = meter.measure([](double) { return 500.0; }, Seconds{0.0},
-                                   Seconds{60.0}, noise);
+                                   Seconds{60.0}, noise, 0);
   EXPECT_EQ(trace.size(), 60u);
   EXPECT_DOUBLE_EQ(trace.mean_power().value(), 500.0);
   EXPECT_DOUBLE_EQ(meter.gain(), 1.0);
@@ -40,9 +40,9 @@ TEST(MeterModel, CalibrationErrorIsFixedPerDevice) {
   Rng cal(3);
   const MeterModel meter(MeterAccuracy{0.02, 5.0, 0.0}, MeterMode::kSampled,
                          Seconds{1.0}, cal);
-  Rng noise(4);
+  const NoiseStream noise(4);
   const auto trace = meter.measure([](double) { return 1000.0; }, Seconds{0.0},
-                                   Seconds{100.0}, noise);
+                                   Seconds{100.0}, noise, 0);
   // With zero per-sample noise, every reading equals gain*truth + offset.
   const double expect = 1000.0 * meter.gain() + meter.offset_w();
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -64,9 +64,9 @@ TEST(MeterModel, NoiseAveragesOut) {
   Rng cal(6);
   const MeterModel meter(MeterAccuracy{0.0, 0.0, 0.02}, MeterMode::kSampled,
                          Seconds{1.0}, cal);
-  Rng noise(7);
+  const NoiseStream noise(7);
   const auto trace = meter.measure([](double) { return 800.0; }, Seconds{0.0},
-                                   Seconds{3600.0}, noise);
+                                   Seconds{3600.0}, noise, 0);
   // 1 h of samples with 2% noise: mean within ~4 sigma/sqrt(n) ~ 1.1 W.
   EXPECT_NEAR(trace.mean_power().value(), 800.0, 1.5);
   const Summary s = summarize(trace.watts());
@@ -80,13 +80,16 @@ TEST(MeterModel, SampledModeAliasesFastRipple) {
   const auto ripple = [](double t) {
     return 100.0 + 50.0 * std::sin(2.0 * M_PI * t);
   };
-  Rng cal_a(8), cal_b(9), noise(10);
+  Rng cal_a(8), cal_b(9);
+  const NoiseStream noise(10);
   const MeterModel sampled(MeterAccuracy::perfect(), MeterMode::kSampled,
                            Seconds{1.0}, cal_a);
   const MeterModel integrated(MeterAccuracy::perfect(), MeterMode::kIntegrated,
                               Seconds{1.0}, cal_b);
-  const auto st = sampled.measure(ripple, Seconds{0.0}, Seconds{100.0}, noise);
-  const auto it = integrated.measure(ripple, Seconds{0.0}, Seconds{100.0}, noise);
+  const auto st =
+      sampled.measure(ripple, Seconds{0.0}, Seconds{100.0}, noise, 0);
+  const auto it =
+      integrated.measure(ripple, Seconds{0.0}, Seconds{100.0}, noise, 0);
   // Sampler sees sin at midpoint phase (always the same value != mean).
   EXPECT_NEAR(st.mean_power().value(), ripple(0.5), 1e-9);
   // Integrator recovers the true 100 W mean.
@@ -94,33 +97,36 @@ TEST(MeterModel, SampledModeAliasesFastRipple) {
 }
 
 TEST(MeterModel, IntegratedModeMatchesAnalyticEnergy) {
-  Rng cal(11), noise(12);
+  Rng cal(11);
+  const NoiseStream noise(12);
   const MeterModel meter(MeterAccuracy::perfect(), MeterMode::kIntegrated,
                          Seconds{1.0}, cal);
   // Linear ramp: energy over [0, 10] of (100 + 10 t) = 1000 + 500 = 1500 J.
   const Joules e = meter.measure_energy(
       [](double t) { return 100.0 + 10.0 * t; }, Seconds{0.0}, Seconds{10.0},
-      noise);
+      noise, 0);
   EXPECT_NEAR(e.value(), 1500.0, 1e-9);
 }
 
 TEST(MeterModel, WindowShorterThanIntervalThrows) {
-  Rng cal(13), noise(14);
+  Rng cal(13);
+  const NoiseStream noise(14);
   const MeterModel meter(MeterAccuracy::perfect(), MeterMode::kSampled,
                          Seconds{10.0}, cal);
   EXPECT_THROW(meter.measure([](double) { return 1.0; }, Seconds{0.0},
-                             Seconds{5.0}, noise),
+                             Seconds{5.0}, noise, 0),
                contract_error);
-  EXPECT_THROW(meter.measure(nullptr, Seconds{0.0}, Seconds{50.0}, noise),
+  EXPECT_THROW(meter.measure(nullptr, Seconds{0.0}, Seconds{50.0}, noise, 0),
                contract_error);
 }
 
 TEST(MeterModel, CoarseIntervalProducesFewerReadings) {
-  Rng cal(15), noise(16);
+  Rng cal(15);
+  const NoiseStream noise(16);
   const MeterModel meter(MeterAccuracy::perfect(), MeterMode::kIntegrated,
                          Seconds{30.0}, cal);
   const auto trace = meter.measure([](double) { return 50.0; }, Seconds{0.0},
-                                   Seconds{300.0}, noise);
+                                   Seconds{300.0}, noise, 0);
   EXPECT_EQ(trace.size(), 10u);
   EXPECT_DOUBLE_EQ(trace.dt().value(), 30.0);
 }

@@ -4,12 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/campaign.hpp"
+#include "core/doc.hpp"
+#include "core/report.hpp"
+#include "core/scenario.hpp"
 #include "util/expects.hpp"
 
 namespace pv {
@@ -268,6 +277,60 @@ TEST(ParallelForDynamic, BalancesWildlyUnevenWork) {
   EXPECT_EQ(count.load(), 2000);
 }
 
+TEST(ThreadPool, OnWorkerIdentifiesItsOwnThreads) {
+  ThreadPool pool(2);
+  ThreadPool other(1);
+  EXPECT_FALSE(pool.on_worker());
+  std::atomic<bool> mine{false};
+  std::atomic<bool> theirs{true};
+  pool.submit([&] {
+    mine = pool.on_worker();
+    theirs = other.on_worker();
+  });
+  pool.wait_idle();
+  EXPECT_TRUE(mine.load());
+  EXPECT_FALSE(theirs.load());
+}
+
+TEST(ThreadPool, ParallelChunksHonorsTheRequestedFanOut) {
+  // max_chunks is the caller's fan-out: three ranges even on one worker.
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  parallel_chunks(
+      &pool, 10,
+      [&](std::size_t b, std::size_t e) {
+        EXPECT_TRUE(pool.on_worker());
+        std::scoped_lock lock(mu);
+        ranges.emplace_back(b, e);
+      },
+      3);
+  std::sort(ranges.begin(), ranges.end());
+  const std::vector<std::pair<std::size_t, std::size_t>> want = {
+      {0, 4}, {4, 8}, {8, 10}};
+  EXPECT_EQ(ranges, want);
+}
+
+TEST(ThreadPool, NestedFanOutOnTheSamePoolRunsInline) {
+  ThreadPool pool(2);
+  std::atomic<int> inner_calls{0};
+  std::atomic<bool> inner_whole{false};
+  parallel_chunks(
+      &pool, 2,
+      [&](std::size_t, std::size_t) {
+        parallel_chunks(
+            &pool, 100,
+            [&](std::size_t b, std::size_t e) {
+              inner_calls.fetch_add(1);
+              if (b == 0 && e == 100) inner_whole = true;
+            },
+            4);
+      },
+      2);
+  EXPECT_EQ(inner_calls.load(), 2);
+  EXPECT_TRUE(inner_whole.load());
+}
+
 TEST(DefaultPool, IsSingletonAndUsable) {
   ThreadPool& a = default_pool();
   ThreadPool& b = default_pool();
@@ -275,6 +338,60 @@ TEST(DefaultPool, IsSingletonAndUsable) {
   std::atomic<int> n{0};
   parallel_for(&a, 1000, [&](std::size_t) { n.fetch_add(1); }, 1);
   EXPECT_EQ(n.load(), 1000);
+}
+
+TEST(DefaultPool, CampaignStartedFromAPoolTaskCompletes) {
+  // Campaigns borrow default_pool() for their fan-out.  Here every worker
+  // of that pool starts a threads=2 campaign at the same moment (a
+  // barrier holds each until all have started), so no worker is free to
+  // serve a sibling's chunks: each nested fan-out must run inline on its
+  // own worker, and every document must equal the one run off-pool.
+  ScenarioSpec spec;
+  spec.name = "nested-pool";
+  spec.nodes = 40;
+  spec.fleet_seed = 3;
+  const Scenario scenario = build_scenario(spec);
+  const MeasurementPlan plan =
+      scenario.plan(MethodologySpec::get(Level::kL1, Revision::kV2015), 3);
+  CampaignConfig config;
+  config.seed = 3;
+  config.threads = 2;
+  const auto document = [&] {
+    return render_json(assessment_document(
+        plan, run_campaign(*scenario.cluster, *scenario.electrical, plan,
+                           config)));
+  };
+  const std::string want = document();
+
+  ThreadPool& pool = default_pool();
+  const unsigned tasks = pool.size();
+  std::vector<std::string> got(tasks);
+  std::mutex mu;
+  std::condition_variable cv;
+  unsigned started = 0;
+  unsigned done = 0;
+  for (unsigned i = 0; i < tasks; ++i) {
+    pool.submit([&, i] {
+      {
+        std::unique_lock lock(mu);
+        ++started;
+        cv.notify_all();
+        cv.wait(lock, [&] { return started == tasks; });
+      }
+      std::string doc = document();
+      // The waiter returns only after this unlock: the frame outlives
+      // every touch.
+      std::scoped_lock lock(mu);
+      got[i] = std::move(doc);
+      ++done;
+      cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return done == tasks; });
+  }
+  for (unsigned i = 0; i < tasks; ++i) EXPECT_EQ(got[i], want) << "task " << i;
 }
 
 }  // namespace

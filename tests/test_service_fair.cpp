@@ -8,6 +8,8 @@
 #include "service/fair.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -18,9 +20,52 @@
 #include "service/request.hpp"
 #include "service/service.hpp"
 #include "util/expects.hpp"
+#include "util/parallel.hpp"
 
 namespace pv {
 namespace {
+
+/// Parks every worker of default_pool() until release().  Campaigns that
+/// fan out (threads >= 2) borrow that pool, so while the gate is shut each
+/// one blocks in its first fan-out — and with it the service worker that
+/// runs it.  A test can then queue a flood behind held workers however
+/// fast campaigns are, and open the gate once the flood is in.
+class PoolGate {
+ public:
+  PoolGate() : pool_(default_pool()) {
+    for (unsigned i = 0; i < pool_.size(); ++i) {
+      pool_.submit([this] {
+        std::unique_lock lock(mu_);
+        ++parked_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return open_; });
+        ++left_;
+        cv_.notify_all();
+      });
+    }
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [this] { return parked_ == pool_.size(); });
+  }
+  ~PoolGate() { release(); }
+  PoolGate(const PoolGate&) = delete;
+  PoolGate& operator=(const PoolGate&) = delete;
+
+  /// Opens the gate and waits until every parked job has let go of it.
+  void release() {
+    std::unique_lock lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return left_ == parked_; });
+  }
+
+ private:
+  ThreadPool& pool_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  unsigned parked_ = 0;
+  unsigned left_ = 0;
+  bool open_ = false;
+};
 
 std::string solo_assessment(const ServiceRequest& req) {
   const Scenario scenario = build_scenario(scenario_spec_of(req));
@@ -167,13 +212,16 @@ TEST(ServiceFairShare, TenantQueueCapShedsTheFloodingTenantOnly) {
   config.tenant_queue = 2;     // ...but each tenant may queue only 2
   CampaignService service(config);
 
-  // Occupy the single worker with a real campaign so the flood queues
-  // behind it (submissions take microseconds, the campaign milliseconds).
+  // Hold the single worker until the flood is queued: every request fans
+  // out over the gated pool, so whichever one the worker picks up blocks
+  // in its first fan-out.
+  PoolGate gate;
   ServiceRequest busy;
   busy.id = "busy";
   busy.nodes = 64;
   busy.level = 2;
   busy.interval_s = 10.0;
+  busy.threads = 2;
   const std::size_t busy_ticket = service.submit(busy).ticket;
 
   std::vector<std::size_t> flood_tickets;
@@ -184,12 +232,13 @@ TEST(ServiceFairShare, TenantQueueCapShedsTheFloodingTenantOnly) {
     req.nodes = 24;
     req.tenant = "flood";
     req.interval_s = 10.0;
+    req.threads = 2;
     const AdmissionVerdict verdict = service.submit(req);
     flood_tickets.push_back(verdict.ticket);
     if (verdict.decision == Admission::kShed) ++flood_shed;
   }
-  // At most one flood request can have been dispatched off the queue
-  // before the cap engaged; everything past cap+1 must be shed.
+  // The held worker took at most one request off the queue, so at most
+  // cap+1 flood requests were admitted; everything past that is shed.
   EXPECT_GE(flood_shed, 3u);
 
   // A calm tenant submitted *after* the flood still gets in: the cap is
@@ -199,8 +248,10 @@ TEST(ServiceFairShare, TenantQueueCapShedsTheFloodingTenantOnly) {
   calm.nodes = 24;
   calm.tenant = "calm";
   calm.interval_s = 10.0;
+  calm.threads = 2;
   const AdmissionVerdict calm_verdict = service.submit(calm);
   EXPECT_NE(calm_verdict.decision, Admission::kShed);
+  gate.release();
 
   std::size_t shed_seen = 0;
   for (const std::size_t t : flood_tickets) {
@@ -240,6 +291,7 @@ TEST(ServiceFairShare, FloodingTenantCannotStarveSteadyTenants) {
     req.seed = 500 + i;
     req.tenant = i < 2 ? "steady-a" : "steady-b";
     req.interval_s = 10.0;
+    req.threads = 2;
     steady.push_back(req);
   }
   std::vector<std::string> solo;
@@ -250,6 +302,10 @@ TEST(ServiceFairShare, FloodingTenantCannotStarveSteadyTenants) {
   config.max_queue = kFlood + steady.size();
   CampaignService service(config);
 
+  // Both workers stay held (see PoolGate) until every request is queued,
+  // so dispatch order is the fair-share policy's alone.
+  PoolGate gate;
+
   std::vector<std::size_t> flood_tickets;
   for (std::size_t i = 0; i < kFlood; ++i) {
     ServiceRequest req;
@@ -258,6 +314,7 @@ TEST(ServiceFairShare, FloodingTenantCannotStarveSteadyTenants) {
     req.seed = 900 + (i % 3);
     req.tenant = "flood";
     req.interval_s = 10.0;
+    req.threads = 2;
     const AdmissionVerdict verdict = service.submit(req);
     ASSERT_NE(verdict.decision, Admission::kShed) << req.id;
     flood_tickets.push_back(verdict.ticket);
@@ -268,6 +325,7 @@ TEST(ServiceFairShare, FloodingTenantCannotStarveSteadyTenants) {
     ASSERT_NE(verdict.decision, Admission::kShed) << req.id;
     steady_tickets.push_back(verdict.ticket);
   }
+  gate.release();
 
   // Every flood response is typed ok — shedding was disabled by the
   // roomy queue, so fairness (not starvation or contamination) is what
@@ -290,10 +348,9 @@ TEST(ServiceFairShare, FloodingTenantCannotStarveSteadyTenants) {
   }
 
   // Bounded skew: lanes round-robin, so all four steady requests are
-  // dispatched within the first ~2 rounds of three lanes (plus a small
-  // allowance for flood requests the workers grabbed while the steady
-  // submissions were still arriving).  A FIFO would have given them
-  // dispatch orders 21..24.
+  // dispatched within the first ~2 rounds of three lanes (plus the two
+  // flood requests the held workers took before the steady ones were
+  // queued).  A FIFO would have given them dispatch orders 21..24.
   EXPECT_EQ(flood_max_order, kFlood + steady.size());
   EXPECT_LE(steady_max_order, 14u);
   // FIFO order *within* each steady tenant's lane is preserved.
