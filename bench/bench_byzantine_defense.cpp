@@ -110,7 +110,7 @@ int main() {
   // Thread-determinism probe: the same defended campaign fanned out on 4
   // workers must reproduce every bit.
   CampaignConfig threaded_cfg = defended_cfg;
-  threaded_cfg.reconcile.threads = 4;
+  threaded_cfg.threads = 4;
   const auto threaded = run_campaign(*rig.cluster, *rig.electrical, rig.plan,
                                      threaded_cfg);
 

@@ -97,11 +97,12 @@ namespace {
 
 // The asynchronous collection path as a pipeline Meter stage: transport
 // polling with retries, circuit breakers and crash-safe journaling fills
-// the same `readings` + DataQuality artifacts the synchronous meter
-// stages produce, so collect_campaign shares the campaign pipeline's
-// Aggregate and Assess tail verbatim.  This stage plays Provision, Meter
-// and Repair in one: the poller owns its windows/interval derivation, and
-// repair accounting arrives pre-tallied in each MeterRecord.
+// the same `devices` + `readings` artifacts the node-tap engine produces,
+// from the lanes and windows Provision derived, so collect_campaign runs
+// the campaign's own stage list with only the Meter slot swapped.  Each
+// device carries its meter's sample tallies for Repair; the collection
+// tallies (polls, retries, breakers, makespan) have no other stage to
+// feed and go straight into DataQuality::collection.
 class AsyncMeterStage final : public CampaignStage {
  public:
   AsyncMeterStage(const CollectorConfig& config, CollectionOutcome& outcome)
@@ -117,20 +118,12 @@ class AsyncMeterStage final : public CampaignStage {
 };
 
 void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
-  const ClusterPowerModel& cluster = *ctx.cluster;
-  const SystemPowerModel& electrical = *ctx.electrical;
+  PV_EXPECTS(ctx.fleet != nullptr, "meter stage needs a provisioned fleet");
   const MeasurementPlan& plan = *ctx.plan;
+  const FleetState& fleet = *ctx.fleet;
   const CollectorConfig& config = config_;
-  CollectionOutcome& outcome = outcome_;
-
   const CampaignConfig& campaign = config.campaign;
-  const Seconds interval = campaign.meter_interval_override.value() > 0.0
-                               ? campaign.meter_interval_override
-                               : plan.meter_interval;
-  ctx.interval = interval;
-  ctx.faulty = campaign.faults.enabled();
-  const std::vector<TimeWindow> windows = metered_windows(plan, interval);
-  ctx.windows = windows;
+  CollectionOutcome& outcome = outcome_;
 
   // Deterministically dead channels (PR 1's dead_meters) are blackholes of
   // the transport: they answer nothing, the breaker writes them off, and
@@ -140,6 +133,12 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
     transport_spec.blackhole_meters.push_back(m);
   }
   const SimTransport transport(transport_spec, campaign.seed);
+
+  // The poll-chunk grid and its shape tables, built once and read by
+  // every poller.
+  const PollChunks chunks =
+      plan_poll_chunks(*ctx.cluster, ctx.windows, plan.window, ctx.interval,
+                       plan.meter_mode, config.poller);
 
   const std::uint64_t fingerprint = collection_fingerprint(plan, config);
 
@@ -177,9 +176,7 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
   std::vector<std::size_t> to_poll;
   to_poll.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t node = plan.node_indices[i];
-    PV_EXPECTS(node < cluster.node_count(), "plan references missing node");
-    const auto it = replayed.find(node);
+    const auto it = replayed.find(plan.node_indices[i]);
     if (it != replayed.end()) {
       records[i] = it->second;
       ++outcome.meters_resumed;
@@ -219,49 +216,17 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
   if (config.threads > 0) local_pool.emplace(config.threads);
   ThreadPool* pool = local_pool ? &*local_pool : &default_pool();
 
-  // Provision the cohort's meters once, as an SoA fleet table sharded
-  // over the poll pool: every lane's calibration and noise streams are
-  // keyed by its node id (as the synchronous stages key them), so each
-  // poll task just reads its lane instead of re-deriving the model
-  // inline.  Polling walks the eager truth chain,
-  // so no PSU lanes are bound (ac_tap = false).
-  FleetProvisionSpec fspec;
-  fspec.accuracy = campaign.meter_accuracy;
-  fspec.mode = plan.meter_mode;
-  fspec.interval = interval;
-  fspec.seed = campaign.seed;
-  fspec.ac_tap = false;
-  const FleetState fleet = build_fleet_state(
-      plan.node_indices, fspec, windows, nullptr, nullptr, pool);
-
   std::exception_ptr poll_error;
   std::mutex poll_error_mu;
   parallel_for_dynamic(pool, to_poll.size(), [&](std::size_t k) {
     if (cancelled.load(std::memory_order_relaxed)) return;
     try {
       const std::size_t i = to_poll[k];
-      const std::size_t node = plan.node_indices[i];
-      PollJob job;
-      job.meter_id = node;
-      job.meter = &fleet.meters[i];
-      job.noise = fleet.noise[i];
-      job.truth = plan.point == MeasurementPoint::kNodeDc
-                      ? PowerFunction([&electrical, node](double t) {
-                          return electrical.node_dc_w(node, t);
-                        })
-                      : electrical.node_ac_function(node);
-      job.windows = windows;
-      job.campaign_window = plan.window;
-      job.seed = campaign.seed;
-      MeterRecord rec = poll_meter(job, transport, config.poller);
+      MeterRecord rec = poll_meter(PollJob{&fleet, i, &chunks, campaign.seed},
+                                   transport, config.poller);
       if (!rec.reading.lost) {
-        if (plan.timing != TimingStrategy::kContinuous) {
-          // Spot sampling: report energy as mean power over the window.
-          rec.reading.energy_j =
-              rec.reading.mean_w * plan.window.duration().value();
-        }
-        apply_dc_conversion(plan, electrical, node, rec.reading.mean_w,
-                            rec.reading.energy_j);
+        rec.reading = node_reading(ctx, i, rec.reading.mean_w,
+                                   rec.reading.energy_j);
       }
       records[i] = rec;
       queue.push(std::move(rec));  // false after close: we are cancelled
@@ -285,17 +250,20 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
   }
   outcome.meters_polled = journaled;
 
-  // --- hand the shared campaign tail its artifacts ------------------------
-  DataQuality& dq = ctx.dq();
-  dq.faults_enabled = campaign.faults.enabled();
-  dq.meters_planned = n;
-  CollectionQuality& cq = dq.collection;
+  // --- hand Repair and the campaign tail their artifacts ----------------
+  CollectionQuality& cq = ctx.dq().collection;
   cq.used = true;
+  ctx.devices.resize(n);
   ctx.readings.reserve(n);
+  std::size_t samples = 0;
   std::size_t lost = 0;
-  for (const MeterRecord& rec : records) {
-    dq.samples_expected += rec.samples_expected;
-    dq.samples_lost += rec.samples_lost;
+  for (std::size_t i = 0; i < n; ++i) {
+    const MeterRecord& rec = records[i];
+    DeviceReading& device = ctx.devices[i];
+    device.lost = rec.reading.lost;
+    device.samples_expected = rec.samples_expected;
+    device.samples_lost = rec.samples_lost;
+    samples += rec.samples_expected;
     cq.polls_attempted += rec.polls;
     cq.polls_timed_out += rec.timeouts;
     cq.polls_retried += rec.retries;
@@ -312,7 +280,7 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
                            cq.busy_total_s / static_cast<double>(workers));
 
   trace.items = n;
-  trace.samples = dq.samples_expected;
+  trace.samples = samples;
   // Virtual time: the transport model's wall clock, not host time —
   // deterministic, unlike the trace's own wall_ms.
   trace.virtual_s = cq.makespan_s;
@@ -333,39 +301,29 @@ CollectionOutcome collect_campaign(const ClusterPowerModel& cluster,
                                    const SystemPowerModel& electrical,
                                    const MeasurementPlan& plan,
                                    const CollectorConfig& config) {
-  PV_EXPECTS(!plan.node_indices.empty(), "plan selects no nodes");
-  PV_EXPECTS(electrical.node_count() == cluster.node_count(),
-             "electrical model does not match the cluster");
-  PV_EXPECTS(plan.window.valid(), "plan window is empty");
   PV_EXPECTS(plan.point == MeasurementPoint::kNodeAc ||
                  plan.point == MeasurementPoint::kNodeDc,
              "the collector only serves node-tap plans");
-  PV_EXPECTS(!config.campaign.faults.spec.any(),
+  const CampaignConfig& campaign = config.campaign;
+  PV_EXPECTS(!campaign.faults.spec.any() &&
+                 campaign.faults.byzantine_meters.empty(),
              "data-fault injection is run_campaign's job; the collector "
              "models channel faults (see TransportSpec)");
+  PV_EXPECTS(!campaign.reconcile.enabled,
+             "reconciliation is run_campaign's job; the collector does "
+             "not cross-validate meters");
   PV_EXPECTS(!config.journal_path.empty() ||
                  (!config.resume && config.crash_after_meters == 0),
              "resume and crash injection need a journal path");
 
-  CollectionOutcome outcome;
-
   // The async transport is just another Meter-stage implementation: swap
-  // it into the campaign pipeline and reuse the Aggregate/Assess tail the
-  // synchronous campaigns run (core/pipeline).  The pollers meter each
-  // node's truth function directly, so the memoized truth stays off.
-  CampaignContext ctx;
-  ctx.cluster = &cluster;
-  ctx.electrical = &electrical;
-  ctx.plan = &plan;
-  ctx.config = &config.campaign;
-
-  std::vector<StagePtr> stages;
-  stages.push_back(std::make_unique<AsyncMeterStage>(config, outcome));
-  stages.push_back(make_aggregate_stage());
-  stages.push_back(make_assess_stage());
-  run_pipeline(stages, ctx);
-
-  outcome.result = std::move(ctx.result);
+  // it into the campaign's own stage list (core/pipeline), so Provision,
+  // Repair, Aggregate and Assess run exactly as a campaign runs them.
+  CollectionOutcome outcome;
+  std::vector<StagePtr> stages = make_campaign_stages(plan, campaign);
+  stages[1] = std::make_unique<AsyncMeterStage>(config, outcome);  // Meter
+  outcome.result =
+      run_campaign_stages(cluster, electrical, plan, campaign, stages);
   return outcome;
 }
 

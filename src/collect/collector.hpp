@@ -67,13 +67,17 @@ struct CollectionOutcome {
 [[nodiscard]] std::uint64_t collection_fingerprint(
     const MeasurementPlan& plan, const CollectorConfig& config);
 
-/// Runs the asynchronous collection pipeline for a node-tap plan.
+/// Runs the asynchronous collection pipeline for a node-tap plan: the
+/// campaign's own stage list (make_campaign_stages) with the Meter slot
+/// swapped for the poller pool.
 ///
-/// Restrictions: the plan must tap nodes (kNodeAc / kNodeDc) — facility
-/// and rack taps stay on the synchronous path — and the campaign's
-/// FaultPlan may only name dead_meters (they are routed into the
-/// transport's blackhole list); data-corruption fault injection belongs
-/// to run_campaign.
+/// Restrictions, each a contract_error: the plan must tap nodes (kNodeAc
+/// / kNodeDc) — facility and rack taps stay on the synchronous path —
+/// and `electrical` must be `cluster` lowered through
+/// make_system_power_model (Provision's probe).  The campaign's FaultPlan
+/// may only name dead_meters (they are routed into the transport's
+/// blackhole list); data-corruption faults, byzantine meters and
+/// reconciliation belong to run_campaign.
 [[nodiscard]] CollectionOutcome collect_campaign(
     const ClusterPowerModel& cluster, const SystemPowerModel& electrical,
     const MeasurementPlan& plan, const CollectorConfig& config);

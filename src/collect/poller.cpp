@@ -10,73 +10,73 @@ namespace {
 
 constexpr std::uint64_t kBackoffSalt = 0xBAC0FF5ALL;
 
-// One request's worth of trace.
-struct Chunk {
-  TimeWindow window;
-  std::size_t window_index = 0;  ///< which plan window it belongs to
-  std::uint64_t first = 0;       ///< meter-global index of its sample 0
-  std::size_t samples = 0;
-  double avail_s = 0.0;  ///< virtual time the data exists (chunk end)
-};
+}  // namespace
 
-std::vector<Chunk> build_chunks(const PollJob& job,
-                                const PollerConfig& config) {
-  const double dt = job.meter->interval().value();
+PollChunks plan_poll_chunks(const ClusterPowerModel& cluster,
+                            const std::vector<TimeWindow>& windows,
+                            TimeWindow campaign_window, Seconds interval,
+                            MeterMode mode, const PollerConfig& config) {
+  PV_EXPECTS(config.chunk_duration.value() > 0.0,
+             "poll chunk duration must be positive");
+  const double dt = interval.value();
   const auto chunk_samples = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::floor(config.chunk_duration.value() / dt + 1e-9)));
-  std::vector<Chunk> chunks;
+  PollChunks plan;
   std::uint64_t window_first = 0;
-  for (std::size_t wi = 0; wi < job.windows.size(); ++wi) {
-    const TimeWindow& w = job.windows[wi];
-    const std::size_t n = job.meter->samples_in(w);
+  for (std::size_t wi = 0; wi < windows.size(); ++wi) {
+    const TimeWindow& w = windows[wi];
+    plan.window_s.push_back(w.duration().value());
+    const std::size_t n = window_sample_count(w, interval);
     for (std::size_t first = 0; first < n; first += chunk_samples) {
       const std::size_t len = std::min(chunk_samples, n - first);
-      Chunk c;
+      PollChunk& c = plan.chunks.emplace_back();
       c.window = {Seconds{w.begin.value() + dt * static_cast<double>(first)},
                   Seconds{w.begin.value() +
                           dt * static_cast<double>(first + len)}};
       c.window_index = wi;
       c.first = window_first + first;
-      c.samples = len;
-      c.avail_s = c.window.end.value() - job.campaign_window.begin.value();
-      chunks.push_back(c);
+      c.avail_s = c.window.end.value() - campaign_window.begin.value();
+      build_shape_chunk(cluster, c.window, interval, mode, 0, len, c.table);
     }
     window_first += n;
   }
-  return chunks;
+  return plan;
 }
-
-}  // namespace
 
 MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
                        const PollerConfig& config) {
-  PV_EXPECTS(job.meter != nullptr, "poll job has no meter");
+  PV_EXPECTS(job.fleet != nullptr && job.lane < job.fleet->size(),
+             "poll job has no fleet lane");
+  PV_EXPECTS(job.chunks != nullptr, "poll job has no chunk grid");
   PV_EXPECTS(config.timeout_s > 0.0 && config.max_attempts >= 1,
              "poller needs a positive timeout and at least one attempt");
-  PV_EXPECTS(config.chunk_duration.value() > 0.0,
-             "poll chunk duration must be positive");
+
+  const FleetState& fleet = *job.fleet;
+  const std::size_t lane = job.lane;
+  const std::size_t meter_id = fleet.node[lane];
+  const std::vector<PollChunk>& chunks = job.chunks->chunks;
+  const std::vector<double>& window_s = job.chunks->window_s;
 
   MeterRecord rec;
-  rec.reading.node = job.meter_id;
+  rec.reading.node = meter_id;
 
-  const std::vector<Chunk> chunks = build_chunks(job, config);
   CircuitBreaker breaker(config.breaker);
-  Rng backoff_rng(job.seed ^ kBackoffSalt, job.meter_id);
+  Rng backoff_rng(job.seed ^ kBackoffSalt, meter_id);
 
   // Per-plan-window sums of delivered samples (the sync campaign averages
   // per window, then across windows — mirrored here).
-  std::vector<double> window_sum(job.windows.size(), 0.0);
-  std::vector<std::size_t> window_count(job.windows.size(), 0);
+  std::vector<double> window_sum(window_s.size(), 0.0);
+  std::vector<std::size_t> window_count(window_s.size(), 0);
 
   double now_s = 0.0;   // virtual clock: 0 == campaign window begin
   double busy_s = 0.0;  // time actually spent waiting on this meter
   std::size_t delivered = 0;
-  std::vector<double> readings;  // chunk reply buffer, reused per chunk
+  StreamScratch scratch;  // chunk reply buffers, reused per chunk
 
   for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
-    const Chunk& chunk = chunks[ci];
-    rec.samples_expected += chunk.samples;
+    const PollChunk& chunk = chunks[ci];
+    rec.samples_expected += chunk.table.samples;
     now_s = std::max(now_s, chunk.avail_s);  // data must exist first
 
     bool got = false;
@@ -85,7 +85,7 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
       ++rec.polls;
       if (attempt > 0) ++rec.retries;
       const Exchange ex =
-          transport.exchange(job.meter_id, ci, attempt, config.timeout_s);
+          transport.exchange(meter_id, ci, attempt, config.timeout_s);
       now_s += ex.elapsed_s;
       busy_s += ex.elapsed_s;
       if (ex.ok) {
@@ -108,8 +108,10 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
     // The reply: this chunk's readings at their meter-global draw
     // indices, so retries, duplicates and resumed runs see identical
     // values.
-    job.meter->measure_into(job.truth, chunk.window.begin, chunk.window.end,
-                            job.noise, chunk.first, readings);
+    stream_node_window(chunk.table, fleet.mean_w[lane], fleet.curve[lane],
+                       fleet.meters[lane], fleet.noise[lane], chunk.first,
+                       scratch);
+    const std::vector<double>& readings = scratch.readings;
     double sum = 0.0;
     for (double w : readings) sum += w;
     window_sum[chunk.window_index] += sum;
@@ -125,12 +127,12 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
   double mean_acc = 0.0;
   double energy_j = 0.0;
   std::size_t windows_used = 0;
-  for (std::size_t wi = 0; wi < job.windows.size(); ++wi) {
+  for (std::size_t wi = 0; wi < window_s.size(); ++wi) {
     if (window_count[wi] == 0) continue;  // window fully lost
     const double wmean =
         window_sum[wi] / static_cast<double>(window_count[wi]);
     mean_acc += wmean;
-    energy_j += wmean * job.windows[wi].duration().value();
+    energy_j += wmean * window_s[wi];
     ++windows_used;
   }
   const double coverage =

@@ -13,6 +13,15 @@
 // time — and the meter is probed again (half-open) when its cooldown
 // passes.
 //
+// The chunk grid is the same for every meter of a collection, so
+// plan_poll_chunks builds it once and every poller reads it.  Each chunk
+// carries the shape table of its samples on the chunk's own time grid
+// (sample i at chunk begin + dt*i): the grid the collect goldens pin,
+// which at fractional intervals rounds differently from the engine's
+// window-global grid.  A delivered chunk is filled by the lane kernel
+// (stream_node_window) from the meter's FleetState lane — its mean draw,
+// PSU curve, calibration and noise.
+//
 // Chunk sample values draw the meter's noise stream at their
 // meter-global sample indices (the campaign's own draws for those
 // samples), never from a sequential stream, so a retried or re-polled
@@ -25,8 +34,8 @@
 #include "collect/journal.hpp"
 #include "collect/retry.hpp"
 #include "collect/transport.hpp"
-#include "meter/meter.hpp"
-#include "stats/rng.hpp"
+#include "sim/fleet_state.hpp"
+#include "sim/streaming.hpp"
 #include "trace/time_series.hpp"
 
 namespace pv {
@@ -43,15 +52,39 @@ struct PollerConfig {
   double min_coverage = 0.5;
 };
 
-/// One meter's polling assignment.
+/// One request's worth of trace, the same for every meter.
+struct PollChunk {
+  TimeWindow window;             ///< the span the request returns
+  std::size_t window_index = 0;  ///< which metered window it belongs to
+  std::uint64_t first = 0;       ///< meter-global index of its sample 0
+  double avail_s = 0.0;  ///< virtual time the data exists (chunk end)
+  /// Shape factors of the chunk's samples, on the chunk's own time grid
+  /// (table.samples is the chunk's sample count).
+  ShapeTable table;
+};
+
+/// A collection's poll-chunk grid, shared read-only by every poller.
+struct PollChunks {
+  std::vector<PollChunk> chunks;  ///< window by window, in time order
+  std::vector<double> window_s;   ///< each metered window's duration
+};
+
+/// Splits every metered window into requests of at most
+/// config.chunk_duration and builds each chunk's table with
+/// build_shape_chunk(cluster, chunk window, interval, mode, 0, len).  The
+/// virtual clock starts at campaign_window.begin.  Memory is
+/// O(samples per meter), whatever the cohort size.
+[[nodiscard]] PollChunks plan_poll_chunks(
+    const ClusterPowerModel& cluster, const std::vector<TimeWindow>& windows,
+    TimeWindow campaign_window, Seconds interval, MeterMode mode,
+    const PollerConfig& config);
+
+/// One meter's polling assignment: lane `lane` of `fleet`, over `chunks`.
 struct PollJob {
-  std::size_t meter_id = 0;  ///< node id; also the RNG stream key
-  const MeterModel* meter = nullptr;
-  NoiseStream noise{0};               ///< the meter's per-sample noise
-  PowerFunction truth;                ///< ground truth behind the meter
-  std::vector<TimeWindow> windows;    ///< the plan's metered windows
-  TimeWindow campaign_window;         ///< full plan window (clock origin)
-  std::uint64_t seed = 0;             ///< campaign seed
+  const FleetState* fleet = nullptr;
+  std::size_t lane = 0;  ///< fleet->node[lane] is the meter id
+  const PollChunks* chunks = nullptr;
+  std::uint64_t seed = 0;  ///< campaign seed
 };
 
 /// Runs the full poll loop for one meter.  Deterministic per (seed,

@@ -87,9 +87,7 @@ struct CampaignConfig {
   ReconcilePolicy reconcile;
   /// Worker threads for the node-metering fan-out.  Every
   /// RNG stream is keyed by node id and every result lands in its own
-  /// slot, so output is bit-identical at any thread count.  1 = serial;
-  /// reconciling campaigns also honor reconcile.threads (the larger of
-  /// the two wins, preserving the PR3 knob).
+  /// slot, so output is bit-identical at any thread count.  1 = serial.
   std::size_t threads = 1;
   /// Live metering (see LiveOptions).
   LiveOptions live;

@@ -32,7 +32,7 @@ double mean_over_window(const std::function<double(double)>& f, double a,
 
 // RNG stream salts for the fault processes (the calibration/noise salts
 // are kCalibrationSalt / kNoiseSalt from sim/fleet_state.hpp, shared with
-// fleet provisioning and the async collector).
+// fleet provisioning).
 constexpr std::uint64_t kFateSalt = 0xFA7E0FA7ULL;
 constexpr std::uint64_t kFaultSalt = 0x1FAC7ED0ULL;
 
@@ -421,16 +421,6 @@ Watts memoized_true_scope_power(const ClusterPowerModel& cluster,
 
 // --- stages ---------------------------------------------------------------
 
-// Worker threads for the node fan-outs: the meter fan-out knob, widened
-// by the reconcile knob when the defense is on.
-std::size_t node_fanout(const CampaignConfig& config, bool reconciling) {
-  return std::max<std::size_t>(
-      {config.threads,
-       reconciling ? static_cast<std::size_t>(config.reconcile.threads)
-                   : std::size_t{1},
-       std::size_t{1}});
-}
-
 // True when `electrical` is `cluster` lowered through
 // make_system_power_model: each node's DC truth is its mean times the
 // shared shape factor, which the node-tap engine streams and the
@@ -506,21 +496,22 @@ class ProvisionStage final : public CampaignStage {
         // The fleet build below and the Meter stage fan out into at most
         // `fanout` lane ranges on the process-wide pool, borrowed: a
         // campaign starts and joins no threads of its own.
-        ctx.fanout = node_fanout(config, ctx.reconciling);
+        ctx.fanout = std::max<std::size_t>(config.threads, 1);
         if (ctx.fanout > 1) ctx.pool = &default_pool();
         // Transpose the cohort into the fleet table: meter models +
         // calibration columns, per-node noise origins and PSU lanes, in
         // plan order.  Every lane is a pure function of its own node id,
-        // so the sharded build is bit-identical at any thread count.
+        // so the sharded build is bit-identical at any thread count.  DC
+        // taps bind no PSU lanes: they meter the DC draw itself.
         FleetProvisionSpec fspec;
         fspec.accuracy = config.meter_accuracy;
         fspec.mode = plan.meter_mode;
         fspec.interval = ctx.interval;
         fspec.seed = config.seed;
-        fspec.ac_tap = plan.point != MeasurementPoint::kNodeDc;
-        ctx.fleet = std::make_unique<FleetState>(
-            build_fleet_state(plan.node_indices, fspec, ctx.windows, &cluster,
-                              &electrical, ctx.pool, ctx.fanout));
+        ctx.fleet = std::make_unique<FleetState>(build_fleet_state(
+            plan.node_indices, fspec, ctx.windows, &cluster,
+            plan.point == MeasurementPoint::kNodeDc ? nullptr : &electrical,
+            ctx.pool, ctx.fanout));
         break;
       }
     }
@@ -548,23 +539,6 @@ class ProvisionStage final : public CampaignStage {
     };
   }
 };
-
-// Lane i's reading as the collection layer reports it: spot sampling
-// reports energy as mean power over the window, DC taps convert to AC.
-NodeReading node_reading(const CampaignContext& ctx, std::size_t i,
-                         double mean_w, double energy_j) {
-  const MeasurementPlan& plan = *ctx.plan;
-  NodeReading nr;
-  nr.node = plan.node_indices[i];
-  nr.mean_w = mean_w;
-  nr.energy_j = energy_j;
-  if (plan.timing != TimingStrategy::kContinuous) {
-    nr.energy_j = nr.mean_w * plan.window.duration().value();
-  }
-  apply_dc_conversion(plan, *ctx.electrical, nr.node, nr.mean_w,
-                      nr.energy_j);
-  return nr;
-}
 
 // The Meter trace of `meters` meters, each reading every window, `lost`
 // of them lost.
@@ -1369,6 +1343,21 @@ class AssessStage final : public CampaignStage {
 };
 
 }  // namespace
+
+NodeReading node_reading(const CampaignContext& ctx, std::size_t i,
+                         double mean_w, double energy_j) {
+  const MeasurementPlan& plan = *ctx.plan;
+  NodeReading nr;
+  nr.node = plan.node_indices[i];
+  nr.mean_w = mean_w;
+  nr.energy_j = energy_j;
+  if (plan.timing != TimingStrategy::kContinuous) {
+    nr.energy_j = nr.mean_w * plan.window.duration().value();
+  }
+  apply_dc_conversion(plan, *ctx.electrical, nr.node, nr.mean_w,
+                      nr.energy_j);
+  return nr;
+}
 
 Watts true_scope_power(const ClusterPowerModel& cluster,
                        const SystemPowerModel& electrical,

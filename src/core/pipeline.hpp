@@ -15,9 +15,9 @@
 // Why stages?  The Meter slot is the only part that differs between
 // execution modes: the node-tap engine (batch or live), the rack-PDU and
 // facility-feed taps, and src/collect's asynchronous transport are all
-// just different ways to fill `devices`/`readings`.
-// Making that slot explicit lets the async collector reuse the exact
-// Aggregate/Assess tail, and gives every mode the same per-stage
+// just different ways to fill `devices`/`readings`.  Making that slot
+// explicit lets the async collector run the campaign's own stage list
+// with only that slot swapped, and gives every mode the same per-stage
 // observability: each stage records a StageTrace (items, samples,
 // virtual time, deterministic counters, wall clock) surfaced through
 // `powervar campaign --trace-stages` and the JSON assessment document.
@@ -88,9 +88,9 @@ struct CampaignContext {
   bool memoize_truth = false;
   std::size_t samples_per_meter = 0;  ///< expected samples, any one meter
   std::vector<std::size_t> racks;     ///< racks metered (rack-PDU tap only)
-  /// The requested node fan-out (Provision: the larger of config.threads
-  /// and, when reconciling, reconcile.threads): the most lane ranges a
-  /// node-tap fan-out splits into, whatever the pool's size.
+  /// The requested node fan-out (Provision: config.threads, at least 1):
+  /// the most lane ranges a node-tap fan-out splits into, whatever the
+  /// pool's size.
   std::size_t fanout = 1;
   /// The pool the node fan-outs run on: util's process-wide
   /// default_pool(), borrowed (never owned) by Provision when fanout > 1;
@@ -206,6 +206,14 @@ using StagePtr = std::unique_ptr<CampaignStage>;
     const ClusterPowerModel& cluster, const SystemPowerModel& electrical,
     const MeasurementPlan& plan, const CampaignConfig& config,
     const std::vector<StagePtr>& stages, const CancelToken* cancel = nullptr);
+
+/// Lane i's reading as the collection layer reports it: spot sampling
+/// reports energy as mean power over the window, DC taps convert to AC
+/// (apply_dc_conversion).  Shared by the node-tap Meter stages and the
+/// async collector's pollers.
+[[nodiscard]] NodeReading node_reading(const CampaignContext& ctx,
+                                       std::size_t i, double mean_w,
+                                       double energy_j);
 
 /// Runs the stages in order, appending one StageTrace per stage (with
 /// wall clock) to ctx.result.stage_traces.  Exceptions propagate.

@@ -95,10 +95,6 @@ struct ReconcilePolicy {
   /// Median |relative residual| above which a hierarchy check whose
   /// children all look honest indicts the parent meter instead.
   double parent_residual_floor = 0.05;
-  /// Worker threads for the campaign's metering fan-out (0 = serial).
-  /// Results are keyed by meter identity, so any value gives bit-identical
-  /// output.
-  unsigned threads = 0;
 };
 
 /// Per-meter reconciliation outcome.

@@ -31,10 +31,9 @@ MeterModel::MeterModel(MeterAccuracy accuracy, MeterMode mode,
   offset_w_ = calibration_rng.normal(0.0, accuracy.offset_error_sd_w);
 }
 
-void MeterModel::measure_into(const PowerFunction& truth_w, Seconds t_begin,
-                              Seconds t_end, NoiseStream noise,
-                              std::uint64_t first,
-                              std::vector<double>& readings) const {
+PowerTrace MeterModel::measure(const PowerFunction& truth_w, Seconds t_begin,
+                               Seconds t_end, NoiseStream noise,
+                               std::uint64_t first) const {
   PV_EXPECTS(truth_w != nullptr, "null ground-truth function");
   PV_EXPECTS(t_end.value() > t_begin.value(), "empty metering window");
   const double dt = interval_.value();
@@ -45,7 +44,7 @@ void MeterModel::measure_into(const PowerFunction& truth_w, Seconds t_begin,
   // The streaming kernels evaluate the exact sample times and quadrature
   // below in a different translation unit; -ffp-contract=off project-wide
   // keeps every multiply-add here and there rounding identically.
-  readings.resize(n);
+  std::vector<double> readings(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double a = t_begin.value() + dt * static_cast<double>(i);
     double truth;
@@ -61,13 +60,6 @@ void MeterModel::measure_into(const PowerFunction& truth_w, Seconds t_begin,
     }
     readings[i] = apply_errors(truth, noise, first + i);
   }
-}
-
-PowerTrace MeterModel::measure(const PowerFunction& truth_w, Seconds t_begin,
-                               Seconds t_end, NoiseStream noise,
-                               std::uint64_t first) const {
-  std::vector<double> readings;
-  measure_into(truth_w, t_begin, t_end, noise, first, readings);
   return PowerTrace(t_begin, interval_, std::move(readings));
 }
 
@@ -75,13 +67,6 @@ std::size_t MeterModel::samples_in(TimeWindow w) const {
   if (!w.valid()) return 0;
   return static_cast<std::size_t>(
       std::floor(w.duration().value() / interval_.value() + 1e-9));
-}
-
-Joules MeterModel::measure_energy(const PowerFunction& truth_w,
-                                  Seconds t_begin, Seconds t_end,
-                                  NoiseStream noise,
-                                  std::uint64_t first) const {
-  return measure(truth_w, t_begin, t_end, noise, first).energy();
 }
 
 }  // namespace pv

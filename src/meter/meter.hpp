@@ -90,22 +90,9 @@ class MeterModel {
                                    NoiseStream noise,
                                    std::uint64_t first) const;
 
-  /// measure() into a caller-owned buffer (resized to the sample count) —
-  /// identical arithmetic and draws, but no per-window allocation, so
-  /// chunked pollers can reuse one buffer throughout.
-  void measure_into(const PowerFunction& truth_w, Seconds t_begin,
-                    Seconds t_end, NoiseStream noise, std::uint64_t first,
-                    std::vector<double>& readings) const;
-
-  /// Total energy over a window as this meter would report it.
-  [[nodiscard]] Joules measure_energy(const PowerFunction& truth_w,
-                                      Seconds t_begin, Seconds t_end,
-                                      NoiseStream noise,
-                                      std::uint64_t first) const;
-
   /// How many readings measure() produces over `w` — the same floor
-  /// arithmetic, so sample accounting (expected vs delivered) and poll
-  /// chunking agree with the meter exactly.
+  /// arithmetic, so sample accounting (expected vs delivered) agrees with
+  /// the meter exactly.
   [[nodiscard]] std::size_t samples_in(TimeWindow w) const;
 
   /// One reading from one truth value: calibration error, then noise

@@ -270,7 +270,6 @@ CampaignConfig campaign_config_of(const ServiceRequest& req,
   }
   force_byzantine_meters(config, plan, req.byzantine);
   config.reconcile.enabled = req.reconcile;
-  config.reconcile.threads = req.threads;
   config.threads = std::max<std::size_t>(1, req.threads);
   return config;
 }

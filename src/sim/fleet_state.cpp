@@ -47,7 +47,7 @@ FleetState build_fleet_state(std::span<const std::size_t> nodes,
                    "plan references missing node");
         fs.mean_w[i] = cluster->node_means()[id];
       }
-      if (spec.ac_tap && electrical != nullptr) {
+      if (electrical != nullptr) {
         fs.curve[i] = &electrical->node_psu(id).compiled();
       }
     }

@@ -46,9 +46,8 @@
 namespace pv {
 
 /// Stream salts for per-meter calibration and per-sample noise — shared
-/// by every provisioning site (node, rack, facility and check meters, the
-/// async collector) so a node's streams are identical wherever it is
-/// metered.
+/// by every provisioning site (node, rack, facility and check meters) so a
+/// node's streams are identical wherever it is metered.
 inline constexpr std::uint64_t kCalibrationSalt = 0x5CA1AB1EULL;
 inline constexpr std::uint64_t kNoiseSalt = 0xBADCAB1EULL;
 
@@ -89,16 +88,15 @@ struct FleetProvisionSpec {
   MeterMode mode = MeterMode::kSampled;
   Seconds interval{1.0};
   std::uint64_t seed = 1;
-  bool ac_tap = true;  ///< bind PSU curve lanes (needs `electrical`)
 };
 
 /// Provisions a FleetState for the cohort `nodes`, sharded over `pool`
 /// into at most `max_chunks` ranges (0 = one per worker) when given.
 /// Every lane is a pure function of its own node id (streams keyed per
 /// node, slots disjoint), so the build is bit-identical at any thread
-/// count.  `cluster` fills mean_w; `electrical` + ac_tap
-/// binds the PSU curve lanes and the bank.  `windows` sizes
-/// samples_expected.
+/// count.  `cluster` fills mean_w; `electrical` binds the PSU curve lanes
+/// and the bank (null on DC taps, whose lanes meter the DC draw).
+/// `windows` sizes samples_expected.
 [[nodiscard]] FleetState build_fleet_state(
     std::span<const std::size_t> nodes, const FleetProvisionSpec& spec,
     const std::vector<TimeWindow>& windows, const ClusterPowerModel* cluster,

@@ -102,9 +102,10 @@ TEST(MeterModel, IntegratedModeMatchesAnalyticEnergy) {
   const MeterModel meter(MeterAccuracy::perfect(), MeterMode::kIntegrated,
                          Seconds{1.0}, cal);
   // Linear ramp: energy over [0, 10] of (100 + 10 t) = 1000 + 500 = 1500 J.
-  const Joules e = meter.measure_energy(
-      [](double t) { return 100.0 + 10.0 * t; }, Seconds{0.0}, Seconds{10.0},
-      noise, 0);
+  const Joules e = meter
+                       .measure([](double t) { return 100.0 + 10.0 * t; },
+                                Seconds{0.0}, Seconds{10.0}, noise, 0)
+                       .energy();
   EXPECT_NEAR(e.value(), 1500.0, 1e-9);
 }
 

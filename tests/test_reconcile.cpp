@@ -381,9 +381,9 @@ TEST(CampaignReconcile, DiagnosesAreSortedByMeterId) {
 TEST(CampaignReconcile, VerdictsAreThreadCountInvariant) {
   const Rig rig = make_l3_rig(48);
   CampaignConfig serial = byz_config();
-  serial.reconcile.threads = 1;
+  serial.threads = 1;
   CampaignConfig fanned = byz_config();
-  fanned.reconcile.threads = 4;
+  fanned.threads = 4;
   const auto a = run_campaign(*rig.cluster, *rig.electrical, rig.plan, serial);
   const auto b = run_campaign(*rig.cluster, *rig.electrical, rig.plan, fanned);
   EXPECT_EQ(a.submitted_power.value(), b.submitted_power.value());

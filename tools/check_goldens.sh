@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Golden-file gate for the assessment reports: the text rendering of every
 # report block (assessment, data quality, collection, integrity) is pinned
-# byte-for-byte by four committed CLI transcripts.  Any change to report
+# byte-for-byte by the committed CLI transcripts.  Any change to report
 # wording, spacing or number formatting must update tests/golden/ in the
 # same commit — render_text promises byte-identity with the historical
 # string-built reports.
@@ -47,6 +47,12 @@ check reconcile_byzantine.txt \
 check collect_resilient.txt \
   -- collect --nodes 64 --cv 0.03 --level 1 --seed 42 --blackhole 0.2 \
      --drop 0.05 --interval 10 --threads 4
+# Integrated-meter collect: Level 3's GL4-integrated meters, a 180-sample
+# window split into 25 seven-sample poll chunks plus a 5-sample tail, two
+# dead meters.
+check collect_integrated_l3.txt \
+  -- collect --nodes 48 --cv 0.03 --level 3 --seed 11 --interval 10 \
+     --chunk 70 --drop 0.05 --dead 2 --threads 2
 # Live L2 campaign: two partial assessment documents on the pinned
 # 600-virtual-second schedule plus the final document — pins the
 # powervar-assessment-v1 live wire format (progress block, recent-window

@@ -397,12 +397,8 @@ int cmd_campaign(const Args& args) {
   }
   force_byzantine_meters(config, rig.plan, args.rate_or("byzantine", 0.0));
   config.reconcile.enabled = args.number_or("reconcile", 0.0) > 0.0;
-  // --threads drives both the node-metering fan-out and (when
-  // reconciling) the cross-validation pool.
-  const auto threads =
-      static_cast<unsigned>(args.number_or("threads", 0.0));
-  config.reconcile.threads = threads;
-  config.threads = std::max<std::size_t>(1, threads);
+  config.threads = std::max<std::size_t>(
+      1, static_cast<unsigned>(args.number_or("threads", 0.0)));
   // Live mode: partial assessment documents stream to stdout as JSON
   // lines while the campaign runs; the final document (printed last) is
   // byte-identical to a non-live run's.
@@ -442,8 +438,8 @@ int cmd_reconcile(const Args& args) {
   config.reconcile.enabled = args.number_or("defend", 1.0) > 0.0;
   config.reconcile.analysis_windows =
       static_cast<std::size_t>(args.number_or("windows", 16.0));
-  config.reconcile.threads =
-      static_cast<unsigned>(args.number_or("threads", 0.0));
+  config.threads = std::max<std::size_t>(
+      1, static_cast<unsigned>(args.number_or("threads", 0.0)));
   const bool json = args.flag_or("json");
   ReportOptions ropts;
   ropts.trace_stages = args.flag_or("trace-stages");
