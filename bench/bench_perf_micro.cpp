@@ -22,7 +22,7 @@ namespace {
 /// Every micro-benchmark reports the process peak-RSS high-watermark as
 /// a counter (ru_maxrss is monotone, so the number is the peak up to and
 /// including this benchmark's run) — the bench-hygiene counterpart of
-/// the per-scenario peak_rss_mb in the end-to-end perf JSONs.
+/// the per-row peak_rss_mb in bench_perf's BENCH_perf.json.
 void report_peak_rss(benchmark::State& state) {
   state.counters["peak_rss_mb"] =
       benchmark::Counter(pv::bench::peak_rss_mb());

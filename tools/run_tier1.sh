@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate in one command: configure, build and run the full ctest
-# suite — first the plain build, then (unless PV_SKIP_SANITIZE=1) a
-# second build tree with PV_SANITIZE=ON so data races and UB in the
-# concurrent collection path fail loudly before review does.
+# suite — first the plain build, then (unless PV_SKIP_SANITIZE=1) an
+# ASan+UBSan tree, a standalone UBSan tree and a TSan tree running the
+# concurrency suites, so memory errors, UB and data races fail loudly
+# before review does.
 #
 # Usage: tools/run_tier1.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -14,16 +15,10 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 echo "=== tier 1: plain build + ctest ($build_dir) ==="
 cmake -B "$build_dir" -S . >/dev/null
 cmake --build "$build_dir" -j "$jobs"
-# Includes the perf-smoke gate (label `perf`): bench_perf_campaign's
-# engine/thread byte-identity contract plus tools/check_perf.sh's diff of
-# BENCH_perf.json against the committed baseline.
+# Includes the perf gate (label `perf`): bench_perf checks every row's
+# hard contract and each gated ratio against the committed
+# bench/BENCH_perf_baseline.json.
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
-# Fleet smoke at the 1k-node scale: the engine-vs-reference and
-# 1-vs-8-thread byte-identity contract on a real campaign (the 10k/100k
-# scenarios stay in the full perf gate; the smoke keeps the plain tier
-# fast).
-PV_PERF_FLEET_SMOKE=1 PV_PERF_JSON="$build_dir/BENCH_perf_fleet_smoke.json" \
-  "$build_dir/bench/bench_perf_fleet"
 
 if [[ "${PV_SKIP_SANITIZE:-0}" == "1" ]]; then
   echo "=== tier 1: sanitizer pass skipped (PV_SKIP_SANITIZE=1) ==="
@@ -47,10 +42,12 @@ cmake --build "${build_dir}-ubsan" -j "$jobs"
 ctest --test-dir "${build_dir}-ubsan" --output-on-failure -j "$jobs" -LE perf
 
 # ThreadSanitizer tree for the genuinely concurrent surfaces: the
-# campaign service (soak included), the thread pool, the bounded queue
-# and the node-tap engine suite (test_meter_engine: the sharded fleet
-# provision, the batch fan-out and the live per-chunk fan-out with
-# emission between barriers, across thread counts).  TSan finds the
+# campaign service (soak, fair share with parked pool workers, resume
+# with live workers, the scenario cache's single-flight build under
+# racing threads), the thread pool, the bounded queue and the node-tap
+# engine suite (test_meter_engine: the sharded fleet provision, the
+# batch fan-out and the live per-chunk fan-out with emission between
+# barriers, across thread counts).  TSan finds the
 # races ASan cannot; the other deterministic numeric suites gain nothing
 # from it, so the filter keeps this pass fast.
 # Wall-time-sensitive gates are excluded as in the other trees.
@@ -58,7 +55,7 @@ echo "=== tier 1: TSan build + concurrency ctest (${build_dir}-tsan) ==="
 cmake -B "${build_dir}-tsan" -S . -DPV_TSAN=ON >/dev/null
 cmake --build "${build_dir}-tsan" -j "$jobs"
 ctest --test-dir "${build_dir}-tsan" --output-on-failure -j "$jobs" \
-  -R 'ThreadPool|ParallelFor|DefaultPool|BoundedQueue|CampaignService|ServiceChaos|Collector|StreamingEquivalence|StreamingAssessment|FleetEngineDifferential|FleetSoA|MeterEngine' \
+  -R 'ThreadPool|ParallelFor|DefaultPool|BoundedQueue|CampaignService|ServiceChaos|ScenarioCacheContention|ServiceFairShare|ServiceResume|Collector|StreamingEquivalence|StreamingAssessment|FleetEngineDifferential|FleetSoA|MeterEngine' \
   -LE perf
 
 echo "=== tier 1: all green ==="
