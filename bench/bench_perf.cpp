@@ -33,7 +33,10 @@
 //   PV_PERF_ALLOWANCE (default 0.5) times its baseline value.  Exit 1
 //   lists every failed contract; exit 2 means a bad argument or baseline,
 //   or an unwritable BENCH_perf.json.
-//   PV_PERF_REPS (default 5) sets the best-of reps per variant.
+//   PV_PERF_REPS (default 5) sets the best-of reps per variant (four
+//   times as many for the short service batches).  The three service
+//   rows take their reps in turn, so both halves of warm_over_cold see
+//   the same host load.
 //   docs/performance.md describes the schema and the baseline update.
 
 #include <unistd.h>
@@ -172,6 +175,8 @@ Json run_rss_flat() {
 
 // ---- service rows -----------------------------------------------------
 
+constexpr std::size_t kServiceRepsPerRep = 4;
+
 // Cold requests carry distinct seeds, hence distinct scenario
 // fingerprints, so each one provisions; warm ones share one.
 ServiceRequest make_request(bool cold, std::size_t i) {
@@ -200,61 +205,79 @@ double submit_and_wait(CampaignService& service, bool cold,
   return ms_since(t0);
 }
 
-// One service row, best of `reps`, a fresh service per rep so the cache
+// One service row, best of its reps, a fresh service per rep so the cache
 // starts cold inside the timed window.  Single-flight accounting makes
 // the cache counts exact under any interleaving; each rep's are kept.
 // `restart`: an untimed first life spills the shared scenario to a cache
 // directory, and the timed service is warm only through that directory.
-Json run_service(bool cold, bool restart, std::size_t reps) {
-  namespace fs = std::filesystem;
-  // Named after the process, so runs side by side keep their own spill.
-  const fs::path dir = fs::temp_directory_path() /
-                       ("pv_bench_perf_cache." + std::to_string(::getpid()));
-  const std::size_t requests = bench::kServiceRequests;
-  bool all_ok = true;
-  double best_ms = 1e300;
-  Json counts = Json::object();
-  const auto record = [&counts](const char* key, std::size_t v) {
-    if (counts.find(key) == nullptr) counts[key] = Json::array();
-    counts[key].push_back(v);
-  };
-  for (std::size_t rep = 0; rep < reps; ++rep) {
+class ServiceRow {
+ public:
+  ServiceRow(bool cold, bool restart) : cold_(cold), restart_(restart) {}
+
+  void run_rep() {
+    namespace fs = std::filesystem;
+    // Named after the process, so runs side by side keep their own spill.
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("pv_bench_perf_cache." + std::to_string(::getpid()));
     ServiceConfig config;
     config.workers = 4;
-    config.max_queue = requests;
-    config.cache_capacity = requests;  // no capacity-eviction noise
-    if (restart) {
+    config.max_queue = kRequests;
+    config.cache_capacity = kRequests;  // no capacity-eviction noise
+    if (restart_) {
       std::error_code ec;
       fs::remove_all(dir, ec);
       fs::create_directories(dir, ec);
       config.cache_dir = dir.string();
       CampaignService first_life(config);
-      submit_and_wait(first_life, false, 1, all_ok);
+      submit_and_wait(first_life, false, 1, all_ok_);
       const CacheStats spilled = first_life.drain().cache;
       record("warmup_misses", spilled.misses);
       record("warmup_spills", spilled.spills);
     }
-    CampaignService service(config);
-    best_ms =
-        std::min(best_ms, submit_and_wait(service, cold, requests, all_ok));
-    const CacheStats cache = service.drain().cache;
-    record("cache_hits", cache.hits);
-    record("cache_misses", cache.misses);
-    record("cache_disk_hits", cache.disk_hits);
-    record("cache_spills", cache.spills);
+    {
+      CampaignService service(config);
+      best_ms_ = std::min(best_ms_,
+                          submit_and_wait(service, cold_, kRequests, all_ok_));
+      const CacheStats cache = service.drain().cache;
+      record("cache_hits", cache.hits);
+      record("cache_misses", cache.misses);
+      record("cache_disk_hits", cache.disk_hits);
+      record("cache_spills", cache.spills);
+    }
+    if (restart_) {
+      std::error_code ec;
+      fs::remove_all(dir, ec);
+    }
   }
-  if (restart) {
-    std::error_code ec;
-    fs::remove_all(dir, ec);
+
+  [[nodiscard]] double best_ms() const { return best_ms_; }
+
+  [[nodiscard]] Json result() const {
+    Json r = Json::object();
+    r["requests"] = kRequests;
+    r["best_ms"] = best_ms_;
+    r["campaigns_per_sec"] =
+        static_cast<double>(kRequests) / (best_ms_ / 1e3);
+    for (const auto& [key, values] : counts_.members()) r[key] = values;
+    r["all_ok"] = all_ok_;
+    return r;
   }
-  Json r = Json::object();
-  r["requests"] = requests;
-  r["best_ms"] = best_ms;
-  r["campaigns_per_sec"] = static_cast<double>(requests) / (best_ms / 1e3);
-  for (const auto& [key, values] : counts.members()) r[key] = values;
-  r["all_ok"] = all_ok;
-  return r;
-}
+
+ private:
+  static constexpr std::size_t kRequests = bench::kServiceRequests;
+
+  void record(const char* key, std::size_t v) {
+    if (counts_.find(key) == nullptr) counts_[key] = Json::array();
+    counts_[key].push_back(v);
+  }
+
+  bool cold_;
+  bool restart_;
+  bool all_ok_ = true;
+  double best_ms_ = 1e300;
+  Json counts_ = Json::object();
+};
 
 // ---- campaign and fleet rows -------------------------------------------
 
@@ -451,13 +474,25 @@ int main(int argc, char** argv) {
   doc["reps"] = reps;
   doc["scenarios"] = Json::object();
   add_row(doc, "rss_flat", run_rss_flat());
-  Json cold = run_service(/*cold=*/true, /*restart=*/false, reps);
-  Json warm = run_service(false, false, reps);
-  warm["warm_over_cold"] = cold["best_ms"].number_value() /
-                           warm["best_ms"].number_value();
-  add_row(doc, "service_cold", std::move(cold));
-  add_row(doc, "service_warm", std::move(warm));
-  add_row(doc, "service_restart_warm", run_service(false, true, reps));
+  // The service rows take their reps in turn, so a host that turns busy
+  // part way through slows cold and warm alike.  A batch lasts 1-2 ms,
+  // and on a busy host the best of a few such batches is decided by
+  // which ones catch a quiet moment, so the service rows take
+  // kServiceRepsPerRep times as many reps as the rows that last tens of
+  // milliseconds.
+  ServiceRow cold(/*cold=*/true, /*restart=*/false);
+  ServiceRow warm(false, false);
+  ServiceRow restart_warm(false, true);
+  for (std::size_t rep = 0; rep < kServiceRepsPerRep * reps; ++rep) {
+    cold.run_rep();
+    warm.run_rep();
+    restart_warm.run_rep();
+  }
+  Json warm_row = warm.result();
+  warm_row["warm_over_cold"] = cold.best_ms() / warm.best_ms();
+  add_row(doc, "service_cold", cold.result());
+  add_row(doc, "service_warm", std::move(warm_row));
+  add_row(doc, "service_restart_warm", restart_warm.result());
   for (const Row& row : kRows) add_row(doc, row.name, run_row(row, reps));
 
   std::ostringstream pretty;

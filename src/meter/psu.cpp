@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "util/expects.hpp"
 #include "util/mathx.hpp"
@@ -68,17 +67,29 @@ CompiledPsuCurve::CompiledPsuCurve(const PsuEfficiencyCurve& curve,
                                    Watts rated_dc_output) {
   PV_EXPECTS(rated_dc_output.value() > 0.0, "rated output must be positive");
   const auto& pts = curve.points();
-  xs_.reserve(pts.size());
-  ys_.reserve(pts.size());
-  slopes_.reserve(pts.size() - 1);
+  auto table = std::make_shared<Table>();
+  table->xs.reserve(pts.size());
+  table->ys.reserve(pts.size());
+  table->slopes.reserve(pts.size() - 1);
   for (const auto& [x, y] : pts) {
-    xs_.push_back(x);
-    ys_.push_back(y);
+    table->xs.push_back(x);
+    table->ys.push_back(y);
   }
   for (std::size_t i = 0; i + 1 < pts.size(); ++i) {
-    slopes_.push_back((ys_[i + 1] - ys_[i]) / (xs_[i + 1] - xs_[i]));
+    table->slopes.push_back((table->ys[i + 1] - table->ys[i]) /
+                            (table->xs[i + 1] - table->xs[i]));
   }
+  table_ = std::move(table);
   inv_rated_ = 1.0 / rated_dc_output.value();
+}
+
+CompiledPsuCurve CompiledPsuCurve::rebound(Watts rated_dc_output) const {
+  PV_EXPECTS(!empty(), "rebinding an empty curve");
+  PV_EXPECTS(rated_dc_output.value() > 0.0, "rated output must be positive");
+  CompiledPsuCurve c;
+  c.table_ = table_;
+  c.inv_rated_ = 1.0 / rated_dc_output.value();
+  return c;
 }
 
 void CompiledPsuCurve::ac_from_dc_batch(std::span<const double> dc,
@@ -87,7 +98,8 @@ void CompiledPsuCurve::ac_from_dc_batch(std::span<const double> dc,
                                         std::vector<double>& eff_tmp) const {
   const std::size_t n = dc.size();
   PV_EXPECTS(ac.size() == n, "dc/ac spans must have equal length");
-  PV_EXPECTS(!xs_.empty(), "batch evaluation on an empty curve");
+  PV_EXPECTS(!empty(), "batch evaluation on an empty curve");
+  const Table& t = *table_;
   lf_tmp.resize(n);
   eff_tmp.resize(n);
   double* const lf = lf_tmp.data();
@@ -98,56 +110,44 @@ void CompiledPsuCurve::ac_from_dc_batch(std::span<const double> dc,
   for (std::size_t k = 0; k < n; ++k) lf[k] = d[k] * inv;
   // Loop inversion: one elementwise blend pass per curve segment instead
   // of a per-value segment scan.  Last writer wins, so after all passes
-  // eff[k] = ys_[s] + (lf - xs_[s]) * slopes_[s] for
-  // s = max{i < last : lf > xs_[i]} — the same segment (and the same
-  // expression, operand for operand) the scalar scan selects — or ys_[0]
-  // when lf <= xs_[0].  Every select is an unconditional store of a
+  // eff[k] = ys[s] + (lf - xs[s]) * slopes[s] for
+  // s = max{i < last : lf > xs[i]} — the same segment (and the same
+  // expression, operand for operand) the scalar scan selects — or ys[0]
+  // when lf <= xs[0].  Every select is an unconditional store of a
   // value-select (never a guarded store), so the loops if-convert and
-  // vectorize.  Segment 0 is fused with the ys_[0] initialisation and the
+  // vectorize.  Segment 0 is fused with the ys[0] initialisation and the
   // high clamp with the final divide, saving two full passes.
-  const std::size_t last = xs_.size() - 1;
+  const std::size_t last = t.xs.size() - 1;
   {
-    const double x0 = xs_[0];
-    const double y0 = ys_[0];
-    const double s0 = slopes_[0];
+    const double x0 = t.xs[0];
+    const double y0 = t.ys[0];
+    const double s0 = t.slopes[0];
     for (std::size_t k = 0; k < n; ++k) {
       const double cand = y0 + (lf[k] - x0) * s0;
       eff[k] = lf[k] > x0 ? cand : y0;
     }
   }
   for (std::size_t i = 1; i < last; ++i) {
-    const double xi = xs_[i];
-    const double yi = ys_[i];
-    const double si = slopes_[i];
+    const double xi = t.xs[i];
+    const double yi = t.ys[i];
+    const double si = t.slopes[i];
     for (std::size_t k = 0; k < n; ++k) {
       const double prev = eff[k];
       const double cand = yi + (lf[k] - xi) * si;
       eff[k] = lf[k] > xi ? cand : prev;
     }
   }
-  // A zero load lands in the clamp-low lane (lf = 0 <= xs_[0]) and
-  // divides to 0/ys_[0] == +0.0, matching the scalar early return for the
+  // A zero load lands in the clamp-low lane (lf = 0 <= xs[0]) and
+  // divides to 0/ys[0] == +0.0, matching the scalar early return for the
   // non-negative loads campaigns produce.
-  const double xl = xs_[last];
-  const double yl = ys_[last];
+  const double xl = t.xs[last];
+  const double yl = t.ys[last];
   for (std::size_t k = 0; k < n; ++k) {
     const double ei = eff[k];  // unconditional load so the loop if-converts
     const double e = lf[k] >= xl ? yl : ei;
     out[k] = d[k] / e;
   }
 }
-
-namespace {
-
-/// Bitwise equality of two breakpoint vectors — the shared-table test must
-/// not admit values that merely compare equal (e.g. -0.0 vs +0.0), because
-/// the blend passes feed these operands straight into reported doubles.
-bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-}  // namespace
 
 FleetPsuBank FleetPsuBank::build(
     std::span<const CompiledPsuCurve* const> curves) {
@@ -167,19 +167,14 @@ FleetPsuBank FleetPsuBank::build(
     bank.inv_rated_[i] = c->inv_rated_;
     if (ref == nullptr) {
       ref = c;
-    } else if (c != ref && (!bits_equal(c->xs_, ref->xs_) ||
-                            !bits_equal(c->ys_, ref->ys_) ||
-                            !bits_equal(c->slopes_, ref->slopes_))) {
+    } else if (!c->shares_table_with(*ref)) {
+      // A lowered fleet's lanes hold one table object.  Distinct tables,
+      // even equal ones, take the per-lane fallback.
       shared = false;
     }
   }
-  if (ref == nullptr) shared = false;  // all DC taps: pass-through fallback
-  if (shared) {
-    bank.xs_ = ref->xs_;
-    bank.ys_ = ref->ys_;
-    bank.slopes_ = ref->slopes_;
-  }
-  bank.shared_ = shared;
+  // ref stays null when every lane is a DC tap: pass-through fallback.
+  if (shared && ref != nullptr) bank.table_ = ref->table_;
   return bank;
 }
 
@@ -191,7 +186,7 @@ void FleetPsuBank::ac_from_dc_fleet(std::span<const double> dc,
   const std::size_t n = dc.size();
   PV_EXPECTS(lane_begin + n <= curves_.size(), "lane range out of bank");
   PV_EXPECTS(ac.size() == n, "dc/ac spans must have equal length");
-  if (!shared_) {
+  if (table_ == nullptr) {
     for (std::size_t k = 0; k < n; ++k) {
       const CompiledPsuCurve* c = curves_[lane_begin + k];
       ac[k] = (c != nullptr && !c->empty()) ? c->ac_from_dc(dc[k]) : dc[k];
@@ -201,6 +196,7 @@ void FleetPsuBank::ac_from_dc_fleet(std::span<const double> dc,
   // The ac_from_dc_batch blend with the node index as the lane: identical
   // passes and operand order, except lf[k] carries the per-node 1/rated.
   // Each lane therefore computes exactly the scalar call's expression.
+  const CompiledPsuCurve::Table& t = *table_;
   lf_tmp.resize(n);
   eff_tmp.resize(n);
   double* const lf = lf_tmp.data();
@@ -209,20 +205,20 @@ void FleetPsuBank::ac_from_dc_fleet(std::span<const double> dc,
   const double* const inv = inv_rated_.data() + lane_begin;
   double* const out = ac.data();
   for (std::size_t k = 0; k < n; ++k) lf[k] = d[k] * inv[k];
-  const std::size_t last = xs_.size() - 1;
+  const std::size_t last = t.xs.size() - 1;
   {
-    const double x0 = xs_[0];
-    const double y0 = ys_[0];
-    const double s0 = slopes_[0];
+    const double x0 = t.xs[0];
+    const double y0 = t.ys[0];
+    const double s0 = t.slopes[0];
     for (std::size_t k = 0; k < n; ++k) {
       const double cand = y0 + (lf[k] - x0) * s0;
       eff[k] = lf[k] > x0 ? cand : y0;
     }
   }
   for (std::size_t i = 1; i < last; ++i) {
-    const double xi = xs_[i];
-    const double yi = ys_[i];
-    const double si = slopes_[i];
+    const double xi = t.xs[i];
+    const double yi = t.ys[i];
+    const double si = t.slopes[i];
     for (std::size_t k = 0; k < n; ++k) {
       const double prev = eff[k];
       const double cand = yi + (lf[k] - xi) * si;
@@ -230,8 +226,8 @@ void FleetPsuBank::ac_from_dc_fleet(std::span<const double> dc,
     }
   }
   // Zero loads divide to +0.0 exactly as in ac_from_dc_batch.
-  const double xl = xs_[last];
-  const double yl = ys_[last];
+  const double xl = t.xs[last];
+  const double yl = t.ys[last];
   for (std::size_t k = 0; k < n; ++k) {
     const double ei = eff[k];
     const double e = lf[k] >= xl ? yl : ei;
@@ -239,12 +235,12 @@ void FleetPsuBank::ac_from_dc_fleet(std::span<const double> dc,
   }
 }
 
-PsuModel::PsuModel(Watts rated_dc_output, PsuEfficiencyCurve curve)
+PsuModel::PsuModel(Watts rated_dc_output, const PsuEfficiencyCurve& curve)
+    : rated_(rated_dc_output), compiled_(curve, rated_dc_output) {}
+
+PsuModel::PsuModel(Watts rated_dc_output, const CompiledPsuCurve& fleet_curve)
     : rated_(rated_dc_output),
-      curve_(std::move(curve)),
-      compiled_(curve_, rated_dc_output) {
-  PV_EXPECTS(rated_dc_output.value() > 0.0, "rated output must be positive");
-}
+      compiled_(fleet_curve.rebound(rated_dc_output)) {}
 
 Watts PsuModel::ac_input(Watts dc_load) const {
   PV_EXPECTS(dc_load.value() >= 0.0, "DC load must be non-negative");

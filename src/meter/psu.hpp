@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -28,6 +29,13 @@ class PsuEfficiencyCurve;
 /// and per-segment slopes so one evaluation is one multiply, a short
 /// segment scan, one fma and one divide.
 ///
+/// A compiled curve is two parts: the breakpoint table (xs, ys, slopes),
+/// which depends only on the source curve and is immutable and shared,
+/// and the curve's own 1/rated.  A fleet fits one PSU model to every
+/// node, so the lowered model compiles the table once and `rebound` binds
+/// it to each node's rated output — one pointer copy, no allocation, and
+/// the same operands as compiling the curve afresh.
+///
 /// The eager per-device path and the streaming kernels — compiled in
 /// different translation units — must produce bit-identical AC samples;
 /// both call this same inline evaluation, and the project builds with
@@ -37,26 +45,38 @@ class CompiledPsuCurve {
   CompiledPsuCurve() = default;
   CompiledPsuCurve(const PsuEfficiencyCurve& curve, Watts rated_dc_output);
 
+  /// This curve's breakpoint table bound to another rated output.  Shares
+  /// the table (one pointer copy) and evaluates bit-identically to
+  /// CompiledPsuCurve(source curve, rated_dc_output).
+  [[nodiscard]] CompiledPsuCurve rebound(Watts rated_dc_output) const;
+
   /// Clean (error-free) AC input for a DC load, in watts.  Preserves the
   /// clamp-outside / lerp-between semantics of the source curve.
   [[nodiscard]] double ac_from_dc(double dc_w) const {
     if (dc_w == 0.0) return 0.0;
     const double lf = dc_w * inv_rated_;
-    const std::size_t last = xs_.size() - 1;
+    const Table& t = *table_;
+    const std::size_t last = t.xs.size() - 1;
     double eff;
-    if (lf <= xs_[0]) {
-      eff = ys_[0];
-    } else if (lf >= xs_[last]) {
-      eff = ys_[last];
+    if (lf <= t.xs[0]) {
+      eff = t.ys[0];
+    } else if (lf >= t.xs[last]) {
+      eff = t.ys[last];
     } else {
       std::size_t s = 0;
-      while (s + 1 < last && lf > xs_[s + 1]) ++s;
-      eff = ys_[s] + (lf - xs_[s]) * slopes_[s];
+      while (s + 1 < last && lf > t.xs[s + 1]) ++s;
+      eff = t.ys[s] + (lf - t.xs[s]) * t.slopes[s];
     }
     return dc_w / eff;
   }
 
-  [[nodiscard]] bool empty() const { return xs_.empty(); }
+  [[nodiscard]] bool empty() const { return table_ == nullptr; }
+
+  /// True when both curves evaluate the very same table object (as every
+  /// node of a lowered fleet does), not merely equal ones.
+  [[nodiscard]] bool shares_table_with(const CompiledPsuCurve& other) const {
+    return table_ != nullptr && table_ == other.table_;
+  }
 
   /// Batch form of ac_from_dc over a whole window of loads: the segment
   /// scan becomes one blend pass per curve segment (loop inversion), so
@@ -71,9 +91,14 @@ class CompiledPsuCurve {
  private:
   friend class FleetPsuBank;
 
-  std::vector<double> xs_;      // load fractions, strictly increasing
-  std::vector<double> ys_;      // efficiencies at xs_
-  std::vector<double> slopes_;  // (ys_[i+1]-ys_[i]) / (xs_[i+1]-xs_[i])
+  /// The immutable breakpoint table, shared by every rebound copy.
+  struct Table {
+    std::vector<double> xs;      // load fractions, strictly increasing
+    std::vector<double> ys;      // efficiencies at xs
+    std::vector<double> slopes;  // (ys[i+1]-ys[i]) / (xs[i+1]-xs[i])
+  };
+
+  std::shared_ptr<const Table> table_;
   double inv_rated_ = 0.0;
 };
 
@@ -81,14 +106,14 @@ class CompiledPsuCurve {
 /// DC value per node, bit-identical per lane to the scalar call.
 ///
 /// Real clusters provision one PSU SKU across a fleet, so every node's
-/// CompiledPsuCurve shares the same breakpoint table (xs/ys/slopes are
-/// bitwise-equal) and differs only in 1/rated — the rated output scales
-/// with the node's provisioned mean draw.  The bank detects that shared
-/// shape at build time and flattens the fleet into one breakpoint table
-/// plus a contiguous inv_rated[] vector, so the ac_from_dc_batch blend
-/// passes run with the node index as the SIMD lane.  Mixed-SKU fleets
-/// (or lanes with differing tables) fall back to the scalar evaluation
-/// per lane, which produces the same bits by construction.
+/// CompiledPsuCurve evaluates the same breakpoint table and differs only
+/// in 1/rated — the rated output scales with the node's provisioned mean
+/// draw.  A lowered fleet's lanes share one table object, which the bank
+/// recognises by pointer and points at, plus a contiguous inv_rated[]
+/// vector, so the ac_from_dc_batch blend passes run with the node index as
+/// the SIMD lane.  Lanes whose tables are distinct objects (mixed SKUs, or
+/// curves compiled node by node) fall back to the scalar evaluation per
+/// lane, which produces the same bits by construction.
 class FleetPsuBank {
  public:
   FleetPsuBank() = default;
@@ -99,9 +124,9 @@ class FleetPsuBank {
 
   [[nodiscard]] std::size_t size() const { return curves_.size(); }
   [[nodiscard]] bool empty() const { return curves_.empty(); }
-  /// True when every non-null lane shares one breakpoint table and the
-  /// fleet-major blend passes apply (the fast path).
-  [[nodiscard]] bool shared() const { return shared_; }
+  /// True when every lane has a curve and all share one breakpoint table,
+  /// so the fleet-major blend passes apply (the fast path).
+  [[nodiscard]] bool shared() const { return table_ != nullptr; }
 
   /// ac[k] = curve(lane_begin + k) ? curve->ac_from_dc(dc[k]) : dc[k] for
   /// k in [0, dc.size()): one DC load per lane of the contiguous lane
@@ -114,10 +139,8 @@ class FleetPsuBank {
  private:
   std::vector<const CompiledPsuCurve*> curves_;  // per-lane fallback handles
   std::vector<double> inv_rated_;  // per-lane 1/rated (0 for DC-tap lanes)
-  std::vector<double> xs_;         // shared breakpoint table (shared_ only)
-  std::vector<double> ys_;
-  std::vector<double> slopes_;
-  bool shared_ = false;
+  /// The lanes' common table; null unless every lane shares it.
+  std::shared_ptr<const CompiledPsuCurve::Table> table_;
 };
 
 /// Load-dependent PSU efficiency curve: efficiency as a function of the
@@ -150,7 +173,10 @@ class PsuEfficiencyCurve {
 /// A PSU instance with a rated DC output and an efficiency curve.
 class PsuModel {
  public:
-  PsuModel(Watts rated_dc_output, PsuEfficiencyCurve curve);
+  PsuModel(Watts rated_dc_output, const PsuEfficiencyCurve& curve);
+  /// A PSU of `fleet_curve`'s model rated at `rated_dc_output`: shares the
+  /// already compiled table instead of compiling the curve again.
+  PsuModel(Watts rated_dc_output, const CompiledPsuCurve& fleet_curve);
 
   [[nodiscard]] Watts rated_output() const { return rated_; }
 
@@ -170,7 +196,6 @@ class PsuModel {
 
  private:
   Watts rated_;
-  PsuEfficiencyCurve curve_;
   CompiledPsuCurve compiled_;
 };
 

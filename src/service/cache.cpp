@@ -242,13 +242,16 @@ std::shared_ptr<const Scenario> ScenarioCache::acquire(
         build_promise.set_exception(std::current_exception());
         throw;
       }
-      const std::string snap = snapshot_of(spec, *artifact);
+      // The seal's CRC covers a local, so it is computed before locking;
+      // the lock guards only the map update.
+      std::string snap = snapshot_of(spec, *artifact);
+      const std::uint32_t crc = crc32(snap);
       {
         std::unique_lock lock(mu_);
         auto it = entries_.find(fp);
         if (it != entries_.end()) {
-          it->second.snapshot = snap;
-          it->second.crc = crc32(snap);
+          it->second.snapshot = std::move(snap);
+          it->second.crc = crc;
           it->second.sealed = true;
         }
       }

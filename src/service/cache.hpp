@@ -2,10 +2,11 @@
 // Content-addressed cache of provisioned scenarios.
 //
 // Building a scenario — generating the calibrated fleet, lowering it
-// into the electrical model with its compiled PSU curves, deriving
-// PlanInputs — dominates a short campaign's cost and is a pure function
-// of the ScenarioSpec.  The service therefore caches built scenarios
-// keyed by a fingerprint of the spec.  Safety over speed:
+// into the electrical model (whose nodes share one compiled PSU table),
+// deriving PlanInputs — costs a large share of a short campaign's time
+// and is a pure function of the ScenarioSpec.  The service therefore
+// caches built scenarios keyed by a fingerprint of the spec.  Safety
+// over speed:
 //
 //   revalidation   every hit recomputes the CRC32 of the entry's sealed
 //                  snapshot (the canonical serialization of the fleet it

@@ -94,11 +94,15 @@ SystemPowerModel make_system_power_model(const ClusterPowerModel& cluster,
                           cluster.node_power_w(0, t) / cluster.node_means()[0]);
   }
 
+  // One PSU model serves the whole fleet: compile its breakpoint table
+  // once (the table does not depend on the rating) and rebind it to each
+  // node's rated output, which shares the table instead of copying it.
+  const CompiledPsuCurve fleet_curve(psu_curve, Watts{1.0});
   for (std::size_t i = 0; i < cluster.node_count(); ++i) {
     const double rated =
         cluster.node_means()[i] * peak_shape * psu_headroom;
     model.add_node(cluster.node_function(i),
-                   PsuModel(Watts{rated}, psu_curve));
+                   PsuModel(Watts{rated}, fleet_curve));
   }
 
   const double compute_mean = cluster.system_core_mean().value();

@@ -89,8 +89,9 @@ struct AuxiliaryConfig {
 
 /// Lowers the cluster into the electrical model used by measurement
 /// campaigns: per-node PSUs on the given efficiency curve (sized with
-/// `psu_headroom` over the node's peak draw), racks of `nodes_per_rack`,
-/// and constant-power auxiliary subsystems per `aux`.
+/// `psu_headroom` over the node's peak draw, all sharing one compiled
+/// breakpoint table), racks of `nodes_per_rack`, and constant-power
+/// auxiliary subsystems per `aux`.
 ///
 /// Lifetime: the returned model's power functions reference `cluster`;
 /// the cluster must outlive the returned SystemPowerModel.

@@ -23,12 +23,14 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pv {
 
-/// CRC32 (IEEE 802.3 polynomial, reflected) of a byte string.
-[[nodiscard]] std::uint32_t crc32(const std::string& data);
+/// CRC32 (IEEE 802.3 polynomial, reflected) of a byte string, computed
+/// eight bytes per step (slicing-by-8).
+[[nodiscard]] std::uint32_t crc32(std::string_view data);
 
 /// Append-only journal writer.  Each append is flushed to the OS before
 /// returning, so a record either fully precedes a crash or is a torn tail

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/scenario.hpp"
 #include "sim/fleet.hpp"
@@ -58,6 +59,55 @@ TEST(Campaign, Level3MeasuresEverythingAccurately) {
   // adds measured aux, so the residual is the PDU loss (~2%).
   EXPECT_LT(result.relative_error, 0.03);
   EXPECT_GT(result.submitted_power.value(), 0.0);
+}
+
+// Closed-form oracle: with perfect meters an L3 campaign meters every
+// node's AC tap over the whole core phase, where FIRESTARTER holds each
+// node at a constant draw.  The GL4 meter readings and the 2048-panel
+// truth integral are then exact up to rounding, so the compute part of
+// the submission is the node AC total, which the truth carries through
+// the rack PDUs' loss: submitted compute = (1 - loss) x true compute.
+TEST(Campaign, PerfectMeterL3EqualsTheClosedFormScopeIntegral) {
+  const MethodologySpec spec = MethodologySpec::get(Level::kL3,
+                                                    Revision::kV2015);
+  MethodologySpec compute_only = spec;
+  compute_only.subsystems = SubsystemRule::kComputeOnly;
+  for (const std::size_t nodes : {16u, 97u, 640u}) {
+    for (const std::uint64_t seed : {1u, 7u, 42u}) {
+      SCOPED_TRACE("nodes " + std::to_string(nodes) + ", seed " +
+                   std::to_string(seed));
+      ScenarioSpec scenario;
+      scenario.nodes = nodes;
+      scenario.cv = 0.04;
+      scenario.fleet_seed = seed;
+      scenario.run_minutes = 20.0;
+      const Scenario built = build_scenario(scenario);
+      const MeasurementPlan plan = built.plan(spec, seed + 100);
+      ASSERT_EQ(plan.point, MeasurementPoint::kNodeAc);
+      ASSERT_EQ(plan.node_count(), nodes);
+      CampaignConfig config = fast_config();
+      config.seed = seed;
+      const CampaignResult result =
+          run_campaign(*built.cluster, *built.electrical, plan, config);
+      ASSERT_EQ(result.nodes_measured, nodes);
+
+      const double t_mid =
+          plan.window.begin.value() + 0.5 * plan.window.duration().value();
+      const double submitted_compute =
+          result.submitted_power.value() -
+          built.electrical->auxiliary_ac_w(t_mid);
+      const double true_compute =
+          true_scope_power(*built.cluster, *built.electrical, compute_only)
+              .value();
+      const double expected =
+          (1.0 - built.electrical->pdu_loss_fraction()) * true_compute;
+      EXPECT_NEAR(submitted_compute / expected, 1.0, 1e-9);
+      // The auxiliaries are measured at L3, so the whole submission is the
+      // full scope truth less exactly the PDU loss.
+      EXPECT_NEAR(result.submitted_power.value() - result.true_power.value(),
+                  expected - true_compute, 1e-9 * true_compute);
+    }
+  }
 }
 
 TEST(Campaign, ExtrapolationErrorShrinksWithSampleSize) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "stats/descriptive.hpp"
 #include "util/expects.hpp"
@@ -117,6 +118,25 @@ TEST(MakeSystemPowerModel, AuxiliarySizingFollowsConfig) {
   EXPECT_NEAR(sys.auxiliary_ac_w(Subsystem::kNetwork, 0.0),
               compute_mean * 0.10, 1e-9);
   EXPECT_DOUBLE_EQ(sys.auxiliary_ac_w(Subsystem::kStorage, 0.0), 0.0);
+}
+
+TEST(MakeSystemPowerModel, NodesShareOneCompiledPsuTable) {
+  const ClusterPowerModel cluster = small_cluster();
+  const SystemPowerModel sys = make_system_power_model(
+      cluster, 2, PsuEfficiencyCurve::titanium(), AuxiliaryConfig{});
+  std::vector<const CompiledPsuCurve*> lanes;
+  for (std::size_t i = 0; i < sys.node_count(); ++i) {
+    const PsuModel& psu = sys.node_psu(i);
+    EXPECT_TRUE(psu.compiled().shares_table_with(sys.node_psu(0).compiled()));
+    // Sharing the table changes no bit of the node's own curve.
+    const PsuModel own(psu.rated_output(), PsuEfficiencyCurve::titanium());
+    for (const double frac : {0.0, 0.01, 0.1, 0.35, 0.5, 1.0, 1.2}) {
+      const Watts dc{frac * psu.rated_output().value()};
+      EXPECT_EQ(psu.ac_input(dc).value(), own.ac_input(dc).value());
+    }
+    lanes.push_back(&psu.compiled());
+  }
+  EXPECT_TRUE(FleetPsuBank::build(lanes).shared());
 }
 
 TEST(MakeSystemPowerModel, NodeDcMatchesClusterGroundTruth) {

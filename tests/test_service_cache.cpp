@@ -124,6 +124,41 @@ TEST(ScenarioCacheContention, SingleFlightBuildsOnceWaitersCountHits) {
   }
 }
 
+TEST(ScenarioCacheContention, RacingMissesEvictWhileOthersHoldEntries) {
+  // Capacity 2 under four threads cycling six fingerprints: misses evict
+  // entries that other threads still hold, wait on or revalidate.  Every
+  // acquire still gets a scenario of its own spec, and each counts
+  // exactly one hit or one miss whatever the interleaving.
+  ScenarioCache cache(2);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 12;
+  constexpr std::size_t kSpecs = 6;
+  std::vector<std::size_t> wrong(kThreads, 0);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t r = 0; r < kRounds; ++r) {
+          const std::size_t k = (t + r) % kSpecs;
+          const ScenarioSpec spec = spec_of(100 + k, 8 + k);
+          const std::shared_ptr<const Scenario> s = cache.acquire(spec);
+          if (s->cluster->node_count() != spec.nodes) ++wrong[t];
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(wrong[t], 0u) << "thread " << t;
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kRounds);
+  EXPECT_GE(stats.misses, kSpecs);
+  EXPECT_GT(stats.evicted, 0u);
+  EXPECT_LE(stats.evicted, stats.misses);
+  EXPECT_EQ(stats.quarantined, 0u);
+}
+
 TEST(ScenarioCacheQuarantine, RebuildModeCountsExactly) {
   ScenarioCache cache(4);
   const ScenarioSpec spec = spec_of(7);

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "collect/journal.hpp"
 #include "util/expects.hpp"
@@ -28,6 +29,59 @@ TEST(Crc32, MatchesKnownVectors) {
   EXPECT_EQ(crc32(""), 0x00000000u);
   EXPECT_EQ(crc32("123456789"), 0xCBF43926u);  // the classic check value
   EXPECT_NE(crc32("a"), crc32("b"));
+}
+
+/// The textbook bytewise CRC-32 (reflected IEEE polynomial, one table
+/// lookup per byte): the oracle the sliced implementation must equal.
+std::uint32_t crc32_bytewise(std::string_view data) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::string pseudo_random_bytes(std::size_t n, std::uint64_t seed) {
+  std::string out(n, '\0');
+  std::uint64_t x = seed;
+  for (char& ch : out) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    ch = static_cast<char>(x >> 56);
+  }
+  return out;
+}
+
+TEST(Crc32, EqualsTheBytewiseReferenceOnEveryShortLength) {
+  const std::string bytes = pseudo_random_bytes(64, 1);
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    const std::string_view v(bytes.data(), len);
+    EXPECT_EQ(crc32(v), crc32_bytewise(v)) << "length " << len;
+  }
+}
+
+TEST(Crc32, EqualsTheBytewiseReferenceFromUnalignedStarts) {
+  const std::string bytes = pseudo_random_bytes(300, 2);
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (const std::size_t len : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 255u}) {
+      const std::string_view v(bytes.data() + start, len);
+      EXPECT_EQ(crc32(v), crc32_bytewise(v))
+          << "start " << start << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32, EqualsTheBytewiseReferenceOnAMegabyte) {
+  const std::string bytes = pseudo_random_bytes(std::size_t{1} << 20, 3);
+  EXPECT_EQ(crc32(bytes), crc32_bytewise(bytes));
+  // High bytes exercise every table index the 0..127 text range misses.
+  const std::string ones(std::size_t{1} << 20, static_cast<char>(0xFF));
+  EXPECT_EQ(crc32(ones), crc32_bytewise(ones));
 }
 
 TEST(Wal, WriteThenReplayRoundTrips) {
