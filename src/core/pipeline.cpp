@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/report.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/fused.hpp"
 #include "stats/robust.hpp"
 #include "stats/sketch.hpp"
 #include "util/expects.hpp"
@@ -30,9 +27,8 @@ double mean_over_window(const std::function<double(double)>& f, double a,
   return average_over(f, a, b, 2048);
 }
 
-// RNG stream salts for the fault processes (the calibration/noise salts
-// are kCalibrationSalt / kNoiseSalt from sim/fleet_state.hpp, shared with
-// fleet provisioning).
+// RNG stream salts for the fault processes (calibration and noise come
+// from provision_meter, shared with fleet provisioning).
 constexpr std::uint64_t kFateSalt = 0xFA7E0FA7ULL;
 constexpr std::uint64_t kFaultSalt = 0x1FAC7ED0ULL;
 
@@ -62,15 +58,6 @@ std::vector<TimeWindow> make_analysis_windows(
     }
   }
   return out;
-}
-
-// Samples the meter would produce over the windows — used to account for
-// meters that never report.
-std::size_t expected_samples(const std::vector<TimeWindow>& windows,
-                             const MeterModel& meter) {
-  std::size_t n = 0;
-  for (const TimeWindow& w : windows) n += meter.samples_in(w);
-  return n;
 }
 
 // Window-fed metering state machine for one device: the eager reference
@@ -238,24 +225,22 @@ class DeviceMeter {
   std::optional<Rng> fault_rng_;
 };
 
-// Meters `truth` over every window by driving a DeviceMeter eagerly: the
-// meter evaluates the std::function truth chain at every sample, each
+// Meters `truth` over every metered window by driving a DeviceMeter
+// eagerly: the meter evaluates the truth function at every sample, each
 // window's readings drawing `noise` from where the previous window's
 // left off.  The rack/facility taps and the node-tap reference stage run
 // this loop.
-DeviceReading meter_device(const MeterModel& meter,
-                           const PowerFunction& truth,
-                           const std::vector<TimeWindow>& windows,
-                           TimeWindow campaign_window, NoiseStream noise,
-                           const CampaignConfig& config,
-                           std::uint64_t stream, std::size_t meter_id,
-                           const std::vector<TimeWindow>* analysis = nullptr) {
+DeviceReading meter_device(const CampaignContext& ctx,
+                           const MeterModel& meter, NoiseStream noise,
+                           const PowerFunction& truth, std::uint64_t stream,
+                           std::size_t meter_id) {
+  const CampaignConfig& config = *ctx.config;
   DeviceMeter dm(config.faults, config.seed, stream, meter_id,
-                 campaign_window, windows.size(),
-                 expected_samples(windows, meter), analysis);
+                 ctx.plan->window, ctx.windows.size(), ctx.samples_per_meter,
+                 ctx.reconciling ? &ctx.analysis : nullptr);
   if (dm.dead()) return dm.finish();
   std::uint64_t drawn = 0;
-  for (const TimeWindow& w : windows) {
+  for (const TimeWindow& w : ctx.windows) {
     const PowerTrace trace = meter.measure(truth, w.begin, w.end, noise, drawn);
     drawn += trace.size();
     if (config.faults.enabled()) {
@@ -291,26 +276,61 @@ constexpr std::uint64_t kFacilityStream = 9'999'999;
 constexpr std::uint64_t kRackCheckStreamBase = 3'000'000;
 constexpr std::uint64_t kFacilityCheckStream = 9'999'998;
 
+// The provisioning inputs every meter of the campaign shares.
+FleetProvisionSpec meter_spec(const CampaignContext& ctx) {
+  FleetProvisionSpec spec;
+  spec.accuracy = ctx.config->meter_accuracy;
+  spec.mode = ctx.plan->meter_mode;
+  spec.interval = ctx.interval;
+  spec.seed = ctx.config->seed;
+  return spec;
+}
+
+// `truth`, a compute-side truth of the campaign's electrical model, read
+// through the shape memo while ctx.memoize_truth is set (Provision's
+// probe held and the reference stage has not cleared it).
+PowerFunction eager_truth(const CampaignContext& ctx, PowerFunction truth) {
+  if (!ctx.memoize_truth) return truth;
+  return memoize_on_shape(*ctx.cluster, std::move(truth));
+}
+
+PowerFunction rack_truth(const CampaignContext& ctx, std::size_t rack) {
+  const SystemPowerModel& electrical = *ctx.electrical;
+  return eager_truth(ctx, [&electrical, rack](double t) {
+    return electrical.rack_pdu_w(rack, t);
+  });
+}
+
+PowerFunction compute_truth(const CampaignContext& ctx) {
+  const SystemPowerModel& electrical = *ctx.electrical;
+  return eager_truth(
+      ctx, [&electrical](double t) { return electrical.compute_ac_w(t); });
+}
+
+// The facility feed: the compute part through eager_truth plus the
+// auxiliaries read directly — the sum facility_w forms.
+PowerFunction facility_truth(const CampaignContext& ctx) {
+  const SystemPowerModel& electrical = *ctx.electrical;
+  return [&electrical, compute = compute_truth(ctx)](double t) {
+    return compute(t) + electrical.auxiliary_ac_w(t);
+  };
+}
+
 // A fault-free reference meter read over each analysis window: the
 // facility-grade instrumentation (Cray PMDB style) the hierarchy check
 // trusts.  Its calibration error still applies — the check tolerates it
 // because verdicts come from the cohort statistics, and the hierarchy
 // residual only confirms them.
-std::vector<double> measure_check_meter(const PowerFunction& truth,
-                                        const std::vector<TimeWindow>& analysis,
-                                        const MeasurementPlan& plan,
-                                        const CampaignConfig& config,
-                                        Seconds interval,
+std::vector<double> measure_check_meter(const CampaignContext& ctx,
+                                        const PowerFunction& truth,
                                         std::uint64_t stream) {
-  Rng calibration(config.seed ^ kCalibrationSalt, stream);
-  const NoiseStream noise(config.seed ^ kNoiseSalt, stream);
-  const MeterModel meter(config.meter_accuracy, plan.meter_mode, interval,
-                         calibration);
+  const ProvisionedMeter check = provision_meter(meter_spec(ctx), stream);
   std::vector<double> means;
-  means.reserve(analysis.size());
+  means.reserve(ctx.analysis.size());
   std::uint64_t drawn = 0;
-  for (const TimeWindow& w : analysis) {
-    const PowerTrace trace = meter.measure(truth, w.begin, w.end, noise, drawn);
+  for (const TimeWindow& w : ctx.analysis) {
+    const PowerTrace trace =
+        check.meter.measure(truth, w.begin, w.end, check.noise, drawn);
     drawn += trace.size();
     means.push_back(trace.mean_power().value());
   }
@@ -324,10 +344,9 @@ std::vector<double> measure_check_meter(const PowerFunction& truth,
 // correction is nonlinear, so the rack sum is not a clean function of the
 // DC series (the cohort check still covers those campaigns).
 std::vector<HierarchyCheck> build_hierarchy_checks(
-    const SystemPowerModel& electrical, const MeasurementPlan& plan,
-    const CampaignConfig& config, Seconds interval,
-    const std::vector<TimeWindow>& analysis,
-    const std::vector<MeterSeries>& node_series) {
+    const CampaignContext& ctx, const std::vector<MeterSeries>& node_series) {
+  const SystemPowerModel& electrical = *ctx.electrical;
+  const MeasurementPlan& plan = *ctx.plan;
   std::vector<HierarchyCheck> checks;
   if (plan.point != MeasurementPoint::kNodeAc) return checks;
 
@@ -354,9 +373,8 @@ std::vector<HierarchyCheck> build_hierarchy_checks(
     HierarchyCheck check;
     check.label = "rack " + std::to_string(rack);
     check.parent_id = kRackCheckStreamBase + rack;
-    check.parent_means_w = measure_check_meter(
-        [&electrical, rack](double t) { return electrical.rack_pdu_w(rack, t); },
-        analysis, plan, config, interval, kRackCheckStreamBase + rack);
+    check.parent_means_w = measure_check_meter(ctx, rack_truth(ctx, rack),
+                                               kRackCheckStreamBase + rack);
     for (std::size_t node = first; node < last; ++node) {
       check.child_ids.push_back(node);
       check.child_means_w.push_back(by_node[node]->means_w);
@@ -371,9 +389,8 @@ std::vector<HierarchyCheck> build_hierarchy_checks(
     HierarchyCheck facility;
     facility.label = "facility";
     facility.parent_id = kFacilityCheckStream;
-    facility.parent_means_w = measure_check_meter(
-        electrical.facility_function(), analysis, plan, config, interval,
-        kFacilityCheckStream);
+    facility.parent_means_w =
+        measure_check_meter(ctx, facility_truth(ctx), kFacilityCheckStream);
     for (const HierarchyCheck& rack : checks) {
       facility.child_ids.push_back(rack.parent_id);
       facility.child_means_w.push_back(rack.parent_means_w);
@@ -384,48 +401,31 @@ std::vector<HierarchyCheck> build_hierarchy_checks(
   return checks;
 }
 
-// Ground truth for a lowered model.  When the electrical model is the
-// cluster lowered through make_system_power_model (which Provision's
-// probe has checked), compute_ac_w depends on t only through
-// the shared shape factor — so panel evaluations over a steady phase are
-// the same double over and over.  Memoizing them on the shape's bit
-// pattern leaves the integration grid, the summation order and every
-// per-panel value untouched: average_over sees a function returning the
-// exact doubles compute_ac_w would return, just without recomputing the
-// 240-node PSU sum per panel.
-Watts memoized_true_scope_power(const ClusterPowerModel& cluster,
-                                const SystemPowerModel& electrical,
-                                const MethodologySpec& spec) {
+// The scope-matched ground truth: `compute` (the compute subsystem's AC
+// power) averaged over the core phase, plus the auxiliaries' average for
+// scopes that include them.  Auxiliaries are arbitrary functions of t,
+// so their panels are always evaluated directly.
+Watts scope_power(const PowerFunction& compute,
+                  const ClusterPowerModel& cluster,
+                  const SystemPowerModel& electrical,
+                  const MethodologySpec& spec) {
   const TimeWindow core = cluster.phases().core_window();
-  std::unordered_map<std::uint64_t, double> memo;
-  const auto compute_memo = [&](double t) {
-    const double s = cluster.shape_factor(t);
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &s, sizeof bits);
-    const auto it = memo.find(bits);
-    if (it != memo.end()) return it->second;
-    const double v = electrical.compute_ac_w(t);
-    memo.emplace(bits, v);
-    return v;
-  };
-  const double compute =
-      mean_over_window(compute_memo, core.begin.value(), core.end.value());
-  if (spec.subsystems == SubsystemRule::kComputeOnly) return Watts{compute};
-  // Auxiliaries are arbitrary functions of t (no shape identity to key
-  // on); their panel evaluations stay direct.
+  const double compute_w =
+      mean_over_window(compute, core.begin.value(), core.end.value());
+  if (spec.subsystems == SubsystemRule::kComputeOnly) return Watts{compute_w};
   const double aux = mean_over_window(
       [&](double t) { return electrical.auxiliary_ac_w(t); },
       core.begin.value(), core.end.value());
-  return Watts{compute + aux};
+  return Watts{compute_w + aux};
 }
 
 // --- stages ---------------------------------------------------------------
 
 // True when `electrical` is `cluster` lowered through
 // make_system_power_model: each node's DC truth is its mean times the
-// shared shape factor, which the node-tap engine streams and the
-// memoized ground truth keys on.  Probed exactly on one plan node, over
-// the metered window (the engine) and the core window (the truth).
+// shared shape factor, which the node-tap engine streams and every eager
+// truth's shape memo keys on.  Probed exactly on one plan node, over the
+// metered window (the meters) and the core window (the scope truth).
 bool lowered_from(const ClusterPowerModel& cluster,
                   const SystemPowerModel& electrical,
                   const MeasurementPlan& plan) {
@@ -463,8 +463,19 @@ class ProvisionStage final : public CampaignStage {
     ctx.result.window_duration = plan.window.duration();
     ctx.dq().faults_enabled = ctx.faulty;
 
-    // The time windows this plan actually meters (aspect 1).
+    // The time windows this plan actually meters (aspect 1), and the
+    // samples any one meter takes over them.
     ctx.windows = metered_windows(plan, ctx.interval);
+    for (const TimeWindow& w : ctx.windows) {
+      ctx.samples_per_meter += window_sample_count(w, ctx.interval);
+    }
+
+    // Every tap reads the truth through the lowered model's shape factor:
+    // the node-tap engine streams it, the eager truths memoize on it.
+    PV_EXPECTS(lowered_from(cluster, electrical, plan),
+               "campaigns need the electrical model lowered from the "
+               "cluster (make_system_power_model)");
+    ctx.memoize_truth = true;
 
     switch (plan.point) {
       case MeasurementPoint::kFacilityFeed:
@@ -489,10 +500,6 @@ class ProvisionStage final : public CampaignStage {
           ctx.analysis = make_analysis_windows(
               ctx.windows, config.reconcile.analysis_windows);
         }
-        PV_EXPECTS(lowered_from(cluster, electrical, plan),
-                   "node-tap campaigns need the electrical model lowered "
-                   "from the cluster (make_system_power_model)");
-        ctx.memoize_truth = true;
         // The fleet build below and the Meter stage fan out into at most
         // `fanout` lane ranges on the process-wide pool, borrowed: a
         // campaign starts and joins no threads of its own.
@@ -503,26 +510,12 @@ class ProvisionStage final : public CampaignStage {
         // plan order.  Every lane is a pure function of its own node id,
         // so the sharded build is bit-identical at any thread count.  DC
         // taps bind no PSU lanes: they meter the DC draw itself.
-        FleetProvisionSpec fspec;
-        fspec.accuracy = config.meter_accuracy;
-        fspec.mode = plan.meter_mode;
-        fspec.interval = ctx.interval;
-        fspec.seed = config.seed;
         ctx.fleet = std::make_unique<FleetState>(build_fleet_state(
-            plan.node_indices, fspec, ctx.windows, &cluster,
+            plan.node_indices, meter_spec(ctx), &cluster,
             plan.point == MeasurementPoint::kNodeDc ? nullptr : &electrical,
             ctx.pool, ctx.fanout));
         break;
       }
-    }
-
-    // Expected sample count of any one meter: a probe model on a
-    // throwaway RNG stream — campaign streams are untouched.
-    {
-      Rng probe_rng(0, 0);
-      const MeterModel probe(config.meter_accuracy, plan.meter_mode,
-                             ctx.interval, probe_rng);
-      ctx.samples_per_meter = expected_samples(ctx.windows, probe);
     }
 
     trace.items = ctx.dq().meters_planned;
@@ -570,13 +563,10 @@ void finish_node_meter(CampaignContext& ctx, StageTrace& trace) {
   meter_trace(ctx, ctx.readings.size(), lost, trace);
 }
 
-// The scope-matched ground truth, memoized when the context allows it.
+// The scope-matched ground truth, its compute part through eager_truth.
 double scope_truth_w(const CampaignContext& ctx) {
-  return (ctx.memoize_truth
-              ? memoized_true_scope_power(*ctx.cluster, *ctx.electrical,
-                                          ctx.plan->spec)
-              : true_scope_power(*ctx.cluster, *ctx.electrical,
-                                 ctx.plan->spec))
+  return scope_power(compute_truth(ctx), *ctx.cluster, *ctx.electrical,
+                     ctx.plan->spec)
       .value();
 }
 
@@ -603,7 +593,7 @@ class NodeTapRun {
       for (std::size_t i = 0; i < n_; ++i) {
         meters_.emplace_back(config_.faults, config_.seed, fleet_.node[i],
                              fleet_.node[i], ctx.plan->window,
-                             ctx.windows.size(), fleet_.samples_expected[i],
+                             ctx.windows.size(), ctx.samples_per_meter,
                              ctx.reconciling ? &ctx.analysis : nullptr);
       }
     } else {
@@ -874,16 +864,17 @@ std::vector<std::pair<std::string, double>> NodeTapRun::run_live() {
         // Per-lane window means feed one window sketch (merged into the
         // campaign sketch) and the ring.
         QuantileSketch window_sketch(campaign_sketch.alpha());
-        FusedAccumulator summary;
+        std::size_t reporting = 0;
+        double fleet_mean = 0.0;  // running mean, one update per lane
         for (std::size_t i = 0; i < n_; ++i) {
           if (in_window_[i] == 0) continue;
           window_sketch.push(window_mean_[i]);
-          summary.push(window_mean_[i]);
+          ++reporting;
+          fleet_mean += (window_mean_[i] - fleet_mean) /
+                        static_cast<double>(reporting);
         }
         campaign_sketch.merge(window_sketch);
-        if (!summary.empty()) {
-          ring.push(WindowSummary{wi, summary.mean()});
-        }
+        if (reporting > 0) ring.push(WindowSummary{wi, fleet_mean});
         ++windows_closed;
         const double window_end = ctx_.windows[wi].end.value();
         if (live.emit_every_s <= 0.0) {
@@ -923,8 +914,9 @@ class NodeTapMeterStage final : public CampaignStage {
 
 // The eager reference: each node's std::function truth chain metered
 // through meter_device, serially, on the lanes Provision built.  It
-// takes no shortcut the lowered-model identity allows, so Assess
-// integrates its truth directly too.
+// takes no shortcut the lowered-model identity allows: clearing
+// memoize_truth makes the check meters and Assess read their truths
+// directly too.
 class ReferenceMeterStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "meter"; }
@@ -944,9 +936,8 @@ class ReferenceMeterStage final : public CampaignStage {
                   return electrical.node_dc_w(node, t);
                 })
               : electrical.node_ac_function(node);
-      ctx.devices[i] = meter_device(
-          fleet.meters[i], truth, ctx.windows, plan.window, fleet.noise[i],
-          *ctx.config, node, node, ctx.reconciling ? &ctx.analysis : nullptr);
+      ctx.devices[i] =
+          meter_device(ctx, fleet.meters[i], fleet.noise[i], truth, node, node);
     }
     finish_node_meter(ctx, trace);
   }
@@ -958,8 +949,7 @@ class RackMeterStage final : public CampaignStage {
 
   void run(CampaignContext& ctx, StageTrace& trace) override {
     const SystemPowerModel& electrical = *ctx.electrical;
-    const MeasurementPlan& plan = *ctx.plan;
-    const CampaignConfig& config = *ctx.config;
+    const FleetProvisionSpec spec = meter_spec(ctx);
 
     // One meter per rack containing a selected node.  The rack reading
     // (which *includes* PDU distribution loss, unlike node taps) is
@@ -967,21 +957,15 @@ class RackMeterStage final : public CampaignStage {
     // practice when only PDU instrumentation exists.
     std::size_t lost = 0;
     for (std::size_t rack : ctx.racks) {
-      Rng calibration(config.seed ^ kCalibrationSalt, kRackStreamBase + rack);
-      const NoiseStream noise(config.seed ^ kNoiseSalt, kRackStreamBase + rack);
-      const MeterModel meter(config.meter_accuracy, plan.meter_mode,
-                             ctx.interval, calibration);
+      const ProvisionedMeter meter =
+          provision_meter(spec, kRackStreamBase + rack);
       const std::size_t first = rack * electrical.nodes_per_rack();
       const std::size_t nodes_in_rack =
           std::min(electrical.nodes_per_rack(),
                    electrical.node_count() - first);
-      DeviceReading reading = meter_device(
-          meter,
-          [&electrical, rack](double t) {
-            return electrical.rack_pdu_w(rack, t);
-          },
-          ctx.windows, plan.window, noise, config, kRackStreamBase + rack,
-          rack);
+      DeviceReading reading =
+          meter_device(ctx, meter.meter, meter.noise, rack_truth(ctx, rack),
+                       kRackStreamBase + rack, rack);
       NodeReading nr;
       nr.node = rack;
       nr.lost = reading.lost;
@@ -1001,25 +985,19 @@ class FacilityMeterStage final : public CampaignStage {
   [[nodiscard]] const char* name() const override { return "meter"; }
 
   void run(CampaignContext& ctx, StageTrace& trace) override {
-    const SystemPowerModel& electrical = *ctx.electrical;
-    const MeasurementPlan& plan = *ctx.plan;
-    const CampaignConfig& config = *ctx.config;
-
     // One meter on the whole feed — the realistic Level 3
     // instrumentation.  There is no surviving-node fallback here: losing
     // the only meter ends the campaign.
-    if (ctx.faulty && config.faults.forced_dead(kFacilityStream)) {
+    if (ctx.faulty && ctx.config->faults.forced_dead(kFacilityStream)) {
       throw NoUsableDataError(
           "campaign: the facility-feed meter is dead and no fallback "
           "instrumentation exists");
     }
-    Rng calibration(config.seed ^ kCalibrationSalt, kFacilityStream);
-    const NoiseStream noise(config.seed ^ kNoiseSalt, kFacilityStream);
-    const MeterModel meter(config.meter_accuracy, plan.meter_mode,
-                           ctx.interval, calibration);
-    ctx.devices.push_back(meter_device(
-        meter, electrical.facility_function(), ctx.windows, plan.window,
-        noise, config, kFacilityStream, kFacilityStream));
+    const ProvisionedMeter meter =
+        provision_meter(meter_spec(ctx), kFacilityStream);
+    ctx.devices.push_back(meter_device(ctx, meter.meter, meter.noise,
+                                       facility_truth(ctx), kFacilityStream,
+                                       kFacilityStream));
     meter_trace(ctx, 1, ctx.devices.back().lost ? 1 : 0, trace);
   }
 };
@@ -1062,9 +1040,8 @@ class ReconcileStage final : public CampaignStage {
       series.push_back(
           MeterSeries{ctx.readings[i].node, ctx.devices[i].analysis_means_w});
     }
-    const std::vector<HierarchyCheck> checks = build_hierarchy_checks(
-        *ctx.electrical, *ctx.plan, *ctx.config, ctx.interval, ctx.analysis,
-        series);
+    const std::vector<HierarchyCheck> checks =
+        build_hierarchy_checks(ctx, series);
     ReconcileReport verdicts =
         reconcile_meters(series, checks, ctx.config->reconcile);
 
@@ -1362,15 +1339,9 @@ NodeReading node_reading(const CampaignContext& ctx, std::size_t i,
 Watts true_scope_power(const ClusterPowerModel& cluster,
                        const SystemPowerModel& electrical,
                        const MethodologySpec& spec) {
-  const TimeWindow core = cluster.phases().core_window();
-  const double compute = mean_over_window(
-      [&](double t) { return electrical.compute_ac_w(t); },
-      core.begin.value(), core.end.value());
-  if (spec.subsystems == SubsystemRule::kComputeOnly) return Watts{compute};
-  const double aux = mean_over_window(
-      [&](double t) { return electrical.auxiliary_ac_w(t); },
-      core.begin.value(), core.end.value());
-  return Watts{compute + aux};
+  return scope_power(
+      [&electrical](double t) { return electrical.compute_ac_w(t); }, cluster,
+      electrical, spec);
 }
 
 StagePtr make_provision_stage() { return std::make_unique<ProvisionStage>(); }

@@ -80,11 +80,12 @@ struct CampaignContext {
   std::vector<TimeWindow> analysis;   ///< cross-validation grid (reconcile)
   bool faulty = false;                ///< fault injection enabled
   bool reconciling = false;           ///< byzantine defense enabled
-  /// Assess may memoize the ground truth on the shared shape factor.
-  /// Provision sets it on node taps once its probe has verified that the
-  /// electrical model is the cluster lowered through
-  /// make_system_power_model; the eager reference Meter stage clears it,
-  /// so a reference run integrates the truth directly as well.
+  /// The eager truths — the rack and facility taps, the check meters,
+  /// Assess and the live partials' truth — read through a memo on the
+  /// shared shape factor (memoize_on_shape).  Provision sets it once its
+  /// probe has verified that the electrical model is the cluster lowered
+  /// through make_system_power_model; the eager reference Meter stage
+  /// clears it, so a reference run integrates every truth directly.
   bool memoize_truth = false;
   std::size_t samples_per_meter = 0;  ///< expected samples, any one meter
   std::vector<std::size_t> racks;     ///< racks metered (rack-PDU tap only)
@@ -134,11 +135,12 @@ class CampaignStage {
 using StagePtr = std::unique_ptr<CampaignStage>;
 
 /// Derives the campaign's execution parameters: effective interval,
-/// metered windows, the analysis grid, the rack list (rack tap) and
-/// meters_planned.  On node taps it also checks that the electrical model
-/// is the cluster lowered through make_system_power_model (a
-/// contract_error otherwise), borrows the process-wide pool for a
-/// fan-out above one and provisions the FleetState.
+/// metered windows and their per-meter sample count, the analysis grid,
+/// the rack list (rack tap) and meters_planned.  On every tap it checks
+/// that the electrical model is the cluster lowered through
+/// make_system_power_model (a contract_error otherwise) and sets
+/// memoize_truth; on node taps it also borrows the process-wide pool for
+/// a fan-out above one and provisions the FleetState.
 [[nodiscard]] StagePtr make_provision_stage();
 
 /// Node-tap Meter stage.  Walks every metered window in chunks of at
@@ -155,10 +157,11 @@ using StagePtr = std::unique_ptr<CampaignStage>;
 
 /// The eager reference for the node-tap Meter stage: each node metered
 /// through its std::function truth chain, serially, on the lanes
-/// Provision built; it also turns off the memoized ground truth, so a
-/// reference run shares no shortcut with the engine.  No config selects
-/// it; tests and benches swap it into make_campaign_stages' list to
-/// check the engine against it.
+/// Provision built; it also clears memoize_truth, so its check meters and
+/// Assess read every truth directly and a reference run shares no
+/// shortcut with the engine.  No config selects it; tests and benches
+/// swap it into make_campaign_stages' list to check the engine against
+/// it.
 [[nodiscard]] StagePtr make_reference_node_meter_stage();
 
 /// Rack-PDU Meter stage: one meter per rack containing a selected node;
@@ -187,7 +190,8 @@ using StagePtr = std::unique_ptr<CampaignStage>;
 [[nodiscard]] StagePtr make_aggregate_stage();
 
 /// Ground truth and relative error — the simulation-only assessment.
-/// Uses the memoized integrand when ctx.memoize_truth is set.
+/// Reads the compute part through the shape memo when ctx.memoize_truth
+/// is set.
 [[nodiscard]] StagePtr make_assess_stage();
 
 /// Assembles the full stage list run_campaign executes for `plan`:

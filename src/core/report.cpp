@@ -432,12 +432,6 @@ std::string integrity_quality_report(const DataQuality& q) {
   return render_text(doc);
 }
 
-std::string collection_quality_report(const CollectionQuality& c) {
-  Document doc;
-  append_collection(doc, c);
-  return render_text(doc);
-}
-
 std::string render_issues(const std::vector<ValidationIssue>& issues) {
   if (issues.empty()) return "(compliant)\n";
   std::string out;

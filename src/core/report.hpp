@@ -44,12 +44,6 @@ struct ReportOptions {
 /// path was used.
 [[nodiscard]] std::string data_quality_report(const DataQuality& quality);
 
-/// Renders the collection-path block: polls, retries, timeouts, breaker
-/// trips, and modeled poll wall clock.  Empty string for the synchronous
-/// in-memory path.
-[[nodiscard]] std::string collection_quality_report(
-    const CollectionQuality& collection);
-
 /// Renders the integrity block of a reconciled campaign: meters checked /
 /// quarantined / corrected, per-meter verdicts (sorted by meter id),
 /// hierarchy residuals before and after reconciliation, and detection

@@ -1,8 +1,10 @@
 #pragma once
 // Shared scenario builder.  The CLI, the bench harnesses and the campaign
 // tests all exercised the same synthetic machine — a Firestarter-driven
-// fleet with typical-CPU variability, 16-node racks, platinum PSUs and no
-// auxiliaries — but each hand-rolled its own copy of the construction.
+// fleet with typical-CPU variability, 16-node racks, platinum PSUs and the
+// default auxiliaries (AuxiliaryConfig{}: constant network, storage,
+// infrastructure and cooling draws totalling 15% of the compute core-phase
+// average) — but each hand-rolled its own copy of the construction.
 // ScenarioSpec/build_scenario is the single source of that rig: one place
 // to read what the canonical 240-node scenario *is*, and one place to
 // change it.
@@ -75,8 +77,8 @@ struct Scenario {
 };
 
 /// Builds the scenario: generates the fleet, constructs the cluster and
-/// its electrical model (platinum PSUs, no auxiliaries), and fills
-/// PlanInputs from the cluster's phases.
+/// its electrical model (platinum PSUs, AuxiliaryConfig{} auxiliaries at
+/// 15% of compute power), and fills PlanInputs from the cluster's phases.
 [[nodiscard]] Scenario build_scenario(const ScenarioSpec& spec);
 
 /// Builds the scenario from an externally supplied fleet draw instead of

@@ -13,6 +13,11 @@ namespace pv {
 
 namespace {
 
+/// Fair-share aging discount, in strides per dispatch a lane's head
+/// request has waited (FairShareQueue; 0 would be pure stride
+/// scheduling).
+constexpr double kFairAgeBoost = 0.25;
+
 /// Decorator injecting one stage-level fault.  kThrowStage and
 /// kWorkerDeath throw before the inner stage runs; kStallStage models a
 /// stage that eats the whole deadline budget — it exhausts the token and
@@ -68,7 +73,7 @@ CampaignService::CampaignService(ServiceConfig config)
     : config_(std::move(config)),
       pool_(std::make_unique<ThreadPool>(std::max(1u, config_.workers))),
       cache_(config_.cache_capacity, config_.cache_dir),
-      fair_(config_.fair_age_boost) {
+      fair_(kFairAgeBoost) {
   config_.workers = pool_->size();
 }
 

@@ -80,9 +80,6 @@ struct ServiceConfig {
   /// is shed once its own lane holds this many waiting requests, even
   /// while the global queue still has room for other tenants.
   std::size_t tenant_queue = 0;
-  /// Fair-share aging discount, in strides per dispatch a lane's head
-  /// request has waited (FairShareQueue; 0 = pure stride scheduling).
-  double fair_age_boost = 0.25;
   /// Chaos: simulate the process dying mid-drain after this many
   /// checkpoint records were appended (0 = disabled).  The WAL on disk
   /// keeps its valid K-record prefix; drain() throws ServiceAbortedError

@@ -9,9 +9,24 @@ namespace pv {
 // --------------------------------------------------------------------------
 // Provisioning
 
+namespace {
+
+// Stream salts for per-meter calibration and per-sample noise.
+constexpr std::uint64_t kCalibrationSalt = 0x5CA1AB1EULL;
+constexpr std::uint64_t kNoiseSalt = 0xBADCAB1EULL;
+
+}  // namespace
+
+ProvisionedMeter provision_meter(const FleetProvisionSpec& spec,
+                                 std::uint64_t stream) {
+  Rng calibration(spec.seed ^ kCalibrationSalt, stream);
+  return ProvisionedMeter{
+      MeterModel(spec.accuracy, spec.mode, spec.interval, calibration),
+      NoiseStream(spec.seed ^ kNoiseSalt, stream)};
+}
+
 FleetState build_fleet_state(std::span<const std::size_t> nodes,
                              const FleetProvisionSpec& spec,
-                             const std::vector<TimeWindow>& windows,
                              const ClusterPowerModel* cluster,
                              const SystemPowerModel* electrical,
                              ThreadPool* pool, std::size_t max_chunks) {
@@ -25,7 +40,6 @@ FleetState build_fleet_state(std::span<const std::size_t> nodes,
   fs.meters.resize(n);
   fs.noise.assign(n, NoiseStream(0, 0));
   fs.curve.assign(n, nullptr);
-  fs.samples_expected.assign(n, 0);
 
   // Every slot is a pure function of its own node id: calibration and
   // noise streams are keyed per node, the mean and curve are lookups, so
@@ -33,15 +47,11 @@ FleetState build_fleet_state(std::span<const std::size_t> nodes,
   const auto provision = [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       const std::size_t id = fs.node[i];
-      Rng calibration(spec.seed ^ kCalibrationSalt, id);
-      MeterModel meter(spec.accuracy, spec.mode, spec.interval, calibration);
-      fs.gain[i] = meter.gain();
-      fs.offset_w[i] = meter.offset_w();
-      std::size_t expected = 0;
-      for (const TimeWindow& w : windows) expected += meter.samples_in(w);
-      fs.samples_expected[i] = expected;
-      fs.meters[i] = std::move(meter);
-      fs.noise[i] = NoiseStream(spec.seed ^ kNoiseSalt, id);
+      ProvisionedMeter provisioned = provision_meter(spec, id);
+      fs.gain[i] = provisioned.meter.gain();
+      fs.offset_w[i] = provisioned.meter.offset_w();
+      fs.meters[i] = std::move(provisioned.meter);
+      fs.noise[i] = provisioned.noise;
       if (cluster != nullptr) {
         PV_EXPECTS(id < cluster->node_count(),
                    "plan references missing node");
@@ -104,7 +114,7 @@ void FleetAccumulators::close_window(std::size_t begin, std::size_t end,
   const double count = static_cast<double>(samples);
   for (std::size_t i = begin; i < end; ++i) {
     // 0.0 + win_sum: the exact expression the historical per-window
-    // FusedAccumulator produced (bulk push into a fresh accumulator adds
+    // accumulator produced (a bulk push into a fresh accumulator added
     // the batch sum onto the zero seed).
     const double total = 0.0 + win_sum[i];
     const double window_mean = total / count;

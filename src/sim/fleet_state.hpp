@@ -45,12 +45,6 @@
 
 namespace pv {
 
-/// Stream salts for per-meter calibration and per-sample noise — shared
-/// by every provisioning site (node, rack, facility and check meters) so a
-/// node's streams are identical wherever it is metered.
-inline constexpr std::uint64_t kCalibrationSalt = 0x5CA1AB1EULL;
-inline constexpr std::uint64_t kNoiseSalt = 0xBADCAB1EULL;
-
 /// The metered cohort, transposed.  Lane i is the i-th node of the plan's
 /// selection (plan order); all vectors are parallel.
 struct FleetState {
@@ -65,11 +59,10 @@ struct FleetState {
   std::vector<double> offset_w;
   double noise_sd = 0.0;  ///< shared accuracy class (fixed per campaign)
   /// Per-node meter models for the per-node code paths (faulted windows,
-  /// the dense-chunk fallback, the eager reference stage).  Calibration
-  /// streams keyed by node id, exactly as the inline construction sites
-  /// draw them.
+  /// the dense-chunk fallback, the eager reference stage), from
+  /// provision_meter on the node id's stream.
   std::vector<MeterModel> meters;
-  /// Per-node per-sample noise (NoiseStream(seed ^ kNoiseSalt, node)):
+  /// Per-node per-sample noise (provision_meter's stream for the node):
   /// 8-byte immutable origins, read at each sample's meter-global index.
   std::vector<NoiseStream> noise;
 
@@ -77,12 +70,10 @@ struct FleetState {
   std::vector<const CompiledPsuCurve*> curve;  ///< null lanes = DC tap
   FleetPsuBank bank;  ///< fleet-major ac_from_dc over the curve lanes
 
-  std::vector<std::size_t> samples_expected;  ///< per meter, over all windows
-
   [[nodiscard]] std::size_t size() const { return node.size(); }
 };
 
-/// Provisioning inputs shared by every lane.
+/// Provisioning inputs shared by every meter of a campaign.
 struct FleetProvisionSpec {
   MeterAccuracy accuracy;
   MeterMode mode = MeterMode::kSampled;
@@ -90,18 +81,30 @@ struct FleetProvisionSpec {
   std::uint64_t seed = 1;
 };
 
+/// One device's meter and its per-sample noise.
+struct ProvisionedMeter {
+  MeterModel meter;
+  NoiseStream noise;
+};
+
+/// The meter on RNG stream `stream`: calibration drawn from one salted
+/// Rng stream, per-sample noise from one salted NoiseStream, both keyed
+/// by `stream` and the campaign seed.  Every provisioning site —
+/// fleet lanes, rack and facility taps, check meters — builds its meters
+/// here, so a device's streams are the same wherever it is metered.
+[[nodiscard]] ProvisionedMeter provision_meter(const FleetProvisionSpec& spec,
+                                               std::uint64_t stream);
+
 /// Provisions a FleetState for the cohort `nodes`, sharded over `pool`
 /// into at most `max_chunks` ranges (0 = one per worker) when given.
 /// Every lane is a pure function of its own node id (streams keyed per
 /// node, slots disjoint), so the build is bit-identical at any thread
 /// count.  `cluster` fills mean_w; `electrical` binds the PSU curve lanes
 /// and the bank (null on DC taps, whose lanes meter the DC draw).
-/// `windows` sizes samples_expected.
 [[nodiscard]] FleetState build_fleet_state(
     std::span<const std::size_t> nodes, const FleetProvisionSpec& spec,
-    const std::vector<TimeWindow>& windows, const ClusterPowerModel* cluster,
-    const SystemPowerModel* electrical, ThreadPool* pool = nullptr,
-    std::size_t max_chunks = 0);
+    const ClusterPowerModel* cluster, const SystemPowerModel* electrical,
+    ThreadPool* pool = nullptr, std::size_t max_chunks = 0);
 
 /// Fleet-major accumulator block: the SoA transpose of DeviceMeter's
 /// clean-path state (open window sum, closed-window means, energy,

@@ -141,4 +141,21 @@ void stream_node_window(const ShapeTable& table, double node_mean_w,
   }
 }
 
+PowerFunction memoize_on_shape(const ClusterPowerModel& cluster,
+                               PowerFunction truth) {
+  PV_EXPECTS(truth != nullptr, "null ground-truth function");
+  return [&cluster, truth = std::move(truth),
+          memo = std::unordered_map<std::uint64_t, double>()](
+             double t) mutable {
+    const double s = cluster.shape_factor(t);
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &s, sizeof bits);
+    const auto it = memo.find(bits);
+    if (it != memo.end()) return it->second;
+    const double v = truth(t);
+    memo.emplace(bits, v);
+    return v;
+  };
+}
+
 }  // namespace pv

@@ -101,4 +101,15 @@ void stream_node_window(const ShapeTable& table, double node_mean_w,
                         const MeterModel& meter, NoiseStream noise,
                         std::uint64_t k0, StreamScratch& scratch);
 
+/// `truth` read through a memo keyed on the shape factor's bit pattern.
+/// On a model lowered from `cluster` (make_system_power_model) every
+/// compute-side truth — a node's AC or DC draw, a rack PDU, the compute
+/// subsystem — depends on t only through cluster.shape_factor(t), so the
+/// wrapper evaluates `truth` once per distinct shape value and returns
+/// the doubles the direct call returns.  Auxiliary subsystems are not
+/// such functions; read them directly.  The memo lives in the returned
+/// function (each copy carries its own), so one thread at a time.
+[[nodiscard]] PowerFunction memoize_on_shape(const ClusterPowerModel& cluster,
+                                             PowerFunction truth);
+
 }  // namespace pv

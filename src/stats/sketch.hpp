@@ -24,8 +24,6 @@
 #include <map>
 #include <span>
 
-#include "stats/fused.hpp"
-
 namespace pv {
 
 class QuantileSketch {
@@ -76,32 +74,6 @@ class QuantileSketch {
   // order deterministically; keys are log-gamma indices of |x|.
   std::map<long long, std::uint64_t> positive_;
   std::map<long long, std::uint64_t> negative_;
-};
-
-/// One window's worth of streaming statistics: the PR4 fused accumulator
-/// (exact in-order sum, Welford moments, min/max) extended with the
-/// mergeable quantile sketch.  Window sketches merge into campaign-wide
-/// state as windows close — the pair is what the live meter stage keeps
-/// per scope instead of a materialized trace.
-struct WindowStats {
-  explicit WindowStats(double alpha = 0.01) : quantiles(alpha) {}
-
-  FusedAccumulator moments;
-  QuantileSketch quantiles;
-
-  void push(double x) {
-    moments.push(x);
-    quantiles.push(x);
-  }
-  void push(std::span<const double> xs) {
-    moments.push(xs);
-    quantiles.push(xs);
-  }
-  void merge(const WindowStats& other) {
-    moments.merge(other.moments);
-    quantiles.merge(other.quantiles);
-  }
-  [[nodiscard]] std::size_t count() const { return moments.count(); }
 };
 
 }  // namespace pv

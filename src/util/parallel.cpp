@@ -85,6 +85,48 @@ void ThreadPool::worker_loop() {
   }
 }
 
+namespace {
+
+// Runs job(j) for j in [0, jobs) as tasks on `pool` and blocks until all
+// of them have finished, then rethrows the first exception any job
+// raised.  The completion counter is mutex-guarded, not atomic, on
+// purpose: with an atomic, the waiter's predicate can become true
+// between a task's increment and its notify, letting the waiter return
+// and reuse this stack frame while the task still touches the latch (a
+// use-after-scope TSan caught).  Under the mutex, a task's last touch of
+// the frame is the unlock the waiter is blocked on.  A task captures
+// only the latch's address and its index, so its std::function stores
+// it inline.
+template <class Job>
+void fork_join(ThreadPool& pool, std::size_t jobs, const Job& job) {
+  struct Latch {
+    const Job& job;
+    std::size_t jobs;
+    std::mutex mu{};
+    std::condition_variable cv{};
+    std::size_t done = 0;
+    std::exception_ptr first_error{};
+  } latch{job, jobs};
+  for (std::size_t j = 0; j < jobs; ++j) {
+    pool.submit([l = &latch, j] {
+      std::exception_ptr error;
+      try {
+        l->job(j);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::scoped_lock lock(l->mu);
+      if (error && !l->first_error) l->first_error = error;
+      if (++l->done == l->jobs) l->cv.notify_all();
+    });
+  }
+  std::unique_lock lock(latch.mu);
+  latch.cv.wait(lock, [&latch] { return latch.done == latch.jobs; });
+  if (latch.first_error) std::rethrow_exception(latch.first_error);
+}
+
+}  // namespace
+
 void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain) {
@@ -97,39 +139,10 @@ void parallel_for(ThreadPool* pool, std::size_t n,
   const std::size_t chunks =
       std::min<std::size_t>(pool->size() * 4, (n + grain - 1) / grain);
   const std::size_t chunk = (n + chunks - 1) / chunks;
-
-  std::exception_ptr first_error;
-  std::mutex err_mu;
-  // Completion latch.  The counter is mutex-guarded, not atomic, on
-  // purpose: with an atomic, the waiter's predicate can become true
-  // between a worker's fetch_add and its notify, letting the waiter
-  // return and reuse this stack frame while the worker still reads
-  // `submitted` / locks `done_mu` (a use-after-scope TSan caught).
-  // Under the mutex, a worker's last touch of the frame is the unlock
-  // the waiter is blocked on.
-  std::size_t done = 0;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  const std::size_t submitted = (n + chunk - 1) / chunk;
-
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    const std::size_t end = std::min(n, begin + chunk);
-    pool->submit([&, begin, end] {
-      try {
-        for (std::size_t i = begin; i < end; ++i) body(i);
-      } catch (...) {
-        std::scoped_lock lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      std::scoped_lock lock(done_mu);
-      if (++done == submitted) done_cv.notify_all();
-    });
-  }
-  {
-    std::unique_lock lock(done_mu);
-    done_cv.wait(lock, [&] { return done == submitted; });
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  fork_join(*pool, (n + chunk - 1) / chunk, [&](std::size_t j) {
+    const std::size_t end = std::min(n, (j + 1) * chunk);
+    for (std::size_t i = j * chunk; i < end; ++i) body(i);
+  });
 }
 
 void parallel_chunks(
@@ -145,34 +158,9 @@ void parallel_chunks(
     return;
   }
   const std::size_t chunk = (n + chunks - 1) / chunks;
-  const std::size_t submitted = (n + chunk - 1) / chunk;
-
-  std::exception_ptr first_error;
-  std::mutex err_mu;
-  // Mutex-guarded completion latch — see parallel_for for why the
-  // counter must not be a bare atomic.
-  std::size_t done = 0;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    const std::size_t end = std::min(n, begin + chunk);
-    pool->submit([&, begin, end] {
-      try {
-        body(begin, end);
-      } catch (...) {
-        std::scoped_lock lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      std::scoped_lock lock(done_mu);
-      if (++done == submitted) done_cv.notify_all();
-    });
-  }
-  {
-    std::unique_lock lock(done_mu);
-    done_cv.wait(lock, [&] { return done == submitted; });
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  fork_join(*pool, (n + chunk - 1) / chunk, [&](std::size_t j) {
+    body(j * chunk, std::min(n, (j + 1) * chunk));
+  });
 }
 
 void parallel_for_dynamic(ThreadPool* pool, std::size_t n,
@@ -182,38 +170,14 @@ void parallel_for_dynamic(ThreadPool* pool, std::size_t n,
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  const std::size_t workers = std::min<std::size_t>(pool->size(), n);
-
   std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex err_mu;
-  // Mutex-guarded completion latch — see parallel_for for why the
-  // counter must not be a bare atomic.
-  std::size_t done = 0;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool->submit([&] {
-      try {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= n) break;
-          body(i);
-        }
-      } catch (...) {
-        std::scoped_lock lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      std::scoped_lock lock(done_mu);
-      if (++done == workers) done_cv.notify_all();
-    });
-  }
-  {
-    std::unique_lock lock(done_mu);
-    done_cv.wait(lock, [&] { return done == workers; });
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  fork_join(*pool, std::min<std::size_t>(pool->size(), n), [&](std::size_t) {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= n) break;
+      body(i);
+    }
+  });
 }
 
 ThreadPool& default_pool() {

@@ -456,7 +456,7 @@ TEST(PollChunks, TablesReproduceMeasureBitForBit) {
             spec.interval = Seconds{dt};
             spec.seed = 5;
             const FleetState fleet = build_fleet_state(
-                nodes, spec, windows, rig.cluster.get(),
+                nodes, spec, rig.cluster.get(),
                 dc_tap ? nullptr : rig.electrical.get());
             for (const std::size_t k : {1u, 7u, 60u}) {
               SCOPED_TRACE(std::string(drifting ? "mprime" : "firestarter") +

@@ -20,10 +20,15 @@
 // each over seeds 1..3 x L1/L2/L3, plus DC taps.  Collecting sinks emit
 // at every window close, so their partial transcripts must match across
 // threads and chunk sizes too.  Alongside: dead-lane masking, the pinned live
-// emission schedule, thread invariance of the sharded provision and of
-// both loop shapes (FleetSoA, run under TSan), merge_all reduction order,
-// the scenario-scale guards, and the typed error a hand-built (not
-// lowered) electrical model gets.
+// emission schedule, the facility check meter on a zero-auxiliary rig,
+// thread invariance of the sharded provision and of both loop shapes
+// (FleetSoA, run under TSan), the scenario-scale guards, and the typed
+// error a hand-built (not lowered) electrical model gets on every tap.
+//
+// The reference clears memoize_truth, so every engine-vs-reference case
+// that reconciles also compares the check meters' memoized truths with
+// direct ones, and every case Assess's memoized truth with the direct
+// integral.
 
 #include <gtest/gtest.h>
 
@@ -38,7 +43,6 @@
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "sim/fleet_state.hpp"
-#include "stats/fused.hpp"
 #include "util/expects.hpp"
 #include "util/parallel.hpp"
 
@@ -348,6 +352,35 @@ TEST(FleetEngineDifferential, DcTapMatchesScalarPath) {
   }
 }
 
+TEST(FleetEngineDifferential, FacilityCheckMeterMatchesScalarPath) {
+  // build_scenario's rigs carry auxiliaries, so no case above builds the
+  // facility check.  A zero-auxiliary lowered rig does at L3 with every
+  // meter reporting: the engine's check meters read their truths through
+  // the shape memo, the reference's directly.
+  ScenarioSpec spec;
+  spec.name = "engine-rig";
+  spec.nodes = 96;
+  spec.cv = 0.03;
+  spec.fleet_seed = 6 ^ 0x99;
+  Scenario built = build_scenario(spec);
+  Rig rig;
+  rig.plan = built.plan(MethodologySpec::get(Level::kL3, Revision::kV2015), 6);
+  rig.electrical = std::make_unique<SystemPowerModel>(make_system_power_model(
+      *built.cluster, spec.nodes_per_rack, PsuEfficiencyCurve::platinum(),
+      AuxiliaryConfig{0.0, 0.0, 0.0, 0.0}));
+  rig.cluster = std::move(built.cluster);
+  CampaignConfig cfg = with_faults(base_config(6), Faults::kCleanReconcile,
+                                   rig.plan);
+  cfg.faults.byzantine_meters = {rig.plan.node_indices[2],
+                                 rig.plan.node_indices[40]};
+  const CampaignResult reference = run_reference(rig, cfg);
+  const std::vector<HierarchyResidual>& residuals =
+      reference.data_quality.integrity.residuals;
+  ASSERT_FALSE(residuals.empty());
+  EXPECT_EQ(residuals.back().label, "facility");
+  expect_engine_matches_reference(rig, cfg, Sink::kNone);
+}
+
 // ---------------------------------------------------------------------------
 // Live emission.
 
@@ -435,7 +468,6 @@ void expect_same_fleet(const FleetState& a, const FleetState& b,
   SCOPED_TRACE(what);
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.node, b.node);
-  EXPECT_EQ(a.samples_expected, b.samples_expected);
   EXPECT_TRUE(bits_equal(a.noise_sd, b.noise_sd));
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE("lane " + std::to_string(i));
@@ -452,21 +484,18 @@ void expect_same_fleet(const FleetState& a, const FleetState& b,
 
 TEST(FleetSoA, ShardedProvisionIsThreadCountInvariant) {
   const Rig rig = make_rig(64, Level::kL1, 9);
-  const std::vector<TimeWindow> windows = {
-      TimeWindow{Seconds{120.0}, Seconds{300.0}},
-      TimeWindow{Seconds{300.0}, Seconds{480.0}}};
   FleetProvisionSpec spec;
   spec.accuracy = MeterAccuracy::pdu_grade();
   spec.interval = Seconds{5.0};
   spec.seed = 9;
   const FleetState serial =
-      build_fleet_state(rig.plan.node_indices, spec, windows,
-                        rig.cluster.get(), rig.electrical.get(), nullptr);
+      build_fleet_state(rig.plan.node_indices, spec, rig.cluster.get(),
+                        rig.electrical.get(), nullptr);
   for (const unsigned threads : {2u, 8u}) {
     ThreadPool pool(threads);
     const FleetState sharded =
-        build_fleet_state(rig.plan.node_indices, spec, windows,
-                          rig.cluster.get(), rig.electrical.get(), &pool);
+        build_fleet_state(rig.plan.node_indices, spec, rig.cluster.get(),
+                          rig.electrical.get(), &pool);
     expect_same_fleet(serial, sharded,
                       "threads=" + std::to_string(threads));
   }
@@ -521,37 +550,21 @@ TEST(MeterEngine, HandBuiltModelIsATypedError) {
   }
   hand.set_pdu_loss_fraction(0.02);
   ASSERT_EQ(hand.node_count(), built.cluster->node_count());
-  EXPECT_THROW((void)run_campaign(*built.cluster, hand, plan, base_config(3)),
-               contract_error);
-  // The lowered model of the same cluster runs.
-  EXPECT_NO_THROW((void)run_campaign(*built.cluster, *built.electrical, plan,
-                                     base_config(3)));
-}
-
-// ---------------------------------------------------------------------------
-// merge_all: shard reduction is exactly left-to-right merge().
-
-TEST(FleetMergeAll, ReducesShardsLeftToRight) {
-  std::vector<FusedAccumulator> shards(4);
-  Rng rng(123);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    for (int k = 0; k < 17; ++k) {
-      shards[s].push(rng.uniform(100.0, 900.0));
-    }
+  // Every tap reads its truth through the lowered model's shape factor,
+  // so every tap refuses the hand-built one.
+  for (const MeasurementPoint point :
+       {MeasurementPoint::kNodeAc, MeasurementPoint::kRackPdu,
+        MeasurementPoint::kFacilityFeed}) {
+    SCOPED_TRACE(to_string(point));
+    MeasurementPlan tapped = plan;
+    tapped.point = point;
+    EXPECT_THROW(
+        (void)run_campaign(*built.cluster, hand, tapped, base_config(3)),
+        contract_error);
+    // The lowered model of the same cluster runs.
+    EXPECT_NO_THROW((void)run_campaign(*built.cluster, *built.electrical,
+                                       tapped, base_config(3)));
   }
-  FusedAccumulator manual;
-  for (const FusedAccumulator& s : shards) manual.merge(s);
-  const FusedAccumulator merged = merge_all(shards);
-  EXPECT_EQ(merged.count(), manual.count());
-  EXPECT_TRUE(bits_equal(merged.sum(), manual.sum()));
-  EXPECT_TRUE(bits_equal(merged.mean(), manual.mean()));
-  EXPECT_TRUE(bits_equal(merged.variance(), manual.variance()));
-  EXPECT_TRUE(bits_equal(merged.min(), manual.min()));
-}
-
-TEST(FleetMergeAll, EmptySpanYieldsEmptyAccumulator) {
-  const FusedAccumulator merged = merge_all({});
-  EXPECT_EQ(merged.count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

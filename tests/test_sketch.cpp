@@ -212,19 +212,6 @@ TEST(QuantileSketch, FootprintStaysLogarithmicInRange) {
   EXPECT_LT(sk.bin_count(), 1500u);
 }
 
-TEST(WindowStats, MergesMomentsAndQuantilesTogether) {
-  WindowStats a(0.01);
-  WindowStats b(0.01);
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  a.push(std::span<const double>(xs).subspan(0, 3));
-  b.push(std::span<const double>(xs).subspan(3, 3));
-  a.merge(b);
-  WindowStats full(0.01);
-  full.push(std::span<const double>(xs));
-  EXPECT_EQ(a.count(), full.count());
-  EXPECT_TRUE(a.quantiles.identical(full.quantiles));
-}
-
 TEST(RingBuffer, OverwritesOldestWhenFull) {
   RingBuffer<int> ring(3);
   EXPECT_TRUE(ring.empty());

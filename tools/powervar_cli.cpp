@@ -83,6 +83,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -99,11 +100,9 @@
 #include "core/sample_size.hpp"
 #include "core/scenario.hpp"
 #include "core/tco.hpp"
-#include "sim/fleet.hpp"
 #include "stats/normality.hpp"
 #include "trace/io.hpp"
 #include "util/table.hpp"
-#include "workload/profiles.hpp"
 
 namespace {
 
@@ -174,6 +173,12 @@ class Args {
                                std::to_string(v));
     }
     return v;
+  }
+  /// A rate knob without a default: empty when the option is absent.
+  [[nodiscard]] std::optional<double> rate_if(const std::string& key) const {
+    used_.insert(key);
+    if (!values_.contains(key)) return std::nullopt;
+    return rate_or(key, 0.0);
   }
   [[nodiscard]] std::string text(const std::string& key) const {
     const auto it = values_.find(key);
@@ -336,91 +341,78 @@ int cmd_tco(const Args& args) {
   return 0;
 }
 
-/// The synthetic campaign rig shared by `campaign` and `collect`: a
-/// FIRESTARTER-style constant-load run, typical CPU fleet spread scaled to
-/// the requested cv, planned per the requested methodology level.
-struct SyntheticRig {
-  std::unique_ptr<ClusterPowerModel> cluster;
-  std::unique_ptr<SystemPowerModel> electrical;
-  MeasurementPlan plan;
-  std::uint64_t seed = 1;
-};
-
-SyntheticRig make_synthetic_rig(const Args& args, int default_level = 1) {
-  const auto nodes = static_cast<std::size_t>(args.number("nodes"));
-  if (nodes < 2) throw std::runtime_error("--nodes must be >= 2");
-  const int level =
-      static_cast<int>(args.number_or("level", default_level));
-  if (level < 1 || level > 3) {
+/// The synthetic campaign a `campaign`, `reconcile` or `collect` command
+/// line names, as the service request it is: the node count, cv, level,
+/// seed and meter interval every one of them takes.  A FIRESTARTER-style
+/// constant-load run, typical CPU fleet spread scaled to the requested
+/// cv, planned per the requested methodology level.
+ServiceRequest synthetic_request(const Args& args, int default_level) {
+  ServiceRequest req;
+  req.nodes = static_cast<std::size_t>(args.number("nodes"));
+  if (req.nodes < 2) throw std::runtime_error("--nodes must be >= 2");
+  req.level = static_cast<int>(args.number_or("level", default_level));
+  if (req.level < 1 || req.level > 3) {
     throw std::runtime_error("--level must be 1, 2 or 3");
   }
+  req.seed = static_cast<std::uint64_t>(args.number_or("seed", 1.0));
+  req.cv = args.number_or("cv", 0.02);
+  req.interval_s = args.number_or("interval", 0.0);
+  return req;
+}
+
+/// The rig a request names, materialized by the helpers the service uses,
+/// so a command line and the equivalent request run the same campaign.
+struct SyntheticRig {
+  Scenario scenario;
+  MeasurementPlan plan;
+  CampaignConfig config;
+};
+
+SyntheticRig make_synthetic_rig(const ServiceRequest& req) {
   SyntheticRig rig;
-  rig.seed = static_cast<std::uint64_t>(args.number_or("seed", 1.0));
-
-  ScenarioSpec scenario;
-  scenario.nodes = nodes;
-  scenario.cv = args.number_or("cv", 0.02);
-  scenario.fleet_seed = rig.seed ^ 0x99;  // historical mixing, kept as-is
-  Scenario built = build_scenario(scenario);
-  rig.cluster = std::move(built.cluster);
-  rig.electrical = std::move(built.electrical);
-
-  const Level lvl = level == 3   ? Level::kL3
-                    : level == 2 ? Level::kL2
-                                 : Level::kL1;
-  const auto spec = MethodologySpec::get(lvl, Revision::kV2015);
-  rig.plan = built.plan(spec, rig.seed);
+  rig.scenario = build_scenario(scenario_spec_of(req));
+  rig.plan = plan_of(req, rig.scenario);
+  rig.config = campaign_config_of(req, rig.plan);
   return rig;
 }
 
 int cmd_campaign(const Args& args) {
-  const SyntheticRig rig = make_synthetic_rig(args);
-
-  CampaignConfig config;
-  config.seed = rig.seed;
-  config.meter_interval_override = Seconds{args.number_or("interval", 0.0)};
-
+  ServiceRequest req = synthetic_request(args, /*default_level=*/1);
   // Fault knobs: a named preset, optionally overridden field by field.
-  const std::string preset = args.text_or("faults", "none");
-  if (preset == "mild") {
-    config.faults.spec = FaultSpec::mild();
-  } else if (preset == "harsh") {
-    config.faults.spec = FaultSpec::harsh();
-  } else if (preset != "none") {
+  req.faults = args.text_or("faults", "none");
+  if (req.faults != "none" && req.faults != "mild" && req.faults != "harsh") {
     throw std::runtime_error("--faults must be none, mild or harsh");
   }
-  config.faults.spec.dropout_prob =
-      args.rate_or("dropout", config.faults.spec.dropout_prob);
-  const auto dead = static_cast<std::size_t>(args.number_or("dead", 0.0));
-  for (std::size_t i = 0; i < dead && i < rig.plan.node_indices.size(); ++i) {
-    config.faults.dead_meters.push_back(rig.plan.node_indices[i]);
-  }
-  force_byzantine_meters(config, rig.plan, args.rate_or("byzantine", 0.0));
-  config.reconcile.enabled = args.number_or("reconcile", 0.0) > 0.0;
-  config.threads = std::max<std::size_t>(
-      1, static_cast<unsigned>(args.number_or("threads", 0.0)));
+  req.dropout = args.rate_if("dropout");
+  req.dead = static_cast<std::size_t>(args.number_or("dead", 0.0));
+  req.byzantine = args.rate_or("byzantine", 0.0);
+  req.reconcile = args.number_or("reconcile", 0.0) > 0.0;
+  req.threads = static_cast<unsigned>(args.number_or("threads", 0.0));
   // Live mode: partial assessment documents stream to stdout as JSON
   // lines while the campaign runs; the final document (printed last) is
   // byte-identical to a non-live run's.
-  config.live.enabled = args.flag_or("live");
+  const bool live = args.flag_or("live");
   const double live_every = args.number_or("live-every", 0.0);
-  if (live_every > 0.0 && !config.live.enabled) {
+  if (live_every > 0.0 && !live) {
     throw std::runtime_error("--live-every requires --live");
   }
   if (live_every < 0.0) {
     throw std::runtime_error("--live-every must be >= 0");
-  }
-  config.live.emit_every_s = live_every;
-  if (config.live.enabled) {
-    config.live_sink = [](const std::string& line) { std::cout << line; };
   }
   const bool json = args.flag_or("json");
   ReportOptions ropts;
   ropts.trace_stages = args.flag_or("trace-stages");
   args.reject_unknown();
 
-  const auto result =
-      run_campaign(*rig.cluster, *rig.electrical, rig.plan, config);
+  SyntheticRig rig = make_synthetic_rig(req);
+  rig.config.live.enabled = live;
+  rig.config.live.emit_every_s = live_every;
+  if (live) {
+    rig.config.live_sink = [](const std::string& line) { std::cout << line; };
+  }
+  const auto result = run_campaign(*rig.scenario.cluster,
+                                   *rig.scenario.electrical, rig.plan,
+                                   rig.config);
   const Document doc = assessment_document(rig.plan, result, ropts);
   std::cout << (json ? render_json(doc) : render_text(doc));
   return 0;
@@ -429,46 +421,37 @@ int cmd_campaign(const Args& args) {
 int cmd_reconcile(const Args& args) {
   // Level 3 by default: full node metering gives reconciliation both the
   // sibling cohort and fully metered racks to cross-validate.
-  const SyntheticRig rig = make_synthetic_rig(args, /*default_level=*/3);
-
-  CampaignConfig config;
-  config.seed = rig.seed;
-  config.meter_interval_override = Seconds{args.number_or("interval", 0.0)};
-  force_byzantine_meters(config, rig.plan, args.rate_or("byzantine", 0.05));
-  config.reconcile.enabled = args.number_or("defend", 1.0) > 0.0;
-  config.reconcile.analysis_windows =
+  ServiceRequest req = synthetic_request(args, /*default_level=*/3);
+  req.byzantine = args.rate_or("byzantine", 0.05);
+  req.reconcile = args.number_or("defend", 1.0) > 0.0;
+  const auto windows =
       static_cast<std::size_t>(args.number_or("windows", 16.0));
-  config.threads = std::max<std::size_t>(
-      1, static_cast<unsigned>(args.number_or("threads", 0.0)));
+  req.threads = static_cast<unsigned>(args.number_or("threads", 0.0));
   const bool json = args.flag_or("json");
   ReportOptions ropts;
   ropts.trace_stages = args.flag_or("trace-stages");
   args.reject_unknown();
 
-  const auto result =
-      run_campaign(*rig.cluster, *rig.electrical, rig.plan, config);
+  SyntheticRig rig = make_synthetic_rig(req);
+  rig.config.reconcile.analysis_windows = windows;
+  const auto result = run_campaign(*rig.scenario.cluster,
+                                   *rig.scenario.electrical, rig.plan,
+                                   rig.config);
   const Document doc = assessment_document(rig.plan, result, ropts);
   std::cout << (json ? render_json(doc) : render_text(doc));
   return 0;
 }
 
 int cmd_collect(const Args& args) {
-  const SyntheticRig rig = make_synthetic_rig(args);
+  ServiceRequest req = synthetic_request(args, /*default_level=*/1);
+  req.dead = static_cast<std::size_t>(args.number_or("dead", 0.0));
 
   CollectorConfig config;
-  config.campaign.seed = rig.seed;
-  config.campaign.meter_interval_override =
-      Seconds{args.number_or("interval", 0.0)};
-
   config.transport.latency.base_s = args.number_or("latency", 20.0) / 1000.0;
   config.transport.latency.jitter_s = args.number_or("jitter", 30.0) / 1000.0;
   config.transport.drop_prob = args.rate_or("drop", 0.0);
   config.transport.duplicate_prob = args.rate_or("dup", 0.0);
   config.transport.blackhole_fraction = args.rate_or("blackhole", 0.0);
-  const auto dead = static_cast<std::size_t>(args.number_or("dead", 0.0));
-  for (std::size_t i = 0; i < dead && i < rig.plan.node_indices.size(); ++i) {
-    config.campaign.faults.dead_meters.push_back(rig.plan.node_indices[i]);
-  }
 
   config.poller.timeout_s = args.number_or("timeout", 1.0);
   config.poller.max_attempts =
@@ -482,14 +465,17 @@ int cmd_collect(const Args& args) {
   config.resume = args.number_or("resume", 0.0) > 0.0;
   config.crash_after_meters =
       static_cast<std::size_t>(args.number_or("crash-after", 0.0));
+  // The poller count, not the campaign's fan-out.
   config.threads = static_cast<unsigned>(args.number_or("threads", 4.0));
   const bool json = args.flag_or("json");
   ReportOptions ropts;
   ropts.trace_stages = args.flag_or("trace-stages");
   args.reject_unknown();
 
-  const CollectionOutcome outcome =
-      collect_campaign(*rig.cluster, *rig.electrical, rig.plan, config);
+  SyntheticRig rig = make_synthetic_rig(req);
+  config.campaign = rig.config;
+  const CollectionOutcome outcome = collect_campaign(
+      *rig.scenario.cluster, *rig.scenario.electrical, rig.plan, config);
   // Progress to stderr; the report alone on stdout so a clean run and a
   // kill-and-resume pair diff byte-identical.
   std::cerr << "collect: " << outcome.meters_polled << " meters polled, "
