@@ -62,6 +62,7 @@
 #include "core/scenario.hpp"
 #include "service/request.hpp"
 #include "service/service.hpp"
+#include "sim/streaming.hpp"
 
 namespace {
 
@@ -94,13 +95,10 @@ Rig make_rig(std::size_t nodes, Level level, double run_minutes = 30.0) {
 }
 
 // Metered samples across the whole cohort for a plan at `interval`.
-std::size_t planned_samples(const Rig& rig, const MeterAccuracy& acc,
-                            Seconds interval) {
-  Rng probe_rng(0);
-  const MeterModel probe(acc, rig.plan.meter_mode, interval, probe_rng);
+std::size_t planned_samples(const Rig& rig, Seconds interval) {
   std::size_t per_node = 0;
   for (const TimeWindow& w : metered_windows(rig.plan, interval)) {
-    per_node += probe.samples_in(w);
+    per_node += window_sample_count(w, interval);
   }
   return per_node * rig.plan.node_count();
 }
@@ -164,8 +162,8 @@ Json run_rss_flat() {
       *rig_long.cluster, *rig_long.electrical, rig_long.plan, batch);
 
   Json r = Json::object();
-  r["samples_short"] = planned_samples(rig_short, cfg.meter_accuracy, interval);
-  r["samples_long"] = planned_samples(rig_long, cfg.meter_accuracy, interval);
+  r["samples_short"] = planned_samples(rig_short, interval);
+  r["samples_long"] = planned_samples(rig_long, interval);
   r["rss_short_mb"] = rss_short;
   r["rss_long_mb"] = rss_long;
   r["growth_mb"] = rss_long - rss_short;
@@ -369,8 +367,7 @@ Json run_row(const Row& row, std::size_t default_reps) {
 
   Json r = Json::object();
   r["nodes"] = row.nodes;
-  const std::size_t samples =
-      planned_samples(rig, row.acc, Seconds{row.interval_s});
+  const std::size_t samples = planned_samples(rig, Seconds{row.interval_s});
   r["samples"] = samples;
   Timed ref;
   if (row.reference) ref = best_of(reps, [&] { return run(1, true); });

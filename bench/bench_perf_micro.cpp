@@ -1,16 +1,20 @@
 // Library micro-benchmarks (google-benchmark): the hot paths behind the
-// reproduction — RNG, meter noise, quantiles, trace window statistics,
-// fleet generation, sliding-window sweeps and the coverage inner loop.
+// reproduction — RNG, meter noise, the fused fleet metering kernel,
+// quantiles, trace window statistics, fleet generation, sliding-window
+// sweeps and the coverage inner loop.
 
 #include <benchmark/benchmark.h>
 
+#include <numeric>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/coverage.hpp"
 #include "core/sample_size.hpp"
+#include "core/scenario.hpp"
 #include "sim/catalog.hpp"
 #include "sim/fleet.hpp"
+#include "sim/fleet_state.hpp"
 #include "stats/rng.hpp"
 #include "stats/sampling.hpp"
 #include "stats/special.hpp"
@@ -64,6 +68,49 @@ void BM_MeterNoise(benchmark::State& state) {
   report_peak_rss(state);
 }
 BENCHMARK(BM_MeterNoise);
+
+/// The fused lane kernel of clean node-tap metering (stream_fleet_chunk)
+/// over a 20k-lane PDU-grade node-AC fleet: one 1800-sample chunk, the
+/// 30-minute core window at a 1 s interval.  Arg 0 meters sampled (L1/L2
+/// midpoints), arg 1 integrated (L3 Gauss-Legendre).  Items are
+/// lane-samples, so ns per lane-sample is 1e9 / items_per_second.
+void BM_FusedChunk(benchmark::State& state) {
+  constexpr std::size_t kLanes = 20000;
+  constexpr std::size_t kSamples = 1800;
+  const pv::Seconds interval{1.0};
+  const pv::MeterMode mode = state.range(0) != 0 ? pv::MeterMode::kIntegrated
+                                                 : pv::MeterMode::kSampled;
+  pv::ScenarioSpec spec;
+  spec.nodes = kLanes;
+  const pv::Scenario scenario = pv::build_scenario(spec);
+  std::vector<std::size_t> nodes(kLanes);
+  std::iota(nodes.begin(), nodes.end(), std::size_t{0});
+  pv::FleetProvisionSpec provision;
+  provision.accuracy = pv::MeterAccuracy::pdu_grade();
+  provision.mode = mode;
+  provision.interval = interval;
+  const pv::FleetState fleet =
+      pv::build_fleet_state(nodes, provision, scenario.cluster.get(),
+                            scenario.electrical.get());
+  pv::ShapeTable chunk;
+  pv::build_shape_chunk(*scenario.cluster,
+                        scenario.cluster->phases().core_window(), interval,
+                        mode, 0, kSamples, chunk);
+  pv::FleetAccumulators acc;
+  acc.init(kLanes, 0);
+  pv::FleetScratch scratch;
+  std::uint64_t k0 = 0;
+  for (auto _ : state) {
+    pv::stream_fleet_chunk(chunk, {}, fleet, k0, 0, kLanes, acc, scratch);
+    benchmark::DoNotOptimize(acc.win_sum.data());
+    benchmark::ClobberMemory();
+    k0 += kSamples;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kLanes * kSamples));
+  report_peak_rss(state);
+}
+BENCHMARK(BM_FusedChunk)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_NormQuantile(benchmark::State& state) {
   double p = 0.0001;

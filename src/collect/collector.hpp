@@ -74,7 +74,7 @@ struct CollectionOutcome {
 /// Restrictions, each a contract_error: the plan must tap nodes (kNodeAc
 /// / kNodeDc) — facility and rack taps stay on the synchronous path —
 /// and `electrical` must be `cluster` lowered through
-/// make_system_power_model (Provision's probe).  The campaign's FaultPlan
+/// make_system_power_model (Provision's lowered-model check).  The campaign's FaultPlan
 /// may only name dead_meters (they are routed into the transport's
 /// blackhole list); data-corruption faults, byzantine meters and
 /// reconciliation belong to run_campaign.

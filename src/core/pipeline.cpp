@@ -288,7 +288,7 @@ FleetProvisionSpec meter_spec(const CampaignContext& ctx) {
 
 // `truth`, a compute-side truth of the campaign's electrical model, read
 // through the shape memo while ctx.memoize_truth is set (Provision's
-// probe held and the reference stage has not cleared it).
+// lowered-model check held and the reference stage has not cleared it).
 PowerFunction eager_truth(const CampaignContext& ctx, PowerFunction truth) {
   if (!ctx.memoize_truth) return truth;
   return memoize_on_shape(*ctx.cluster, std::move(truth));
@@ -422,23 +422,19 @@ Watts scope_power(const PowerFunction& compute,
 // --- stages ---------------------------------------------------------------
 
 // True when `electrical` is `cluster` lowered through
-// make_system_power_model: each node's DC truth is its mean times the
-// shared shape factor, which the node-tap engine streams and every eager
-// truth's shape memo keys on.  Probed exactly on one plan node, over the
-// metered window (the meters) and the core window (the scope truth).
+// make_system_power_model: every node's DC truth is this cluster's
+// NodePower for that node, so it draws its mean times the shared shape
+// factor, which the node-tap engine streams and every eager truth's
+// shape memo keys on.  Exact for every node, by type and identity; no
+// truth is evaluated.
 bool lowered_from(const ClusterPowerModel& cluster,
-                  const SystemPowerModel& electrical,
-                  const MeasurementPlan& plan) {
-  const std::size_t probe = plan.node_indices.front();
-  PV_EXPECTS(probe < cluster.node_count(), "plan references missing node");
-  const TimeWindow core = cluster.phases().core_window();
-  for (const TimeWindow& w : {plan.window, core}) {
-    for (double frac : {0.25, 0.5, 0.75}) {
-      const double t = w.begin.value() + frac * w.duration().value();
-      if (electrical.node_dc_w(probe, t) !=
-          cluster.node_means()[probe] * cluster.shape_factor(t)) {
-        return false;
-      }
+                  const SystemPowerModel& electrical) {
+  if (electrical.node_count() != cluster.node_count()) return false;
+  for (std::size_t i = 0; i < electrical.node_count(); ++i) {
+    const auto* node = electrical.node_dc_function(i)
+                           .target<ClusterPowerModel::NodePower>();
+    if (node == nullptr || node->cluster != &cluster || node->node != i) {
+      return false;
     }
   }
   return true;
@@ -472,7 +468,10 @@ class ProvisionStage final : public CampaignStage {
 
     // Every tap reads the truth through the lowered model's shape factor:
     // the node-tap engine streams it, the eager truths memoize on it.
-    PV_EXPECTS(lowered_from(cluster, electrical, plan),
+    for (const std::size_t node : plan.node_indices) {
+      PV_EXPECTS(node < cluster.node_count(), "plan references missing node");
+    }
+    PV_EXPECTS(lowered_from(cluster, electrical),
                "campaigns need the electrical model lowered from the "
                "cluster (make_system_power_model)");
     ctx.memoize_truth = true;
@@ -483,8 +482,6 @@ class ProvisionStage final : public CampaignStage {
         break;
       case MeasurementPoint::kRackPdu: {
         for (std::size_t node : plan.node_indices) {
-          PV_EXPECTS(node < cluster.node_count(),
-                     "plan references missing node");
           ctx.racks.push_back(node / electrical.nodes_per_rack());
         }
         std::sort(ctx.racks.begin(), ctx.racks.end());

@@ -82,8 +82,8 @@ struct CampaignContext {
   bool reconciling = false;           ///< byzantine defense enabled
   /// The eager truths — the rack and facility taps, the check meters,
   /// Assess and the live partials' truth — read through a memo on the
-  /// shared shape factor (memoize_on_shape).  Provision sets it once its
-  /// probe has verified that the electrical model is the cluster lowered
+  /// shared shape factor (memoize_on_shape).  Provision sets it once it
+  /// has checked that the electrical model is the cluster lowered
   /// through make_system_power_model; the eager reference Meter stage
   /// clears it, so a reference run integrates every truth directly.
   bool memoize_truth = false;

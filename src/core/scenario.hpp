@@ -62,8 +62,8 @@ struct ScenarioSpec {
 
 /// A built scenario: the cluster, its lowered electrical model, and the
 /// PlanInputs every planner call derives from.  The electrical model is
-/// lowered through make_system_power_model, so node-tap campaigns pass
-/// the streaming probe.
+/// lowered through make_system_power_model, so campaigns on every tap
+/// pass Provision's lowered-model check.
 struct Scenario {
   std::unique_ptr<ClusterPowerModel> cluster;
   std::unique_ptr<SystemPowerModel> electrical;

@@ -57,6 +57,12 @@ double SystemPowerModel::node_dc_w(std::size_t node, double t) const {
   return nodes_[node].dc_power(t);
 }
 
+const PowerFunction& SystemPowerModel::node_dc_function(
+    std::size_t node) const {
+  PV_EXPECTS(node < nodes_.size(), "node index out of range");
+  return nodes_[node].dc_power;
+}
+
 double SystemPowerModel::node_ac_w(std::size_t node, double t) const {
   PV_EXPECTS(node < nodes_.size(), "node index out of range");
   const auto& n = nodes_[node];

@@ -83,6 +83,9 @@ class SystemPowerModel {
   /// Facility feed: compute + auxiliaries.
   [[nodiscard]] double facility_w(double t) const;
 
+  /// The DC power function registered for `node` (add_node).
+  [[nodiscard]] const PowerFunction& node_dc_function(std::size_t node) const;
+
   /// Convenience PowerFunction views for metering.
   [[nodiscard]] PowerFunction node_ac_function(std::size_t node) const;
   [[nodiscard]] PowerFunction facility_function() const;

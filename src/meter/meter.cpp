@@ -63,10 +63,4 @@ PowerTrace MeterModel::measure(const PowerFunction& truth_w, Seconds t_begin,
   return PowerTrace(t_begin, interval_, std::move(readings));
 }
 
-std::size_t MeterModel::samples_in(TimeWindow w) const {
-  if (!w.valid()) return 0;
-  return static_cast<std::size_t>(
-      std::floor(w.duration().value() / interval_.value() + 1e-9));
-}
-
 }  // namespace pv

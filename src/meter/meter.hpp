@@ -90,11 +90,6 @@ class MeterModel {
                                    NoiseStream noise,
                                    std::uint64_t first) const;
 
-  /// How many readings measure() produces over `w` — the same floor
-  /// arithmetic, so sample accounting (expected vs delivered) agrees with
-  /// the meter exactly.
-  [[nodiscard]] std::size_t samples_in(TimeWindow w) const;
-
   /// One reading from one truth value: calibration error, then noise
   /// draw k of `noise` (k the meter-global sample index; drawn iff
   /// noise_sd > 0).  Inline, and the fused fleet kernel spells the same

@@ -42,9 +42,10 @@ double ClusterPowerModel::node_power_w(std::size_t i, double t) const {
   return mean_w_[i] * shape(t);
 }
 
-PowerFunction ClusterPowerModel::node_function(std::size_t i) const {
+ClusterPowerModel::NodePower ClusterPowerModel::node_function(
+    std::size_t i) const {
   PV_EXPECTS(i < mean_w_.size(), "node index out of range");
-  return [this, i](double t) { return node_power_w(i, t); };
+  return NodePower{this, i};
 }
 
 double ClusterPowerModel::system_power_w(double t) const {

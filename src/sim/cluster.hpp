@@ -28,6 +28,16 @@ namespace pv {
 
 class ClusterPowerModel {
  public:
+  /// Node `node`'s ground-truth DC draw as a named callable.  The lowered
+  /// electrical model registers these (make_system_power_model), so a
+  /// campaign can check that a node's truth is this cluster's node by
+  /// type and identity, without evaluating it.
+  struct NodePower {
+    const ClusterPowerModel* cluster;
+    std::size_t node;
+    double operator()(double t) const { return cluster->node_power_w(node, t); }
+  };
+
   /// `node_mean_powers`: per-node DC time average over the core phase (W).
   /// `static_fraction`: share of node power that does not scale with
   /// workload intensity (idle + leakage + fans).
@@ -42,7 +52,7 @@ class ClusterPowerModel {
 
   /// Ground-truth DC power of node i at absolute run time t.
   [[nodiscard]] double node_power_w(std::size_t i, double t) const;
-  [[nodiscard]] PowerFunction node_function(std::size_t i) const;
+  [[nodiscard]] NodePower node_function(std::size_t i) const;
 
   /// Per-watt-of-mean shape factor at time t — identical for every node
   /// of a balanced run, so node i's power is `node_means()[i] *

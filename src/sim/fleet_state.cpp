@@ -133,6 +133,15 @@ namespace {
 // per-node expressions of stream_node_window + apply_errors + the
 // left-to-right window sum, operand for operand, drawing its own noise
 // stream at the sample's meter-global index k0 + k.
+//
+// A sample's clean reading (GL4 truth, then truth * gain + off) depends
+// only on its level indices, and steady phases repeat them for long runs
+// of samples, so the kernel keeps one clean row per lane and refills it
+// only where a sample's indices (all four planes when integrated) differ
+// from the previous sample's.  Each sample then costs its noise draw and
+// its adds.  The noise-free accumulate stays two loops, with and without
+// a bucket row: GCC at -O2 does not unswitch an inner `if (bs)`, and the
+// merged loop ran perfect-meter chunks at half the speed.
 void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
                        std::uint64_t k0, std::size_t begin, std::size_t end,
                        double* win_sum,
@@ -141,6 +150,7 @@ void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
   const std::size_t m = end - begin;
   const std::size_t nl = table.levels.size();
   const std::size_t samples = table.samples;
+  const std::size_t planes = table.mode == MeterMode::kIntegrated ? 4 : 1;
   // AC-at-level matrix: acl[l*m + i] = lane (begin+i)'s clean AC (or DC
   // pass-through) at shape level l — the per-node `acl[l]` table, built
   // fleet-major through the PSU bank (bit-identical per lane).
@@ -164,82 +174,59 @@ void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
   const double sd = fleet.noise_sd;
   const std::uint32_t* const idx = table.level_idx.data();
   const double* const acl = scratch.acl.data();
+  scratch.clean.resize(m);
+  double* const clean = scratch.clean.data();
 
-  const auto bucket_row = [&](std::size_t k) -> double* {
-    if (a_idx == nullptr) return nullptr;
-    const std::int32_t a = a_idx[k];
-    if (a < 0) return nullptr;
-    return bucket_sum + static_cast<std::size_t>(a) * bucket_stride + begin;
+  // Plane q of sample k reads level row idx[q*samples + k].
+  const auto row = [&](std::size_t q, std::size_t k) {
+    return acl + static_cast<std::size_t>(idx[q * samples + k]) * m;
+  };
+  const auto same_levels = [&](std::size_t k) {
+    for (std::size_t q = 0; q < planes; ++q) {
+      if (idx[q * samples + k] != idx[q * samples + k - 1]) return false;
+    }
+    return true;
+  };
+  const auto fill_clean = [&](std::size_t k) {
+    if (planes == 4) {
+      const double* const r0 = row(0, k);
+      const double* const r1 = row(1, k);
+      const double* const r2 = row(2, k);
+      const double* const r3 = row(3, k);
+      for (std::size_t i = 0; i < m; ++i) {
+        const double truth = ((gl4::kWs[0] * r0[i] + gl4::kWs[1] * r1[i]) +
+                              gl4::kWs[2] * r2[i]) +
+                             gl4::kWs[3] * r3[i];
+        clean[i] = truth * gain[i] + off[i];
+      }
+    } else {
+      const double* const r = row(0, k);
+      for (std::size_t i = 0; i < m; ++i) clean[i] = r[i] * gain[i] + off[i];
+    }
   };
 
-  if (table.mode == MeterMode::kIntegrated) {
-    const std::uint32_t* const i0 = idx;
-    const std::uint32_t* const i1 = idx + samples;
-    const std::uint32_t* const i2 = idx + 2 * samples;
-    const std::uint32_t* const i3 = idx + 3 * samples;
-    for (std::size_t k = 0; k < samples; ++k) {
-      const double* const r0 = acl + static_cast<std::size_t>(i0[k]) * m;
-      const double* const r1 = acl + static_cast<std::size_t>(i1[k]) * m;
-      const double* const r2 = acl + static_cast<std::size_t>(i2[k]) * m;
-      const double* const r3 = acl + static_cast<std::size_t>(i3[k]) * m;
-      double* const bs = bucket_row(k);
-      if (sd > 0.0) {
-        const std::uint64_t draw = k0 + k;
-        for (std::size_t i = 0; i < m; ++i) {
-          const double truth =
-              ((gl4::kWs[0] * r0[i] + gl4::kWs[1] * r1[i]) +
-               gl4::kWs[2] * r2[i]) +
-              gl4::kWs[3] * r3[i];
-          double v = truth * gain[i] + off[i];
-          v *= 1.0 + sd * noise[i].normal(draw);
-          win[i] += v;
-          if (bs != nullptr) bs[i] += v;
-        }
-      } else if (bs != nullptr) {
-        for (std::size_t i = 0; i < m; ++i) {
-          const double truth =
-              ((gl4::kWs[0] * r0[i] + gl4::kWs[1] * r1[i]) +
-               gl4::kWs[2] * r2[i]) +
-              gl4::kWs[3] * r3[i];
-          const double v = truth * gain[i] + off[i];
-          win[i] += v;
-          bs[i] += v;
-        }
-      } else {
-        for (std::size_t i = 0; i < m; ++i) {
-          const double truth =
-              ((gl4::kWs[0] * r0[i] + gl4::kWs[1] * r1[i]) +
-               gl4::kWs[2] * r2[i]) +
-              gl4::kWs[3] * r3[i];
-          const double v = truth * gain[i] + off[i];
-          win[i] += v;
-        }
-      }
+  for (std::size_t k = 0; k < samples; ++k) {
+    if (k == 0 || !same_levels(k)) fill_clean(k);
+    double* bs = nullptr;
+    if (a_idx != nullptr && a_idx[k] >= 0) {
+      bs = bucket_sum + static_cast<std::size_t>(a_idx[k]) * bucket_stride +
+           begin;
     }
-  } else {
-    for (std::size_t k = 0; k < samples; ++k) {
-      const double* const row = acl + static_cast<std::size_t>(idx[k]) * m;
-      double* const bs = bucket_row(k);
-      if (sd > 0.0) {
-        const std::uint64_t draw = k0 + k;
-        for (std::size_t i = 0; i < m; ++i) {
-          double v = row[i] * gain[i] + off[i];
-          v *= 1.0 + sd * noise[i].normal(draw);
-          win[i] += v;
-          if (bs != nullptr) bs[i] += v;
-        }
-      } else if (bs != nullptr) {
-        for (std::size_t i = 0; i < m; ++i) {
-          const double v = row[i] * gain[i] + off[i];
-          win[i] += v;
-          bs[i] += v;
-        }
-      } else {
-        for (std::size_t i = 0; i < m; ++i) {
-          const double v = row[i] * gain[i] + off[i];
-          win[i] += v;
-        }
+    if (sd > 0.0) {
+      const std::uint64_t draw = k0 + k;
+      for (std::size_t i = 0; i < m; ++i) {
+        double v = clean[i];
+        v *= 1.0 + sd * noise[i].normal(draw);
+        win[i] += v;
+        if (bs != nullptr) bs[i] += v;
       }
+    } else if (bs != nullptr) {
+      for (std::size_t i = 0; i < m; ++i) {
+        win[i] += clean[i];
+        bs[i] += clean[i];
+      }
+    } else {
+      for (std::size_t i = 0; i < m; ++i) win[i] += clean[i];
     }
   }
 }

@@ -39,7 +39,7 @@ void index_shape_levels(ShapeTable& table) {
 std::size_t window_sample_count(const TimeWindow& w, Seconds interval) {
   PV_EXPECTS(interval.value() > 0.0, "reporting interval must be positive");
   PV_EXPECTS(w.valid(), "empty metering window");
-  // Same floor arithmetic as MeterModel::measure / samples_in.
+  // Same floor arithmetic as MeterModel::measure.
   return static_cast<std::size_t>(
       std::floor((w.end.value() - w.begin.value()) / interval.value() + 1e-9));
 }

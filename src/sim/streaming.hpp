@@ -62,7 +62,8 @@ struct ShapeTable {
 };
 
 /// Readings MeterModel::measure would produce over `w` at `interval` —
-/// the same floor arithmetic as samples_in.
+/// the same floor arithmetic, so sample accounting (expected vs
+/// delivered) agrees with the meter exactly.
 [[nodiscard]] std::size_t window_sample_count(const TimeWindow& w,
                                               Seconds interval);
 

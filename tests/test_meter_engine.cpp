@@ -22,8 +22,10 @@
 // threads and chunk sizes too.  Alongside: dead-lane masking, the pinned live
 // emission schedule, the facility check meter on a zero-auxiliary rig,
 // thread invariance of the sharded provision and of both loop shapes
-// (FleetSoA, run under TSan), the scenario-scale guards, and the typed
-// error a hand-built (not lowered) electrical model gets on every tap.
+// (FleetSoA, run under TSan), the fused kernel against the dense per-node
+// path on hand-built tables whose shape level changes mid-chunk
+// (FusedLevelRuns), the scenario-scale guards, and the typed error a
+// hand-built (not lowered) electrical model gets on every tap.
 //
 // The reference clears memoize_truth, so every engine-vs-reference case
 // that reconciles also compares the check meters' memoized truths with
@@ -32,7 +34,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -531,39 +536,199 @@ TEST(FleetSoA, FusedLiveChunkDriverIsThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
+// FusedLevelRuns: the fused kernel computes each lane's clean reading once
+// per run of samples with equal level indices.  Campaign windows rarely
+// change level inside a chunk (FIRESTARTER's core phase is one level), so
+// these hand-built tables do: their level tuple changes mid-chunk
+// (A A B A C ...), in one plane or in all.  Each must match the dense
+// per-node path — the same table with levels/level_idx cleared — bit for
+// bit in every accumulator.
+
+// A table over `levels` whose quadrature plane q reads level indices
+// planes[q] (one plane when sampled); shape[] holds the same values, so
+// the dense path meters the same points.
+ShapeTable level_table(MeterMode mode, const std::vector<double>& levels,
+                       const std::vector<std::vector<std::uint32_t>>& planes) {
+  ShapeTable t;
+  t.t_begin = 100.0;
+  t.dt = 1.0;
+  t.mode = mode;
+  t.samples = planes.front().size();
+  t.levels = levels;
+  for (const std::vector<std::uint32_t>& plane : planes) {
+    for (const std::uint32_t l : plane) {
+      t.level_idx.push_back(l);
+      t.shape.push_back(levels[l]);
+    }
+  }
+  return t;
+}
+
+// Streams `chunks` back to back (one scratch, advancing k0, as a worker
+// walks a window) over lanes [1, n) through the fused kernel and through
+// the dense path, then compares the window sums and, when `mapped`, the
+// reconcile buckets.
+void expect_fused_matches_dense(const std::vector<ShapeTable>& chunks,
+                                const FleetState& fleet, bool mapped) {
+  constexpr std::size_t kBuckets = 2;
+  const std::size_t n = fleet.size();
+  FleetAccumulators fused;
+  FleetAccumulators dense;
+  fused.init(n, mapped ? kBuckets : 0);
+  dense.init(n, mapped ? kBuckets : 0);
+  FleetScratch fused_scratch;
+  FleetScratch dense_scratch;
+  std::uint64_t k0 = 0;
+  for (const ShapeTable& chunk : chunks) {
+    std::vector<std::int32_t> a_idx;
+    if (mapped) {
+      for (std::size_t k = 0; k < chunk.samples; ++k) {
+        a_idx.push_back(k % 4 == 3 ? -1
+                                   : static_cast<std::int32_t>(
+                                         k * kBuckets / chunk.samples));
+      }
+    }
+    ShapeTable cleared = chunk;
+    cleared.levels.clear();
+    cleared.level_idx.clear();
+    stream_fleet_chunk(chunk, a_idx, fleet, k0, 1, n, fused, fused_scratch);
+    stream_fleet_chunk(cleared, a_idx, fleet, k0, 1, n, dense, dense_scratch);
+    k0 += chunk.samples;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(bits_equal(fused.win_sum[i], dense.win_sum[i])) << "lane " << i;
+  }
+  for (std::size_t j = 0; j < fused.bucket_sum.size(); ++j) {
+    EXPECT_TRUE(bits_equal(fused.bucket_sum[j], dense.bucket_sum[j]))
+        << "bucket entry " << j;
+  }
+}
+
+// Runs `planes_of(sequence)` chunks — the sequence, then reversed — on
+// noisy and noise-free fleets, unmapped and mapped.
+void expect_level_runs_match(
+    MeterMode mode,
+    const std::function<std::vector<std::vector<std::uint32_t>>(
+        const std::vector<std::uint32_t>&)>& planes_of) {
+  const Rig rig = make_rig(24, Level::kL3, 4);
+  const std::vector<double> levels = {1.0, 0.6, 0.85, 1.1};
+  std::vector<std::uint32_t> seq = {0, 0, 1, 0, 2, 2, 2, 3, 1, 1, 0, 3, 3, 2, 0};
+  const ShapeTable forward = level_table(mode, levels, planes_of(seq));
+  std::reverse(seq.begin(), seq.end());
+  const std::vector<ShapeTable> chunks = {
+      forward, level_table(mode, levels, planes_of(seq))};
+  // Noise-free meters still carry calibration error, so the clean row's
+  // gain and offset matter on both accumulate paths.
+  const MeterAccuracy noise_free{.gain_error_sd = 0.01,
+                                 .offset_error_sd_w = 1.5,
+                                 .noise_sd = 0.0};
+  for (const MeterAccuracy& accuracy :
+       {MeterAccuracy::pdu_grade(), noise_free}) {
+    FleetProvisionSpec spec;
+    spec.accuracy = accuracy;
+    spec.mode = mode;
+    spec.seed = 4;
+    const FleetState fleet =
+        build_fleet_state(rig.plan.node_indices, spec, rig.cluster.get(),
+                          rig.electrical.get());
+    for (const bool mapped : {false, true}) {
+      SCOPED_TRACE("noise_sd=" + std::to_string(accuracy.noise_sd) +
+                   (mapped ? ", mapped" : ", unmapped"));
+      expect_fused_matches_dense(chunks, fleet, mapped);
+    }
+  }
+}
+
+TEST(FusedLevelRuns, SampledLevelChangesMatchDensePath) {
+  expect_level_runs_match(MeterMode::kSampled,
+                          [](const std::vector<std::uint32_t>& seq) {
+                            return std::vector<std::vector<std::uint32_t>>{seq};
+                          });
+}
+
+TEST(FusedLevelRuns, IntegratedLevelChangesMatchDensePath) {
+  // Every plane changes together.
+  expect_level_runs_match(
+      MeterMode::kIntegrated, [](const std::vector<std::uint32_t>& seq) {
+        return std::vector<std::vector<std::uint32_t>>(4, seq);
+      });
+  // Only plane q changes; the others hold level 0 throughout.
+  for (std::size_t q = 0; q < 4; ++q) {
+    SCOPED_TRACE("only plane " + std::to_string(q) + " changes");
+    expect_level_runs_match(
+        MeterMode::kIntegrated, [q](const std::vector<std::uint32_t>& seq) {
+          std::vector<std::vector<std::uint32_t>> planes(
+              4, std::vector<std::uint32_t>(seq.size(), 0));
+          planes[q] = seq;
+          return planes;
+        });
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The electrical model must be the cluster lowered through
-// make_system_power_model: a hand-built one is a typed error, not a
-// silent change of metering path.
+// make_system_power_model, node for node: a hand-built one, or one with
+// any node not this cluster's, is a typed error, not a silent change of
+// metering path.
 
 TEST(MeterEngine, HandBuiltModelIsATypedError) {
   ScenarioSpec spec;
   spec.nodes = 4;
   Scenario built = build_scenario(spec);
+  const ClusterPowerModel& cluster = *built.cluster;
   const MeasurementPlan plan =
       built.plan(MethodologySpec::get(Level::kL3, Revision::kV2015), 3);
   // Built the way test_hierarchy builds one: constant per-node draws.
-  SystemPowerModel hand("testsys", /*nodes_per_rack=*/2);
+  SystemPowerModel hand("hand-built", /*nodes_per_rack=*/2);
   for (int i = 0; i < 4; ++i) {
     const double base = 100.0 + 10.0 * i;
     hand.add_node([base](double) { return base; },
                   PsuModel(Watts{400.0}, PsuEfficiencyCurve::platinum()));
   }
   hand.set_pdu_loss_fraction(0.02);
-  ASSERT_EQ(hand.node_count(), built.cluster->node_count());
+  ASSERT_EQ(hand.node_count(), cluster.node_count());
+  // Only the first plan node lowered; every other node wanders 1% on a
+  // slow sine.  A check on that one node passes it, and Assess then
+  // reads a memoized truth 1% off the direct one.
+  const std::size_t lowered = plan.node_indices.front();
+  SystemPowerModel wandering("wandering", spec.nodes_per_rack);
+  // Every node this cluster's, but two of them trade places.
+  SystemPowerModel swapped("swapped", spec.nodes_per_rack);
+  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+    const PsuModel& psu = built.electrical->node_psu(i);
+    if (i == lowered) {
+      wandering.add_node(cluster.node_function(i), psu);
+    } else {
+      wandering.add_node(
+          [&cluster, i](double t) {
+            return cluster.node_power_w(i, t) *
+                   (1.0 + 0.01 * std::sin(t / 600.0));
+          },
+          psu);
+    }
+    const std::size_t from = i == 1 ? 2 : i == 2 ? 1 : i;
+    swapped.add_node(cluster.node_function(from), psu);
+  }
+  // An equal twin cluster's lowering: equal truths, another cluster.
+  const Scenario twin = build_scenario(spec);
   // Every tap reads its truth through the lowered model's shape factor,
-  // so every tap refuses the hand-built one.
+  // so every tap refuses all four.
   for (const MeasurementPoint point :
        {MeasurementPoint::kNodeAc, MeasurementPoint::kRackPdu,
         MeasurementPoint::kFacilityFeed}) {
     SCOPED_TRACE(to_string(point));
     MeasurementPlan tapped = plan;
     tapped.point = point;
-    EXPECT_THROW(
-        (void)run_campaign(*built.cluster, hand, tapped, base_config(3)),
-        contract_error);
+    for (const SystemPowerModel* model :
+         {&hand, &wandering, &swapped, twin.electrical.get()}) {
+      SCOPED_TRACE(model == twin.electrical.get() ? "twin" : model->name());
+      EXPECT_THROW(
+          (void)run_campaign(cluster, *model, tapped, base_config(3)),
+          contract_error);
+    }
     // The lowered model of the same cluster runs.
-    EXPECT_NO_THROW((void)run_campaign(*built.cluster, *built.electrical,
-                                       tapped, base_config(3)));
+    EXPECT_NO_THROW(
+        (void)run_campaign(cluster, *built.electrical, tapped, base_config(3)));
   }
 }
 
