@@ -61,7 +61,6 @@ std::uint64_t fingerprint_config(std::uint64_t h,
   h = mix_f64(h, p.breaker.cooldown_multiplier);
   h = mix_f64(h, p.breaker.cooldown_max_s);
   h = mix_f64(h, p.chunk_duration.value());
-  h = mix_f64(h, p.min_coverage);
   return h;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "meter/faults.hpp"
 #include "util/expects.hpp"
 
 namespace pv {
@@ -140,7 +141,7 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
           ? 0.0
           : static_cast<double>(delivered) /
                 static_cast<double>(rec.samples_expected);
-  if (windows_used == 0 || coverage < config.min_coverage) {
+  if (windows_used == 0 || coverage < kMinCoverage) {
     // Below the floor: the whole record is untrustworthy — the dead-meter
     // degradation path excludes this node and re-bases the extrapolation.
     rec.reading.lost = true;

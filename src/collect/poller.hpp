@@ -47,9 +47,6 @@ struct PollerConfig {
   BackoffPolicy backoff;         ///< delay between a chunk's attempts
   BreakerConfig breaker;         ///< per-meter circuit breaker
   Seconds chunk_duration{60.0};  ///< trace seconds fetched per request
-  /// Meters delivering less than this fraction of expected samples are
-  /// declared lost and handed to the dead-meter degradation path.
-  double min_coverage = 0.5;
 };
 
 /// One request's worth of trace, the same for every meter.
@@ -90,7 +87,9 @@ struct PollJob {
 /// Runs the full poll loop for one meter.  Deterministic per (seed,
 /// meter): thread interleaving, prior crashes and resume cannot change
 /// the outcome.  The returned record's reading carries continuous-timing
-/// energy; the collector applies spot-timing and DC-conversion policy.
+/// energy; the collector applies spot-timing and DC-conversion policy.  A
+/// meter delivering less than kMinCoverage (meter/faults.hpp) of its
+/// expected samples comes back lost, for the dead-meter degradation path.
 [[nodiscard]] MeterRecord poll_meter(const PollJob& job,
                                      const SimTransport& transport,
                                      const PollerConfig& config);

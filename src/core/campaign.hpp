@@ -50,8 +50,9 @@ struct StageTrace {
 /// Live metering options.  When enabled with a live_sink, the node-tap
 /// Meter stage advances one chunk at a time across the cohort and emits
 /// partial assessment Documents mid-run on a pinned virtual-time
-/// schedule.  The final result is byte-identical to the batch run
-/// (ctest-enforced by test_meter_engine).
+/// schedule, keeping the last 8 closed-window summaries in a
+/// fixed-capacity ring.  The final result is byte-identical to the batch
+/// run (ctest-enforced by test_meter_engine).
 struct LiveOptions {
   bool enabled = false;
   /// Virtual seconds between partial emissions; 0 emits one partial at
@@ -62,9 +63,6 @@ struct LiveOptions {
   /// per-worker footprint of clean node-tap metering is
   /// O(chunk_samples), independent of campaign length.
   std::size_t chunk_samples = 4096;
-  /// Closed-window summaries retained in the fixed-capacity ring buffer
-  /// (reported in partial Documents' "live" block).
-  std::size_t history_windows = 8;
 };
 
 /// Execution knobs of a campaign.
@@ -75,9 +73,9 @@ struct CampaignConfig {
   /// simulations may coarsen this for speed (statistically immaterial for
   /// mean power over minutes-to-hours windows).  0 = use the plan's value.
   Seconds meter_interval_override{0.0};
-  /// Fault injection + graceful-degradation policy.  The default plan is
-  /// disabled, and a disabled plan leaves the campaign bit-identical to
-  /// the fault-free path (no extra RNG draws).
+  /// Fault injection (see FaultPlan).  The default plan is disabled, and
+  /// a disabled plan leaves the campaign bit-identical to the fault-free
+  /// path (no extra RNG draws).
   FaultPlan faults;
   /// Byzantine defense: hierarchical cross-validation + quarantine of
   /// lying meters (core/reconcile).  Disabled by default; a disabled

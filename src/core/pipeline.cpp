@@ -32,6 +32,16 @@ double mean_over_window(const std::function<double(double)>& f, double a,
 constexpr std::uint64_t kFateSalt = 0xFA7E0FA7ULL;
 constexpr std::uint64_t kFaultSalt = 0x1FAC7ED0ULL;
 
+// Hampel despiking of a faulted window's repaired trace: the half-width of
+// the sliding window (11 samples in all) and the outlier threshold in
+// robust sigmas.
+constexpr std::size_t kHampelHalfWindow = 5;
+constexpr double kHampelSigmas = 4.0;
+
+// Closed-window summaries a live run keeps in its fixed-capacity ring
+// (partial Documents report it as `window_capacity`).
+constexpr std::size_t kLiveHistoryWindows = 8;
+
 // Node-tap Aggregate tail (defined with the other aggregate functions
 // below); the live meter stage also runs it on mid-run snapshots so
 // partial and final documents cannot drift apart structurally.
@@ -116,15 +126,15 @@ class DeviceMeter {
   std::optional<double> feed_faulted_window(const PowerTrace& clean,
                                             const TimeWindow& w) {
     GappyTrace gappy = inject_faults(clean, fp_->spec, fate_, *fault_rng_);
-    r_.stuck_flagged += flag_stuck_runs(gappy, fp_->stuck_run_min);
+    r_.stuck_flagged += flag_stuck_runs(gappy);
     const GapStats gs = gappy.gap_stats();
     valid_total_ += gs.total - gs.missing;
     r_.samples_lost += gs.missing;
     if (gs.missing == gs.total) return std::nullopt;  // window fully lost
 
-    const PowerTrace dense = gappy.repaired(fp_->repair);
-    const HampelResult despiked = hampel_filter(
-        dense.watts(), fp_->hampel_half_window, fp_->hampel_n_sigmas);
+    const PowerTrace dense = gappy.repaired();
+    const HampelResult despiked =
+        hampel_filter(dense.watts(), kHampelHalfWindow, kHampelSigmas);
     r_.spikes_filtered += despiked.outlier_count;
     r_.samples_repaired += gs.missing;
     const double window_mean = mean_of(despiked.filtered);
@@ -149,7 +159,7 @@ class DeviceMeter {
             ? 0.0
             : static_cast<double>(valid_total_) /
                   static_cast<double>(r_.samples_expected);
-    if (windows_contributing_ == 0 || coverage < fp_->min_coverage) {
+    if (windows_contributing_ == 0 || coverage < kMinCoverage) {
       r_.lost = true;
       // A discarded series repairs nothing; its whole record is lost.
       r_.samples_lost = r_.samples_expected;
@@ -440,6 +450,13 @@ bool lowered_from(const ClusterPowerModel& cluster,
   return true;
 }
 
+// Derives the campaign's execution parameters: effective interval,
+// metered windows and their per-meter sample count, the analysis grid,
+// the rack list (rack tap) and meters_planned.  On every tap it checks
+// that the electrical model is the cluster lowered through
+// make_system_power_model (a contract_error otherwise) and sets
+// memoize_truth; on node taps it also borrows the process-wide pool for
+// a fan-out above one and provisions the FleetState.
 class ProvisionStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "provision"; }
@@ -741,8 +758,7 @@ std::vector<std::pair<std::string, double>> NodeTapRun::run_live() {
   // window means — one small sketch per closed window, merged in, which
   // is exact (sketch-of-stream == merge-of-window-sketches, pinned by
   // the sketch property tests).
-  RingBuffer<WindowSummary> ring(
-      std::max<std::size_t>(std::size_t{1}, live.history_windows));
+  RingBuffer<WindowSummary> ring(kLiveHistoryWindows);
   QuantileSketch campaign_sketch(0.01);
   std::size_t windows_closed = 0;
   std::size_t open_samples = 0;  // clean lanes' samples in the open window
@@ -940,6 +956,8 @@ class ReferenceMeterStage final : public CampaignStage {
   }
 };
 
+// Rack-PDU Meter stage: one meter per rack containing a selected node;
+// the reading is later attributed evenly to the rack's nodes.
 class RackMeterStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "meter"; }
@@ -977,6 +995,9 @@ class RackMeterStage final : public CampaignStage {
   }
 };
 
+// Facility-feed Meter stage: the single whole-feed meter.  Throws
+// NoUsableDataError when the meter is forced dead — there is no fallback
+// instrumentation at Level 3.
 class FacilityMeterStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "meter"; }
@@ -999,6 +1020,9 @@ class FacilityMeterStage final : public CampaignStage {
   }
 };
 
+// Consolidates the per-device repair/quality tallies into DataQuality.
+// (Sample-level gap fill runs inside Meter, per device — see the
+// pipeline.hpp header comment; this stage owns the accounting.)
 class RepairStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "repair"; }
@@ -1021,6 +1045,9 @@ class RepairStage final : public CampaignStage {
   }
 };
 
+// Byzantine defense: builds per-meter analysis series, cross-validates
+// them against the cohort and the meter hierarchy, quarantines convicted
+// meters and undoes exactly invertible unit errors.
 class ReconcileStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "reconcile"; }
@@ -1039,8 +1066,7 @@ class ReconcileStage final : public CampaignStage {
     }
     const std::vector<HierarchyCheck> checks =
         build_hierarchy_checks(ctx, series);
-    ReconcileReport verdicts =
-        reconcile_meters(series, checks, ctx.config->reconcile);
+    ReconcileReport verdicts = reconcile_meters(series, checks);
 
     // Quarantine convicted meters through the existing dead-meter
     // degradation path; undo exactly invertible unit errors in place.
@@ -1267,6 +1293,10 @@ void aggregate_nodes(CampaignContext& ctx) {
   finalize_quality(dq);
 }
 
+// Excludes lost meters, extrapolates the survivors to the machine,
+// re-bases energy to the planned scope and computes the Eq. 1 CI
+// (dispatching on the plan's tap point).  Throws NoUsableDataError when
+// every meter was lost.
 class AggregateStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "aggregate"; }
@@ -1293,6 +1323,9 @@ class AggregateStage final : public CampaignStage {
   }
 };
 
+// Ground truth and relative error — the simulation-only assessment.
+// Reads the compute part through the shape memo when ctx.memoize_truth
+// is set.
 class AssessStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "assess"; }
@@ -1341,47 +1374,38 @@ Watts true_scope_power(const ClusterPowerModel& cluster,
       electrical, spec);
 }
 
-StagePtr make_provision_stage() { return std::make_unique<ProvisionStage>(); }
 StagePtr make_node_meter_stage() {
   return std::make_unique<NodeTapMeterStage>();
 }
 StagePtr make_reference_node_meter_stage() {
   return std::make_unique<ReferenceMeterStage>();
 }
-StagePtr make_rack_meter_stage() { return std::make_unique<RackMeterStage>(); }
-StagePtr make_facility_meter_stage() {
-  return std::make_unique<FacilityMeterStage>();
-}
-StagePtr make_repair_stage() { return std::make_unique<RepairStage>(); }
-StagePtr make_reconcile_stage() { return std::make_unique<ReconcileStage>(); }
-StagePtr make_aggregate_stage() { return std::make_unique<AggregateStage>(); }
-StagePtr make_assess_stage() { return std::make_unique<AssessStage>(); }
 
 std::vector<StagePtr> make_campaign_stages(const MeasurementPlan& plan,
                                            const CampaignConfig& config) {
   const bool node_tap = plan.point != MeasurementPoint::kFacilityFeed &&
                         plan.point != MeasurementPoint::kRackPdu;
   std::vector<StagePtr> stages;
-  stages.push_back(make_provision_stage());
+  stages.push_back(std::make_unique<ProvisionStage>());
   switch (plan.point) {
     case MeasurementPoint::kFacilityFeed:
-      stages.push_back(make_facility_meter_stage());
+      stages.push_back(std::make_unique<FacilityMeterStage>());
       break;
     case MeasurementPoint::kRackPdu:
-      stages.push_back(make_rack_meter_stage());
+      stages.push_back(std::make_unique<RackMeterStage>());
       break;
     default:
       stages.push_back(make_node_meter_stage());
       break;
   }
-  stages.push_back(make_repair_stage());
+  stages.push_back(std::make_unique<RepairStage>());
   // Only node-tap campaigns reconcile — rack/facility taps have no
   // sibling cohort to cross-validate against.
   if (node_tap && config.reconcile.enabled) {
-    stages.push_back(make_reconcile_stage());
+    stages.push_back(std::make_unique<ReconcileStage>());
   }
-  stages.push_back(make_aggregate_stage());
-  stages.push_back(make_assess_stage());
+  stages.push_back(std::make_unique<AggregateStage>());
+  stages.push_back(std::make_unique<AssessStage>());
   return stages;
 }
 

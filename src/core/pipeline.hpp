@@ -134,15 +134,6 @@ class CampaignStage {
 
 using StagePtr = std::unique_ptr<CampaignStage>;
 
-/// Derives the campaign's execution parameters: effective interval,
-/// metered windows and their per-meter sample count, the analysis grid,
-/// the rack list (rack tap) and meters_planned.  On every tap it checks
-/// that the electrical model is the cluster lowered through
-/// make_system_power_model (a contract_error otherwise) and sets
-/// memoize_truth; on node taps it also borrows the process-wide pool for
-/// a fan-out above one and provisions the FleetState.
-[[nodiscard]] StagePtr make_provision_stage();
-
 /// Node-tap Meter stage.  Walks every metered window in chunks of at
 /// most config.live.chunk_samples over the FleetState lanes, so peak
 /// memory is O(nodes + chunk) whatever the campaign length.  Clean lanes
@@ -163,36 +154,6 @@ using StagePtr = std::unique_ptr<CampaignStage>;
 /// swap it into make_campaign_stages' list to check the engine against
 /// it.
 [[nodiscard]] StagePtr make_reference_node_meter_stage();
-
-/// Rack-PDU Meter stage: one meter per rack containing a selected node;
-/// the reading is later attributed evenly to the rack's nodes.
-[[nodiscard]] StagePtr make_rack_meter_stage();
-
-/// Facility-feed Meter stage: the single whole-feed meter.  Throws
-/// NoUsableDataError when the meter is forced dead — there is no fallback
-/// instrumentation at Level 3.
-[[nodiscard]] StagePtr make_facility_meter_stage();
-
-/// Consolidates the per-device repair/quality tallies into DataQuality.
-/// (Sample-level gap fill runs inside Meter, per device — see the header
-/// comment; this stage owns the accounting.)
-[[nodiscard]] StagePtr make_repair_stage();
-
-/// Byzantine defense: builds per-meter analysis series, cross-validates
-/// them against the cohort and the meter hierarchy, quarantines convicted
-/// meters and undoes exactly invertible unit errors.
-[[nodiscard]] StagePtr make_reconcile_stage();
-
-/// Excludes lost meters, extrapolates the survivors to the machine,
-/// re-bases energy to the planned scope and computes the Eq. 1 CI
-/// (dispatching on the plan's tap point).  Throws NoUsableDataError when
-/// every meter was lost.
-[[nodiscard]] StagePtr make_aggregate_stage();
-
-/// Ground truth and relative error — the simulation-only assessment.
-/// Reads the compute part through the shape memo when ctx.memoize_truth
-/// is set.
-[[nodiscard]] StagePtr make_assess_stage();
 
 /// Assembles the full stage list run_campaign executes for `plan`:
 /// Provision, the tap-point Meter stage, Repair, Reconcile (node taps

@@ -14,6 +14,39 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kLn10 = 2.302585092994046;
 
+// --- detection thresholds ---------------------------------------------------
+
+/// Robust z threshold on a meter's median log-ratio across the cohort
+/// (static miscalibration backstop).  Generous because honest fleet
+/// variability, not meter error, dominates the cohort spread.
+constexpr double kZThreshold = 6.0;
+/// CUSUM slack and decision threshold, in units of the cohort's
+/// window-to-window noise sigma.
+constexpr double kCusumK = 0.5;
+constexpr double kCusumH = 8.0;
+/// Practical-significance floor for a CUSUM conviction: the estimated
+/// head-to-tail shift of the meter's deviation series (log units, so
+/// ~relative error) must reach this before the meter is condemned.  A
+/// marginal CUSUM crossing on a 0.2% wobble is statistical noise, not a
+/// byzantine meter.
+constexpr double kMinEffect = 0.005;
+/// A median log10-ratio within this of a nonzero integer convicts a
+/// power-of-ten unit error.  Tight: a true x1000 lands within ~0.01 of
+/// 3.0, and nothing short of a grossly broken meter gets near 0.7.
+constexpr double kUnitLog10Tol = 0.3;
+/// Clock-skew lag scan: max window lag tried, required correlation gain
+/// over lag 0, and the minimum reference-series variation (cv) for the
+/// scan to be meaningful at all.
+constexpr int kMaxLag = 3;
+constexpr double kLagMinGain = 0.25;
+constexpr double kMinSignalCv = 1e-3;
+/// Residual relative uncertainty per reading whose unit error was undone;
+/// the accuracy report widens the CI by it.
+constexpr double kCorrectedSigma = 0.01;
+/// Median |relative residual| above which a hierarchy check whose
+/// children all look honest indicts the parent meter instead.
+constexpr double kParentResidualFloor = 0.05;
+
 bool finite(double x) { return std::isfinite(x); }
 
 std::vector<double> finite_of(std::span<const double> xs) {
@@ -176,11 +209,10 @@ double theil_sen_slope(std::span<const double> xs) {
 }
 
 ReconcileReport reconcile_meters(const std::vector<MeterSeries>& meters,
-                                 const std::vector<HierarchyCheck>& checks,
-                                 const ReconcilePolicy& policy) {
+                                 const std::vector<HierarchyCheck>& checks) {
   ReconcileReport report;
   report.meters_checked = meters.size();
-  report.corrected_sigma = policy.corrected_sigma;
+  report.corrected_sigma = kCorrectedSigma;
 
   std::size_t windows = 0;
   for (const auto& m : meters) windows = std::max(windows, m.means_w.size());
@@ -288,7 +320,7 @@ ReconcileReport reconcile_meters(const std::vector<MeterSeries>& meters,
       // 1. Power-of-ten unit error: exactly invertible, checked first.
       const double u10 = (med[i] - cohort_level) / kLn10;
       const double p = std::round(u10);
-      if (p != 0.0 && std::abs(u10 - p) <= policy.unit_log10_tol) {
+      if (p != 0.0 && std::abs(u10 - p) <= kUnitLog10Tol) {
         d.verdict = MeterVerdict::kUnitError;
         d.correction_scale = std::pow(10.0, p);
         for (std::size_t w = 0; w < windows; ++w) {
@@ -302,12 +334,11 @@ ReconcileReport reconcile_meters(const std::vector<MeterSeries>& meters,
 
       // 2. Clock skew: the series matches the reference only at a window
       //    offset.  Meaningful only when the workload has structure.
-      if (ref_cv > policy.min_signal_cv && policy.max_lag > 0) {
+      if (ref_cv > kMinSignalCv) {
         const double c0 = lagged_correlation(meters[i].means_w, reference, 0);
         int best_lag = 0;
         double best_corr = finite(c0) ? c0 : -1.0;
-        const int max_lag = static_cast<int>(policy.max_lag);
-        for (int lag = -max_lag; lag <= max_lag; ++lag) {
+        for (int lag = -kMaxLag; lag <= kMaxLag; ++lag) {
           if (lag == 0) continue;
           const double c = lagged_correlation(meters[i].means_w, reference, lag);
           if (finite(c) && c > best_corr) {
@@ -316,7 +347,7 @@ ReconcileReport reconcile_meters(const std::vector<MeterSeries>& meters,
           }
         }
         if (best_lag != 0 && finite(c0) &&
-            best_corr - c0 > policy.lag_min_gain && best_corr > 0.5) {
+            best_corr - c0 > kLagMinGain && best_corr > 0.5) {
           d.verdict = MeterVerdict::kClockSkewed;
           d.clock_lag = best_lag;
           d.detection_window = static_cast<std::size_t>(std::abs(best_lag));
@@ -333,11 +364,10 @@ ReconcileReport reconcile_meters(const std::vector<MeterSeries>& meters,
           standardized[w] = deviation[i][w] / noise_sigma;
         }
       }
-      const CusumResult cs =
-          cusum_detect(standardized, policy.cusum_k, policy.cusum_h);
+      const CusumResult cs = cusum_detect(standardized, kCusumK, kCusumH);
       d.cusum_max = cs.max_stat;
       // Practical-significance gate: estimate the head-to-tail shift of the
-      // deviation series.  A statistically detectable but sub-min_effect
+      // deviation series.  A statistically detectable but sub-kMinEffect
       // wobble is left alone — quarantining it would only cost coverage.
       const double effect = [&] {
         const std::size_t q = std::max<std::size_t>(2, dev_f.size() / 4);
@@ -348,7 +378,7 @@ ReconcileReport reconcile_meters(const std::vector<MeterSeries>& meters,
                                        dev_f.end());
         return std::abs(median(tail) - median(head));
       }();
-      if (cs.crossed && effect >= policy.min_effect) {
+      if (cs.crossed && effect >= kMinEffect) {
         // Drift or step?  Compare a robust linear fit against the best
         // single-changepoint two-mean fit on the compacted deviations.
         const double sse_linear = linear_fit_sse(dev_f, theil_sen_slope(dev_f));
@@ -361,7 +391,7 @@ ReconcileReport reconcile_meters(const std::vector<MeterSeries>& meters,
 
       // 4. Robust-z backstop for gross static miscalibration that neither
       //    looks like a power of ten nor moves within the run.
-      if (std::abs(d.robust_z) > policy.z_threshold) {
+      if (std::abs(d.robust_z) > kZThreshold) {
         d.verdict = MeterVerdict::kMiscalibrated;
         for (std::size_t w = 0; w < windows; ++w) {
           if (finite(log_ratio[i][w])) {
@@ -372,15 +402,15 @@ ReconcileReport reconcile_meters(const std::vector<MeterSeries>& meters,
       }
     }
 
-    // Apply policy: unit errors are exactly invertible, everything else is
-    // quarantined.
+    // Act on the verdicts: unit errors are exactly invertible and get
+    // corrected, everything else is quarantined.
     double latency_sum = 0.0;
     std::size_t convicted = 0;
     for (auto& d : report.diagnoses) {
       if (d.verdict == MeterVerdict::kTrusted) continue;
       ++convicted;
       latency_sum += static_cast<double>(d.detection_window);
-      if (d.verdict == MeterVerdict::kUnitError && policy.correct_unit_errors) {
+      if (d.verdict == MeterVerdict::kUnitError) {
         d.corrected = true;
         ++report.meters_corrected;
       } else {
@@ -447,7 +477,7 @@ ReconcileReport reconcile_meters(const std::vector<MeterSeries>& meters,
         }
         return mags.empty() ? 0.0 : median(mags);
       }();
-      if (!any_child_convicted && median_before > policy.parent_residual_floor) {
+      if (!any_child_convicted && median_before > kParentResidualFloor) {
         hr.parent_distrusted = true;
         ++report.parents_distrusted;
       }
@@ -472,7 +502,7 @@ ReconcileReport reconcile_meters(const std::vector<MeterSeries>& meters,
         if (finite(r)) hr.worst_before = std::max(hr.worst_before, std::abs(r));
       }
       hr.worst_after = hr.worst_before;
-      if (hr.worst_before > policy.parent_residual_floor) {
+      if (hr.worst_before > kParentResidualFloor) {
         hr.parent_distrusted = true;
         ++report.parents_distrusted;
       }

@@ -56,45 +56,13 @@ enum class MeterVerdict {
 
 [[nodiscard]] const char* to_string(MeterVerdict v);
 
-/// Detection thresholds and quarantine policy.
+/// Whether a campaign reconciles, and on how fine a grid.  The detection
+/// thresholds are fixed (core/reconcile.cpp).
 struct ReconcilePolicy {
   bool enabled = false;
   /// Analysis windows the campaign splits its metering window into (floor;
   /// plans that already meter >= 4 windows, e.g. L2 spots, use those).
   std::size_t analysis_windows = 16;
-  /// Robust z threshold on a meter's median log-ratio across the cohort
-  /// (static miscalibration backstop).  Generous because honest fleet
-  /// variability, not meter error, dominates the cohort spread.
-  double z_threshold = 6.0;
-  /// CUSUM slack and decision threshold, in units of the cohort's
-  /// window-to-window noise sigma.
-  double cusum_k = 0.5;
-  double cusum_h = 8.0;
-  /// Practical-significance floor for a CUSUM conviction: the estimated
-  /// head-to-tail shift of the meter's deviation series (log units, so
-  /// ~relative error) must reach this before the meter is condemned.  A
-  /// marginal CUSUM crossing on a 0.2% wobble is statistical noise, not a
-  /// byzantine meter.
-  double min_effect = 0.005;
-  /// A median log10-ratio within this of a nonzero integer convicts a
-  /// power-of-ten unit error.  Tight: a true x1000 lands within ~0.01 of
-  /// 3.0, and nothing short of a grossly broken meter gets near 0.7.
-  double unit_log10_tol = 0.3;
-  /// Clock-skew lag scan: max window lag tried, required correlation gain
-  /// over lag 0, and the minimum reference-series variation (cv) for the
-  /// scan to be meaningful at all.
-  std::size_t max_lag = 3;
-  double lag_min_gain = 0.25;
-  double min_signal_cv = 1e-3;
-  /// Undo convicted unit-scale errors (exactly invertible) instead of
-  /// quarantining the meter; the accuracy report widens the CI using
-  /// `corrected_sigma` as the residual relative uncertainty per corrected
-  /// reading.
-  bool correct_unit_errors = true;
-  double corrected_sigma = 0.01;
-  /// Median |relative residual| above which a hierarchy check whose
-  /// children all look honest indicts the parent meter instead.
-  double parent_residual_floor = 0.05;
 };
 
 /// Per-meter reconciliation outcome.
@@ -146,8 +114,8 @@ struct ReconcileReport {
   double worst_residual_after = 0.0;
   /// Mean `detection_window` over convicted meters.
   double mean_detection_latency_windows = 0.0;
-  /// Residual relative sigma per corrected reading (copied from the
-  /// policy so report rendering and CI widening agree).
+  /// Residual relative sigma per corrected reading (carried in the
+  /// report so report rendering and CI widening agree).
   double corrected_sigma = 0.0;
 
   [[nodiscard]] bool any_convicted() const {
@@ -189,9 +157,10 @@ struct CusumResult {
 /// Runs the cohort diagnostics over `meters` and the hierarchy residual
 /// checks over `checks`.  Meters must share one series length; fewer than
 /// three meters (or fewer than four windows) cannot form a cohort and come
-/// back trusted.
+/// back trusted.  Convicted unit errors are corrected; every other
+/// conviction is quarantined.
 [[nodiscard]] ReconcileReport reconcile_meters(
     const std::vector<MeterSeries>& meters,
-    const std::vector<HierarchyCheck>& checks, const ReconcilePolicy& policy);
+    const std::vector<HierarchyCheck>& checks);
 
 }  // namespace pv

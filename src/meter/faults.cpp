@@ -316,13 +316,13 @@ void FaultPlan::apply_forced_byzantine(std::size_t pos,
   const double sign = (pos / 4) % 2 == 0 ? 1.0 : -1.0;
   switch (pos % 4) {
     case 0:
-      fate.drift_rate_per_hour = sign * byz_drift_per_hour;
+      fate.drift_rate_per_hour = sign * kByzDriftPerHour;
       break;
     case 1:
-      fate.unit_scale = sign > 0.0 ? byz_unit_scale : 1.0 / byz_unit_scale;
+      fate.unit_scale = sign > 0.0 ? kByzUnitScale : 1.0 / kByzUnitScale;
       break;
     case 2:
-      fate.clock_skew_s = sign * byz_clock_skew_s;
+      fate.clock_skew_s = sign * kByzClockSkewS;
       break;
     default:
       fate.recalibrates = true;
@@ -330,7 +330,7 @@ void FaultPlan::apply_forced_byzantine(std::size_t pos,
       // to learn the meter's honest level, long enough after to convict.
       fate.recal_time_s = campaign_window.begin.value() +
                           0.4 * campaign_window.duration().value();
-      fate.recal_gain = 1.0 + sign * byz_step_frac;
+      fate.recal_gain = 1.0 + sign * kByzStepFrac;
       break;
   }
 }

@@ -154,20 +154,16 @@ struct FaultEvents {
 /// never repeats exactly).  Returns the number of samples invalidated.
 std::size_t flag_stuck_runs(GappyTrace& trace, std::size_t min_run = 5);
 
-/// Campaign-level fault policy: the fault process applied to every meter
-/// plus the degradation knobs the campaign uses to survive it.
+/// The coverage floor: a meter delivering less than this fraction of its
+/// expected samples is declared lost and its node excluded from
+/// extrapolation (the dead-meter degradation path).  Shared by the
+/// campaign's fault path and the async collector's pollers.
+inline constexpr double kMinCoverage = 0.5;
+
+/// Campaign-level fault plan: the fault process applied to every meter
+/// plus the meters forced dead or byzantine.
 struct FaultPlan {
   FaultSpec spec;
-  /// How surviving meters' gaps are filled before window statistics.
-  RepairPolicy repair = RepairPolicy::kInterpolate;
-  /// A meter whose trace coverage falls below this is declared degraded
-  /// and its node excluded from extrapolation.
-  double min_coverage = 0.5;
-  /// Consecutive identical readings flagged as a stuck sensor.
-  std::size_t stuck_run_min = 5;
-  /// Hampel despiking parameters applied to repaired traces.
-  std::size_t hampel_half_window = 5;
-  double hampel_n_sigmas = 4.0;
   /// Meters (node ids / rack ids as used by the plan) forced dead from
   /// t=0 — deterministic dead-channel scenarios for tests and benches.
   std::vector<std::size_t> dead_meters;
@@ -175,10 +171,12 @@ struct FaultPlan {
   /// error -> clock skew -> recalibration step by list position —
   /// deterministic lying-meter scenarios for tests and benches.
   std::vector<std::size_t> byzantine_meters;
-  double byz_drift_per_hour = 0.05;  ///< forced drift rate (sign alternates)
-  double byz_unit_scale = 1000.0;    ///< forced W-vs-kW factor
-  double byz_clock_skew_s = 45.0;    ///< forced clock offset (sign alternates)
-  double byz_step_frac = 0.04;       ///< forced recalibration step size
+  /// The forced faults' sizes: drift rate and clock offset (signs
+  /// alternate), the W-vs-kW factor and the recalibration step.
+  static constexpr double kByzDriftPerHour = 0.05;
+  static constexpr double kByzUnitScale = 1000.0;
+  static constexpr double kByzClockSkewS = 45.0;
+  static constexpr double kByzStepFrac = 0.04;
 
   [[nodiscard]] bool enabled() const {
     return spec.any() || !dead_meters.empty() || !byzantine_meters.empty();

@@ -159,8 +159,6 @@ AdmissionVerdict CampaignService::admit(const ServiceRequest& req, bool hold,
     ids_accepted_.insert(req.id);
     auto slot = std::make_unique<Slot>();
     slot->request = req;
-    slot->counts_admitted = true;
-    slot->held = hold;
     slot->cancel = std::make_unique<CancelToken>();
     const double budget =
         req.deadline_ms > 0.0 ? req.deadline_ms : config_.default_deadline_ms;

@@ -219,8 +219,6 @@ class CampaignService {
   struct Slot {
     ServiceRequest request;
     State state = State::kQueued;
-    bool counts_admitted = false;
-    bool held = false;          ///< admitted for drain only, never dispatched
     ServiceResponse response;
     std::unique_ptr<CancelToken> cancel;
   };

@@ -1,5 +1,6 @@
 #include "sim/fleet_state.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/expects.hpp"
@@ -70,6 +71,18 @@ FleetState build_fleet_state(std::span<const std::size_t> nodes,
 // --------------------------------------------------------------------------
 // Analysis-window mapping (reconcile buckets)
 
+namespace {
+
+// True when every entry of `a_idx` is negative (no window) or a row below
+// `rows`.
+bool map_within(std::span<const std::int32_t> a_idx, std::size_t rows) {
+  return std::all_of(a_idx.begin(), a_idx.end(), [rows](std::int32_t a) {
+    return a < 0 || static_cast<std::size_t>(a) < rows;
+  });
+}
+
+}  // namespace
+
 void map_analysis_samples(const ShapeTable& chunk,
                           const std::vector<TimeWindow>& analysis,
                           std::vector<std::int32_t>& out) {
@@ -91,6 +104,8 @@ void map_analysis_samples(const ShapeTable& chunk,
 
 void count_analysis_samples(std::span<const std::int32_t> a_idx,
                             std::span<std::size_t> bucket_n) {
+  PV_EXPECTS(map_within(a_idx, bucket_n.size()),
+             "analysis map names a bucket row the counts lack");
   for (const std::int32_t a : a_idx) {
     if (a >= 0) ++bucket_n[static_cast<std::size_t>(a)];
   }
@@ -269,6 +284,8 @@ void stream_fleet_chunk(const ShapeTable& chunk,
   PV_EXPECTS(acc.nodes == fleet.size(), "accumulators not sized to fleet");
   PV_EXPECTS(a_idx.empty() || a_idx.size() == chunk.samples,
              "analysis map not parallel to the chunk");
+  PV_EXPECTS(map_within(a_idx, acc.bucket_n.size()),
+             "analysis map names a bucket row the accumulators lack");
   const std::int32_t* const map = a_idx.empty() ? nullptr : a_idx.data();
   if (!chunk.levels.empty()) {
     fused_level_chunk(chunk, fleet, k0, begin, end, acc.win_sum.data(), map,

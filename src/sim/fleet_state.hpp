@@ -155,6 +155,7 @@ void map_analysis_samples(const ShapeTable& chunk,
                           std::vector<std::int32_t>& out);
 
 /// Adds one chunk's per-analysis-window sample counts into `bucket_n`.
+/// An entry naming a row `bucket_n` lacks is a contract_error.
 void count_analysis_samples(std::span<const std::int32_t> a_idx,
                             std::span<std::size_t> bucket_n);
 
@@ -169,7 +170,8 @@ void count_analysis_samples(std::span<const std::int32_t> a_idx,
 /// and adds; dense chunks (ramps past the level cap) fall back to the
 /// per-node kernel, chained into the same accumulators.  Chunk sample i
 /// draws every lane's noise at meter-global index k0 + i.  Workers must
-/// own disjoint lane ranges.
+/// own disjoint lane ranges.  A map entry naming a bucket row `acc` lacks
+/// (acc.bucket_n.size() rows) is a contract_error.
 void stream_fleet_chunk(const ShapeTable& chunk,
                         std::span<const std::int32_t> a_idx,
                         const FleetState& fleet, std::uint64_t k0,

@@ -6,18 +6,6 @@
 
 namespace pv {
 
-const char* to_string(RepairPolicy p) {
-  switch (p) {
-    case RepairPolicy::kDrop:
-      return "drop";
-    case RepairPolicy::kInterpolate:
-      return "linear-interpolate";
-    case RepairPolicy::kHoldLast:
-      return "hold-last";
-  }
-  return "?";
-}
-
 GappyTrace::GappyTrace(PowerTrace trace, std::vector<std::uint8_t> valid)
     : trace_(std::move(trace)), valid_(std::move(valid)) {
   PV_EXPECTS(valid_.size() == trace_.size(),
@@ -83,17 +71,9 @@ Joules GappyTrace::energy() const {
   return Joules{mean_power().value() * trace_.duration().value()};
 }
 
-PowerTrace GappyTrace::repaired(RepairPolicy policy) const {
+PowerTrace GappyTrace::repaired() const {
   PV_EXPECTS(valid_count() > 0, "cannot repair a fully invalid trace");
   std::vector<double> w(trace_.watts().begin(), trace_.watts().end());
-
-  if (policy == RepairPolicy::kDrop) {
-    const double fill = mean_power().value();
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      if (valid_[i] == 0) w[i] = fill;
-    }
-    return PowerTrace(trace_.t0(), trace_.dt(), std::move(w));
-  }
 
   // Index of the previous valid sample for each position (or npos).
   constexpr auto npos = static_cast<std::size_t>(-1);
@@ -114,11 +94,7 @@ PowerTrace GappyTrace::repaired(RepairPolicy policy) const {
     if (valid_[i] != 0) continue;
     const std::size_t p = prev_valid[i];
     const std::size_t q = next_valid[i];
-    if (policy == RepairPolicy::kHoldLast) {
-      w[i] = p != npos ? w[p] : w[q];  // leading gap: back-fill
-      continue;
-    }
-    // kInterpolate; edge gaps degrade to nearest-valid.
+    // Edge gaps degrade to nearest-valid.
     if (p == npos) {
       w[i] = w[q];
     } else if (q == npos) {

@@ -5,9 +5,9 @@
 // meters that die mid-run (the Cray PMDB validation work spends much of
 // its length on exactly these defects).  A GappyTrace keeps the regular
 // time base of a PowerTrace, marks which samples actually arrived, and
-// provides gap-aware statistics plus repair policies so the §3 window
-// statistics stay computable over holes instead of silently averaging
-// garbage.
+// provides gap-aware statistics plus linear-interpolation repair so the
+// §3 window statistics stay computable over holes instead of silently
+// averaging garbage.
 
 #include <cstdint>
 #include <vector>
@@ -15,15 +15,6 @@
 #include "trace/time_series.hpp"
 
 namespace pv {
-
-/// How invalid samples are filled when a dense trace is required.
-enum class RepairPolicy {
-  kDrop,         ///< fill with the gap-aware mean (gaps carry no signal)
-  kInterpolate,  ///< linear between the bracketing valid samples
-  kHoldLast,     ///< repeat the last valid reading (PDU logger behaviour)
-};
-
-[[nodiscard]] const char* to_string(RepairPolicy p);
 
 /// Shape of the missingness in a GappyTrace.
 struct GapStats {
@@ -66,10 +57,10 @@ class GappyTrace {
   /// drops samples but the machine kept running.
   [[nodiscard]] Joules energy() const;
 
-  /// A dense PowerTrace with invalid samples filled per `policy`.
-  /// Leading/trailing gaps fall back to the nearest valid sample for
-  /// kInterpolate/kHoldLast.  Requires >= 1 valid sample.
-  [[nodiscard]] PowerTrace repaired(RepairPolicy policy) const;
+  /// A dense PowerTrace with each invalid sample filled linearly between
+  /// the bracketing valid samples.  Leading/trailing gaps fall back to the
+  /// nearest valid sample.  Requires >= 1 valid sample.
+  [[nodiscard]] PowerTrace repaired() const;
 
  private:
   PowerTrace trace_;

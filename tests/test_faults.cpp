@@ -347,14 +347,14 @@ TEST(ByzantineFaults, ForcedCycleCoversAllFourModesAndAlternatesSign) {
     plan.apply_forced_byzantine(pos, win, fates[pos]);
     EXPECT_TRUE(fates[pos].byzantine());
   }
-  EXPECT_DOUBLE_EQ(fates[0].drift_rate_per_hour, plan.byz_drift_per_hour);
-  EXPECT_DOUBLE_EQ(fates[1].unit_scale, plan.byz_unit_scale);
-  EXPECT_DOUBLE_EQ(fates[2].clock_skew_s, plan.byz_clock_skew_s);
+  EXPECT_DOUBLE_EQ(fates[0].drift_rate_per_hour, FaultPlan::kByzDriftPerHour);
+  EXPECT_DOUBLE_EQ(fates[1].unit_scale, FaultPlan::kByzUnitScale);
+  EXPECT_DOUBLE_EQ(fates[2].clock_skew_s, FaultPlan::kByzClockSkewS);
   EXPECT_TRUE(fates[3].recalibrates);
   EXPECT_DOUBLE_EQ(fates[3].recal_time_s, 0.4 * 1800.0);
-  EXPECT_DOUBLE_EQ(fates[3].recal_gain, 1.0 + plan.byz_step_frac);
+  EXPECT_DOUBLE_EQ(fates[3].recal_gain, 1.0 + FaultPlan::kByzStepFrac);
   // The second cycle pushes the other way.
-  EXPECT_DOUBLE_EQ(fates[4].drift_rate_per_hour, -plan.byz_drift_per_hour);
+  EXPECT_DOUBLE_EQ(fates[4].drift_rate_per_hour, -FaultPlan::kByzDriftPerHour);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for GappyTrace: gap statistics, gap-aware means/energy, and
-// the repair policies.
+// linear-interpolation repair.
 
 #include "trace/gaps.hpp"
 
@@ -58,7 +58,7 @@ TEST(GappyTrace, MeanSkipsInvalidSamples) {
 TEST(GappyTrace, FullyInvalidTraceRefusesStatistics) {
   GappyTrace g(ramp(3), std::vector<std::uint8_t>(3, 0));
   EXPECT_THROW(g.mean_power(), contract_error);
-  EXPECT_THROW(g.repaired(RepairPolicy::kInterpolate), contract_error);
+  EXPECT_THROW(g.repaired(), contract_error);
 }
 
 TEST(GappyTrace, InvalidateUpdatesStats) {
@@ -72,7 +72,7 @@ TEST(GappyTrace, RepairInterpolateBridgesInteriorGaps) {
   // 100 _ _ 130 with a linear ramp: interpolation recovers it exactly.
   std::vector<std::uint8_t> mask{1, 0, 0, 1};
   const GappyTrace g(ramp(4), mask);
-  const PowerTrace r = g.repaired(RepairPolicy::kInterpolate);
+  const PowerTrace r = g.repaired();
   EXPECT_DOUBLE_EQ(r.watt_at(1), 110.0);
   EXPECT_DOUBLE_EQ(r.watt_at(2), 120.0);
   EXPECT_DOUBLE_EQ(r.watt_at(0), 100.0);
@@ -82,51 +82,18 @@ TEST(GappyTrace, RepairInterpolateBridgesInteriorGaps) {
 TEST(GappyTrace, RepairInterpolateEdgeGapsUseNearestValid) {
   std::vector<std::uint8_t> mask{0, 1, 1, 0};
   const GappyTrace g(ramp(4), mask);
-  const PowerTrace r = g.repaired(RepairPolicy::kInterpolate);
+  const PowerTrace r = g.repaired();
   EXPECT_DOUBLE_EQ(r.watt_at(0), 110.0);  // leading gap -> first valid
   EXPECT_DOUBLE_EQ(r.watt_at(3), 120.0);  // trailing gap -> last valid
-}
-
-TEST(GappyTrace, RepairHoldLastRepeatsPreviousReading) {
-  std::vector<std::uint8_t> mask{1, 0, 0, 1, 0};
-  const GappyTrace g(ramp(5), mask);
-  const PowerTrace r = g.repaired(RepairPolicy::kHoldLast);
-  EXPECT_DOUBLE_EQ(r.watt_at(1), 100.0);
-  EXPECT_DOUBLE_EQ(r.watt_at(2), 100.0);
-  EXPECT_DOUBLE_EQ(r.watt_at(4), 130.0);
-}
-
-TEST(GappyTrace, RepairHoldLastBackfillsLeadingGap) {
-  std::vector<std::uint8_t> mask{0, 0, 1, 1};
-  const GappyTrace g(ramp(4), mask);
-  const PowerTrace r = g.repaired(RepairPolicy::kHoldLast);
-  EXPECT_DOUBLE_EQ(r.watt_at(0), 120.0);
-  EXPECT_DOUBLE_EQ(r.watt_at(1), 120.0);
-}
-
-TEST(GappyTrace, RepairDropFillsWithGapAwareMean) {
-  std::vector<std::uint8_t> mask{1, 0, 1, 0};
-  const GappyTrace g(ramp(4), mask);
-  const PowerTrace r = g.repaired(RepairPolicy::kDrop);
-  EXPECT_DOUBLE_EQ(r.watt_at(1), 110.0);
-  EXPECT_DOUBLE_EQ(r.watt_at(3), 110.0);
-  // Dense mean equals the gap-aware mean under kDrop.
-  EXPECT_DOUBLE_EQ(r.mean_power().value(), g.mean_power().value());
 }
 
 TEST(GappyTrace, RepairPreservesTimeBase) {
   std::vector<std::uint8_t> mask{1, 0, 1};
   const GappyTrace g(ramp(3, /*t0=*/50.0, /*dt=*/2.0), mask);
-  const PowerTrace r = g.repaired(RepairPolicy::kInterpolate);
+  const PowerTrace r = g.repaired();
   EXPECT_DOUBLE_EQ(r.t0().value(), 50.0);
   EXPECT_DOUBLE_EQ(r.dt().value(), 2.0);
   EXPECT_EQ(r.size(), 3u);
-}
-
-TEST(RepairPolicy, HasNames) {
-  EXPECT_STREQ(to_string(RepairPolicy::kDrop), "drop");
-  EXPECT_STREQ(to_string(RepairPolicy::kInterpolate), "linear-interpolate");
-  EXPECT_STREQ(to_string(RepairPolicy::kHoldLast), "hold-last");
 }
 
 }  // namespace

@@ -23,7 +23,8 @@
 // emission schedule, the facility check meter on a zero-auxiliary rig,
 // thread invariance of the sharded provision and of both loop shapes
 // (FleetSoA, run under TSan), the fused kernel against the dense per-node
-// path on hand-built tables whose shape level changes mid-chunk
+// path on hand-built tables whose shape level changes mid-chunk and the
+// typed error for an analysis map naming a missing bucket row
 // (FusedLevelRuns), the scenario-scale guards, and the typed error a
 // hand-built (not lowered) electrical model gets on every tap.
 //
@@ -38,6 +39,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -662,6 +664,46 @@ TEST(FusedLevelRuns, IntegratedLevelChangesMatchDensePath) {
           planes[q] = seq;
           return planes;
         });
+  }
+}
+
+TEST(FusedLevelRuns, MapNamingAMissingBucketIsATypedError) {
+  // A map entry past the accumulators' bucket rows would write past
+  // bucket_sum (and bucket_n); both kernels and the shared count refuse
+  // the whole map before anything is written.
+  const Rig rig = make_rig(24, Level::kL3, 4);
+  FleetProvisionSpec spec;
+  spec.seed = 4;
+  const FleetState fleet =
+      build_fleet_state(rig.plan.node_indices, spec, rig.cluster.get(),
+                        rig.electrical.get());
+  const std::vector<std::uint32_t> seq = {0, 0, 1, 0, 2, 2, 2, 3};
+  const ShapeTable leveled =
+      level_table(MeterMode::kSampled, {1.0, 0.6, 0.85, 1.1}, {seq});
+  const ShapeTable dense = [&] {
+    ShapeTable t = leveled;
+    t.levels.clear();
+    t.level_idx.clear();
+    return t;
+  }();
+  constexpr std::size_t kBuckets = 2;
+  for (const std::int32_t bad : {std::numeric_limits<std::int32_t>::max(),
+                                 static_cast<std::int32_t>(kBuckets)}) {
+    SCOPED_TRACE("map entry " + std::to_string(bad));
+    std::vector<std::int32_t> a_idx(seq.size(), 0);
+    a_idx[3] = -1;
+    a_idx[5] = bad;
+    for (const ShapeTable* table : {&leveled, &dense}) {
+      FleetAccumulators acc;
+      acc.init(fleet.size(), kBuckets);
+      FleetScratch scratch;
+      EXPECT_THROW(stream_fleet_chunk(*table, a_idx, fleet, 0, 0, fleet.size(),
+                                      acc, scratch),
+                   contract_error)
+          << (table == &dense ? "dense" : "level-indexed");
+    }
+    std::vector<std::size_t> counts(kBuckets, 0);
+    EXPECT_THROW(count_analysis_samples(a_idx, counts), contract_error);
   }
 }
 

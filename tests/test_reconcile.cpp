@@ -114,7 +114,7 @@ std::vector<MeterSeries> honest_cohort(std::size_t meters,
 
 TEST(Reconcile, HonestCohortStaysTrusted) {
   const auto meters = honest_cohort(24, 16);
-  const auto rep = reconcile_meters(meters, {}, ReconcilePolicy{});
+  const auto rep = reconcile_meters(meters, {});
   EXPECT_EQ(rep.meters_checked, 24u);
   EXPECT_EQ(rep.meters_quarantined, 0u);
   EXPECT_EQ(rep.meters_corrected, 0u);
@@ -127,7 +127,7 @@ TEST(Reconcile, UnitErrorConvictedAndExactlyInvertible) {
   auto meters = honest_cohort(24, 16);
   for (double& x : meters[5].means_w) x *= 1000.0;  // W reported as mW
   for (double& x : meters[9].means_w) x /= 1000.0;  // W reported as kW
-  const auto rep = reconcile_meters(meters, {}, ReconcilePolicy{});
+  const auto rep = reconcile_meters(meters, {});
   EXPECT_EQ(rep.meters_corrected, 2u);
   EXPECT_EQ(rep.meters_quarantined, 0u);
   EXPECT_EQ(rep.diagnoses[5].verdict, MeterVerdict::kUnitError);
@@ -137,24 +137,13 @@ TEST(Reconcile, UnitErrorConvictedAndExactlyInvertible) {
   EXPECT_DOUBLE_EQ(rep.diagnoses[9].correction_scale, 0.001);
 }
 
-TEST(Reconcile, UnitErrorQuarantinedWhenCorrectionDisabled) {
-  auto meters = honest_cohort(24, 16);
-  for (double& x : meters[5].means_w) x *= 1000.0;
-  ReconcilePolicy policy;
-  policy.correct_unit_errors = false;
-  const auto rep = reconcile_meters(meters, {}, policy);
-  EXPECT_EQ(rep.meters_corrected, 0u);
-  EXPECT_EQ(rep.meters_quarantined, 1u);
-  EXPECT_TRUE(rep.diagnoses[5].quarantined);
-}
-
 TEST(Reconcile, SlowGainDriftConvictedAsDrifting) {
   auto meters = honest_cohort(24, 16);
   for (std::size_t w = 0; w < meters[7].means_w.size(); ++w) {
     // 3% creep across the run — far below the z backstop, pure CUSUM.
     meters[7].means_w[w] *= 1.0 + 0.002 * static_cast<double>(w);
   }
-  const auto rep = reconcile_meters(meters, {}, ReconcilePolicy{});
+  const auto rep = reconcile_meters(meters, {});
   EXPECT_EQ(rep.diagnoses[7].verdict, MeterVerdict::kDrifting);
   EXPECT_TRUE(rep.diagnoses[7].quarantined);
   EXPECT_GT(rep.diagnoses[7].drift_per_window, 0.0);
@@ -166,7 +155,7 @@ TEST(Reconcile, RecalibrationStepConvictedAsMiscalibrated) {
   for (std::size_t w = 8; w < meters[3].means_w.size(); ++w) {
     meters[3].means_w[w] *= 1.04;  // one-shot 4% recalibration
   }
-  const auto rep = reconcile_meters(meters, {}, ReconcilePolicy{});
+  const auto rep = reconcile_meters(meters, {});
   EXPECT_EQ(rep.diagnoses[3].verdict, MeterVerdict::kMiscalibrated);
   EXPECT_TRUE(rep.diagnoses[3].quarantined);
 }
@@ -178,7 +167,7 @@ TEST(Reconcile, SubThresholdWobbleIsNotConvicted) {
   for (std::size_t w = 8; w < meters[6].means_w.size(); ++w) {
     meters[6].means_w[w] *= 1.003;
   }
-  const auto rep = reconcile_meters(meters, {}, ReconcilePolicy{});
+  const auto rep = reconcile_meters(meters, {});
   EXPECT_EQ(rep.diagnoses[6].verdict, MeterVerdict::kTrusted);
   EXPECT_EQ(rep.meters_quarantined, 0u);
 }
@@ -186,7 +175,7 @@ TEST(Reconcile, SubThresholdWobbleIsNotConvicted) {
 TEST(Reconcile, GrossStaticGainCaughtByZBackstop) {
   auto meters = honest_cohort(24, 16);
   for (double& x : meters[11].means_w) x *= 1.6;  // not a power of ten
-  const auto rep = reconcile_meters(meters, {}, ReconcilePolicy{});
+  const auto rep = reconcile_meters(meters, {});
   EXPECT_EQ(rep.diagnoses[11].verdict, MeterVerdict::kMiscalibrated);
   EXPECT_NEAR(rep.diagnoses[11].gain_estimate, 1.6, 0.1);
 }
@@ -208,7 +197,7 @@ TEST(Reconcile, ClockSkewDetectedOnStructuredSignal) {
     }
     meters.push_back(std::move(s));
   }
-  const auto rep = reconcile_meters(meters, {}, ReconcilePolicy{});
+  const auto rep = reconcile_meters(meters, {});
   EXPECT_EQ(rep.diagnoses[4].verdict, MeterVerdict::kClockSkewed);
   EXPECT_EQ(rep.diagnoses[4].clock_lag, 1);
   EXPECT_TRUE(rep.diagnoses[4].quarantined);
@@ -216,7 +205,7 @@ TEST(Reconcile, ClockSkewDetectedOnStructuredSignal) {
 
 TEST(Reconcile, TinyCohortComesBackTrusted) {
   const auto meters = honest_cohort(2, 16);
-  const auto rep = reconcile_meters(meters, {}, ReconcilePolicy{});
+  const auto rep = reconcile_meters(meters, {});
   EXPECT_EQ(rep.meters_quarantined, 0u);
   for (const auto& d : rep.diagnoses) {
     EXPECT_EQ(d.verdict, MeterVerdict::kTrusted);
@@ -242,7 +231,7 @@ TEST(Reconcile, HierarchyResidualShrinksAfterCorrection) {
     check.child_ids.push_back(m.meter_id);
     check.child_means_w.push_back(m.means_w);
   }
-  const auto rep = reconcile_meters(meters, {check}, ReconcilePolicy{});
+  const auto rep = reconcile_meters(meters, {check});
   ASSERT_EQ(rep.residuals.size(), 1u);
   EXPECT_GT(rep.residuals[0].worst_before, 10.0);   // x1000 child: huge
   EXPECT_LT(rep.residuals[0].worst_after, 0.01);    // exactly undone
@@ -264,7 +253,7 @@ TEST(Reconcile, HonestChildrenIndictTheLyingParent) {
     check.child_ids.push_back(m.meter_id);
     check.child_means_w.push_back(m.means_w);
   }
-  const auto rep = reconcile_meters(meters, {check}, ReconcilePolicy{});
+  const auto rep = reconcile_meters(meters, {check});
   ASSERT_EQ(rep.residuals.size(), 1u);
   EXPECT_TRUE(rep.residuals[0].parent_distrusted);
   EXPECT_EQ(rep.parents_distrusted, 1u);
@@ -274,8 +263,8 @@ TEST(Reconcile, HonestChildrenIndictTheLyingParent) {
 TEST(Reconcile, PureFunctionOfItsInputs) {
   auto meters = honest_cohort(24, 16);
   for (double& x : meters[5].means_w) x *= 1000.0;
-  const auto a = reconcile_meters(meters, {}, ReconcilePolicy{});
-  const auto b = reconcile_meters(meters, {}, ReconcilePolicy{});
+  const auto a = reconcile_meters(meters, {});
+  const auto b = reconcile_meters(meters, {});
   ASSERT_EQ(a.diagnoses.size(), b.diagnoses.size());
   for (std::size_t i = 0; i < a.diagnoses.size(); ++i) {
     EXPECT_EQ(a.diagnoses[i].verdict, b.diagnoses[i].verdict);

@@ -248,7 +248,9 @@ TEST(WalTorture, SeededTruncationsAlwaysLeaveACleanPrefix) {
     // Nothing between the last good record and the cut goes uncounted.
     if (r.records.size() < wrote.size() && cut > header_end) {
       const bool cut_mid_line = pristine[cut - 1] != '\n';
-      if (cut_mid_line) EXPECT_GE(r.torn_lines, 1u) << "cut at byte " << cut;
+      if (cut_mid_line) {
+        EXPECT_GE(r.torn_lines, 1u) << "cut at byte " << cut;
+      }
     }
   }
 }

@@ -13,7 +13,10 @@ build_dir="${1:-build}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 echo "=== tier 1: plain build + ctest ($build_dir) ==="
-cmake -B "$build_dir" -S . >/dev/null
+# Warnings are errors in the plain tree: the build is warning-free, so a
+# new warning fails tier-1 instead of scrolling past.  (The sanitizer
+# trees below keep the default.)
+cmake -B "$build_dir" -S . -DPOWERVAR_WARNINGS_AS_ERRORS=ON >/dev/null
 cmake --build "$build_dir" -j "$jobs"
 # Includes the perf gate (label `perf`): bench_perf checks every row's
 # hard contract and each gated ratio against the committed
