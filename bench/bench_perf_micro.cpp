@@ -1,7 +1,7 @@
 // Library micro-benchmarks (google-benchmark): the hot paths behind the
-// reproduction — RNG, meter noise, the fused fleet metering kernel,
-// quantiles, trace window statistics, fleet generation, sliding-window
-// sweeps and the coverage inner loop.
+// reproduction — RNG, meter noise (per draw and per row), the fused fleet
+// metering kernel, quantiles, trace window statistics, fleet generation,
+// sliding-window sweeps and the coverage inner loop.
 
 #include <benchmark/benchmark.h>
 
@@ -68,6 +68,29 @@ void BM_MeterNoise(benchmark::State& state) {
   report_peak_rss(state);
 }
 BENCHMARK(BM_MeterNoise);
+
+/// BM_MeterNoise's pattern through normal_row, the fused kernel's draw:
+/// 4096 lanes at one shared index per iteration.  The label names the
+/// path this CPU takes (normal_row_path).
+void BM_NoiseRow(benchmark::State& state) {
+  constexpr std::size_t kLanes = 4096;
+  std::vector<pv::NoiseStream> lanes;
+  lanes.reserve(kLanes);
+  for (std::size_t i = 0; i < kLanes; ++i) lanes.emplace_back(0xBADCAB1E, i);
+  std::vector<double> out(kLanes);
+  std::uint64_t k = 0;
+  for (auto _ : state) {
+    pv::normal_row(lanes, k, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    ++k;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kLanes));
+  state.SetLabel(pv::normal_row_path());
+  report_peak_rss(state);
+}
+BENCHMARK(BM_NoiseRow);
 
 /// The fused lane kernel of clean node-tap metering (stream_fleet_chunk)
 /// over a 20k-lane PDU-grade node-AC fleet: one 1800-sample chunk, the

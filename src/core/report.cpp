@@ -312,13 +312,18 @@ Document live_assessment_document(const MeasurementPlan& plan,
                                   const LiveProgress& progress) {
   Document doc = assessment_document(plan, result);
   DocBlock& b = doc.block("live", "\n--- live (partial) ---\n");
-  b.field("seq", progress.seq,
-          kv("partial", "#" + std::to_string(progress.seq) + " at t=" +
-                            fmt_fixed(progress.virtual_s, 1) + " s, " +
-                            std::to_string(progress.windows_closed) +
-                            " windows closed, " +
-                            std::to_string(progress.nodes_reporting) +
-                            " nodes reporting"));
+  // Appended piece by piece: the operator+ chain starting at "#" inlines
+  // into a copy GCC 12 flags as overlapping (-Wrestrict) at -O3.
+  std::string partial = "#";
+  partial += std::to_string(progress.seq);
+  partial += " at t=";
+  partial += fmt_fixed(progress.virtual_s, 1);
+  partial += " s, ";
+  partial += std::to_string(progress.windows_closed);
+  partial += " windows closed, ";
+  partial += std::to_string(progress.nodes_reporting);
+  partial += " nodes reporting";
+  b.field("seq", progress.seq, kv("partial", partial));
   b.field("virtual_s", progress.virtual_s);
   b.field("windows_closed", progress.windows_closed);
   b.field("nodes_reporting", progress.nodes_reporting);

@@ -153,10 +153,11 @@ namespace {
 // only on its level indices, and steady phases repeat them for long runs
 // of samples, so the kernel keeps one clean row per lane and refills it
 // only where a sample's indices (all four planes when integrated) differ
-// from the previous sample's.  Each sample then costs its noise draw and
-// its adds.  The noise-free accumulate stays two loops, with and without
-// a bucket row: GCC at -O2 does not unswitch an inner `if (bs)`, and the
-// merged loop ran perfect-meter chunks at half the speed.
+// from the previous sample's.  Each sample then costs its noise draws,
+// one normal_row over the lanes' streams, and its adds.  Each accumulate
+// stays two loops, with and without a bucket row: GCC at -O2 does not
+// unswitch an inner `if (bs)`, and the merged loop ran perfect-meter
+// chunks at half the speed.
 void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
                        std::uint64_t k0, std::size_t begin, std::size_t end,
                        double* win_sum,
@@ -191,6 +192,8 @@ void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
   const double* const acl = scratch.acl.data();
   scratch.clean.resize(m);
   double* const clean = scratch.clean.data();
+  scratch.draws.resize(m);
+  double* const z = scratch.draws.data();
 
   // Plane q of sample k reads level row idx[q*samples + k].
   const auto row = [&](std::size_t q, std::size_t k) {
@@ -228,12 +231,21 @@ void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
            begin;
     }
     if (sd > 0.0) {
-      const std::uint64_t draw = k0 + k;
-      for (std::size_t i = 0; i < m; ++i) {
-        double v = clean[i];
-        v *= 1.0 + sd * noise[i].normal(draw);
-        win[i] += v;
-        if (bs != nullptr) bs[i] += v;
+      normal_row(std::span<const NoiseStream>(noise, m), k0 + k,
+                 std::span<double>(z, m));
+      if (bs != nullptr) {
+        for (std::size_t i = 0; i < m; ++i) {
+          double v = clean[i];
+          v *= 1.0 + sd * z[i];
+          win[i] += v;
+          bs[i] += v;
+        }
+      } else {
+        for (std::size_t i = 0; i < m; ++i) {
+          double v = clean[i];
+          v *= 1.0 + sd * z[i];
+          win[i] += v;
+        }
       }
     } else if (bs != nullptr) {
       for (std::size_t i = 0; i < m; ++i) {

@@ -138,6 +138,8 @@ struct FleetScratch {
   /// Per-lane clean reading (truth * gain + offset) of the current run of
   /// samples with equal level indices; refilled where the indices change.
   std::vector<double> clean;
+  /// Per-lane standard normal draws of the current sample (normal_row).
+  std::vector<double> draws;
   std::vector<double> dc;   ///< per-lane DC staging for one level
   std::vector<double> lf;   ///< FleetPsuBank blend staging
   std::vector<double> eff;  ///< FleetPsuBank blend staging

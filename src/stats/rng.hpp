@@ -21,11 +21,20 @@
 //     function of (origin, k).  The stream is an immutable 8-byte origin:
 //     no path has to consume a meter's noise in sample order, and a
 //     retried, re-polled or re-chunked sample sees the same value.
+//     normal_row draws one index across a row of streams, the fused
+//     fleet kernel's access pattern.  On CPUs with AVX-512 F+DQ (checked
+//     once, at the first call) it runs eight lanes per step: SplitMix64
+//     with 64-bit vector multiplies, the block index, the uniform and the
+//     rectangle test on the scalar draw's operations in the scalar
+//     draw's order, so every lane that passes gets the scalar value; the
+//     few lanes that fail are redrawn through the scalar draw.  Elsewhere
+//     it is the per-lane loop.
 
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace pv {
 
@@ -170,5 +179,13 @@ class NoiseStream {
  private:
   std::uint64_t origin_;
 };
+
+/// Draw k of every lane: out[i] = lanes[i].normal(k), bit for bit.
+/// `out` must be as long as `lanes` (contract_error otherwise).
+void normal_row(std::span<const NoiseStream> lanes, std::uint64_t k,
+                std::span<double> out);
+
+/// The path normal_row takes on this CPU: "avx512" or "per-lane".
+[[nodiscard]] const char* normal_row_path();
 
 }  // namespace pv

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "stats/normality.hpp"
@@ -163,6 +165,67 @@ TEST(NoiseStream, OriginIsKeyedBySeedAndStream) {
   EXPECT_NE(NoiseStream(7, 3).origin(), NoiseStream(8, 3).origin());
   EXPECT_EQ(NoiseStream(7, 3).origin(),
             SplitMix64(stream_seed(7, 3)).next());
+}
+
+TEST(NoiseStream, RowMatchesPerLaneDrawsBitForBit) {
+  // Whichever path this CPU takes (normal_row_path), the row is the
+  // per-lane draws to the bit: over vector bodies and tails, spans that
+  // start off a vector boundary, and indices whose (k+1)·γ wraps.
+  constexpr std::size_t kGuard = 8;
+  const double sentinel = -1234.5;
+  std::vector<NoiseStream> pool;
+  for (std::size_t i = 0; i < 4099 + 3; ++i) {
+    pool.emplace_back(0xBADCAB1EULL, i);
+  }
+  std::size_t rejected = 0;  // words that fail the rectangle test
+  std::size_t tail = 0;      // of those, block-0 words: the tail draw
+  for (const std::uint64_t k :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1} << 32,
+        (std::uint64_t{1} << 63) - 1, ~std::uint64_t{0} - 1}) {
+    for (const std::size_t offset : {1, 3}) {
+      for (const std::size_t n : {0, 1, 7, 8, 9, 17, 4099}) {
+        const std::span<const NoiseStream> lanes(pool.data() + offset, n);
+        std::vector<double> expected(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          expected[i] = lanes[i].normal(k);
+          const std::uint64_t w = lanes[i].word(k);
+          const unsigned block = zignor::block_of(w);
+          if (!(std::fabs(zignor::signed_unit(w)) <
+                zignor::kTables.r[block])) {
+            ++rejected;
+            if (block == 0) ++tail;
+          }
+        }
+        // The row lands inside a guarded buffer, so a store outside it
+        // shows as an overwritten sentinel.
+        std::vector<double> buf(offset + n + kGuard, sentinel);
+        normal_row(lanes, k, std::span<double>(buf.data() + offset, n));
+        for (std::size_t i = 0; i < n; ++i) {
+          if (std::memcmp(&buf[offset + i], &expected[i], sizeof(double)) !=
+              0) {
+            ADD_FAILURE() << "k " << k << ", offset " << offset << ", "
+                          << n << " lanes: lane " << i << " reads "
+                          << buf[offset + i] << ", per-lane "
+                          << expected[i];
+            break;
+          }
+        }
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+          if (i < offset || i >= offset + n) {
+            EXPECT_EQ(buf[i], sentinel) << "k " << k << ", offset " << offset
+                                        << ", " << n << " lanes: slot " << i;
+          }
+        }
+      }
+    }
+  }
+  // Both slow paths ran, so the row's redraws were exercised.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(tail, 0u);
+  std::vector<double> short_out(2);
+  EXPECT_THROW(normal_row(std::span<const NoiseStream>(pool.data(), 3), 0,
+                          short_out),
+               contract_error);
 }
 
 // Unnormalized density of the ziggurat.

@@ -137,7 +137,9 @@ class Args {
       } else if (kBareFlags.contains(body) &&
                  (i + 1 >= argc ||
                   std::string(argv[i + 1]).rfind("--", 0) == 0)) {
-        values_[body] = "1";
+        // A moved std::string, not = "1": GCC 12 flags the literal's
+        // assignment at -O3 (-Wrestrict, a false positive).
+        values_[body] = std::string("1");
       } else {
         if (i + 1 >= argc) {
           throw std::runtime_error("option " + token + " is missing a value");
@@ -332,9 +334,14 @@ int cmd_tco(const Args& args) {
   TextTable t({"quantity", "value"});
   t.add_row({"annual energy cost", fmt_fixed(est.annual_energy_cost, 0)});
   t.add_row({"lifetime energy cost", fmt_fixed(est.lifetime_energy_cost, 0)});
-  t.add_row({"uncertainty band",
-             "[" + fmt_fixed(est.lifetime_cost_ci.lo, 0) + ", " +
-                 fmt_fixed(est.lifetime_cost_ci.hi, 0) + "]"});
+  // Appended, not "[" + ...: GCC 12 flags that operator+ at -O3
+  // (-Wrestrict, a false positive).
+  std::string band = "[";
+  band += fmt_fixed(est.lifetime_cost_ci.lo, 0);
+  band += ", ";
+  band += fmt_fixed(est.lifetime_cost_ci.hi, 0);
+  band += "]";
+  t.add_row({"uncertainty band", band});
   t.add_row({"value of 1 accuracy point",
              fmt_fixed(est.cost_per_accuracy_point, 0)});
   std::cout << t.render();

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate in one command: configure, build and run the full ctest
-# suite — first the plain build, then (unless PV_SKIP_SANITIZE=1) an
-# ASan+UBSan tree, a standalone UBSan tree and a TSan tree running the
-# concurrency suites, so memory errors, UB and data races fail loudly
-# before review does.
+# suite — first the plain build, then a Release build that must compile
+# without a warning, then (unless PV_SKIP_SANITIZE=1) an ASan+UBSan tree,
+# a standalone UBSan tree and a TSan tree running the concurrency suites,
+# so warnings, memory errors, UB and data races fail loudly before
+# review does.
 #
 # Usage: tools/run_tier1.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -22,6 +23,16 @@ cmake --build "$build_dir" -j "$jobs"
 # hard contract and each gated ratio against the committed
 # bench/BENCH_perf_baseline.json.
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
+
+# The benchmark builds Release (-O3), and some of GCC's warnings
+# (-Wrestrict, -Wmaybe-uninitialized in the AVX-512 headers) appear only
+# at that optimisation level, so a Release tree of the library, the CLI,
+# the benches and the examples builds with warnings as errors too.  This
+# pass only compiles; the gtest binary is the plain tree's.
+echo "=== tier 1: Release build, warnings as errors (${build_dir}-release) ==="
+cmake -B "${build_dir}-release" -S . -DCMAKE_BUILD_TYPE=Release \
+  -DPOWERVAR_WARNINGS_AS_ERRORS=ON -DPOWERVAR_BUILD_TESTS=OFF >/dev/null
+cmake --build "${build_dir}-release" -j "$jobs"
 
 if [[ "${PV_SKIP_SANITIZE:-0}" == "1" ]]; then
   echo "=== tier 1: sanitizer pass skipped (PV_SKIP_SANITIZE=1) ==="
