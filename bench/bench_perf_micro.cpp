@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -91,6 +92,36 @@ void BM_NoiseRow(benchmark::State& state) {
   report_peak_rss(state);
 }
 BENCHMARK(BM_NoiseRow);
+
+/// BM_NoiseRow's shape over 4096 lanes whose words all fail the
+/// ziggurat's rectangle test at one fixed index: the row's rejection
+/// path alone.  Items are rejected words, so ns per rejected word is
+/// 1e9 / items_per_second.
+void BM_NoiseRowRejected(benchmark::State& state) {
+  constexpr std::size_t kLanes = 4096;
+  constexpr std::uint64_t kIndex = 12345;
+  std::vector<pv::NoiseStream> lanes;
+  lanes.reserve(kLanes);
+  for (std::uint64_t stream = 0; lanes.size() < kLanes; ++stream) {
+    const pv::NoiseStream lane(0xBADCAB1E, stream);
+    const std::uint64_t w = lane.word(kIndex);
+    if (!(std::fabs(pv::zignor::signed_unit(w)) <
+          pv::zignor::kTables.r[pv::zignor::block_of(w)])) {
+      lanes.push_back(lane);
+    }
+  }
+  std::vector<double> out(kLanes);
+  for (auto _ : state) {
+    pv::normal_row(lanes, kIndex, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kLanes));
+  state.SetLabel(pv::normal_row_path());
+  report_peak_rss(state);
+}
+BENCHMARK(BM_NoiseRowRejected);
 
 /// The fused lane kernel of clean node-tap metering (stream_fleet_chunk)
 /// over a 20k-lane PDU-grade node-AC fleet: one 1800-sample chunk, the

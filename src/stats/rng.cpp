@@ -1,6 +1,5 @@
 #include "stats/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <type_traits>
 
@@ -115,11 +114,6 @@ Tables build_tables() {
   return t;
 }
 
-// A uniform in (0, 1) — never 0, so its log is finite.
-double open_unit(std::uint64_t w) {
-  return (static_cast<double>(w >> 12) + 0.5) * 0x1.0p-52;
-}
-
 }  // namespace
 
 const Tables kTables = build_tables();
@@ -162,77 +156,189 @@ namespace {
 static_assert(sizeof(NoiseStream) == sizeof(std::uint64_t) &&
               std::is_standard_layout_v<NoiseStream>);
 
-// Lanes per block of the vector pass.  The lanes whose word fails the
-// rectangle test are listed while the block runs and redrawn after it,
-// so the vector loop carries no branch on a rejection.
-constexpr std::size_t kRowBlock = 256;
+// Entries in the list of lanes whose word failed the rectangle test.  A
+// vector step stores eight entries at the fill mark, so the list is
+// settled whenever fewer than eight are free, and at the end of the row;
+// a long row thus settles its rejected words in full vectors.
+constexpr std::size_t kRejectedList = 264;
 
-// normal_row on AVX-512 F+DQ, eight lanes per step.  Each step is the
-// scalar draw's arithmetic, lane for lane: the word is
-// SplitMix64::mix(origin + (k+1)·γ) in 64-bit integer operations
-// (vpmullq is exact modulo 2^64), and the uniform is
-// 2.0 * (double(w >> 11) * 0x1p-53) - 1.0, whose every step is exact.  A
-// lane that passes the rectangle test therefore stores the scalar draw's
-// u * x[block]; a lane that fails is redrawn by NoiseStream::normal.
-// The zero-seeded (maskz, setzero) intrinsic forms keep GCC's
-// -Wmaybe-uninitialized quiet about the undefined seeds of the others.
-__attribute__((target("avx512f,avx512dq"))) void normal_row_avx512(
-    const NoiseStream* lanes, std::uint64_t k, double* out, std::size_t n) {
-  const __m512i step =
-      _mm512_set1_epi64(static_cast<long long>((k + 1) * SplitMix64::kGamma));
+// Half the width of the band around 1 in which the vector wedge test
+// decides nothing: outside it, its sum and the scalar draw's are on the
+// same side of 1 (see settle_rejected).
+constexpr double kWedgeBand = 0x1.0p-30;
+
+// The vector helpers below are the scalar draw's operations on eight
+// lanes.  They use the zero-seeded (maskz, setzero) intrinsic forms,
+// because GCC's -Wmaybe-uninitialized trips on the undefined seeds of the
+// others.
+#define PV_AVX512 __attribute__((target("avx512f,avx512dq")))
+
+constexpr __mmask8 kAll = 0xFF;
+
+// SplitMix64::mix of eight words; vpmullq is exact modulo 2^64.
+PV_AVX512 inline __m512i mix8(__m512i z) {
   const __m512i mul1 =
       _mm512_set1_epi64(static_cast<long long>(0xBF58476D1CE4E5B9ULL));
   const __m512i mul2 =
       _mm512_set1_epi64(static_cast<long long>(0x94D049BB133111EBULL));
-  const __m512i low7 = _mm512_set1_epi64(0x7F);
-  const __m512i eight = _mm512_set1_epi64(8);
-  const __m512d unit = _mm512_set1_pd(0x1.0p-53);
-  const __m512d two = _mm512_set1_pd(2.0);
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __mmask8 all = 0xFF;
-  // Lane indices of the rejected words; a full vector is stored at the
-  // fill mark, hence the eight spare entries.
-  std::uint64_t redraw[kRowBlock + 8] = {};
-  for (std::size_t b = 0; b < n; b += kRowBlock) {
-    const std::size_t e = std::min(n, b + kRowBlock);
-    std::size_t pending = 0;
-    __m512i index =
-        _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(b)),
-                         _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
-    for (std::size_t i = b; i < e; i += 8) {
-      const __mmask8 live =
-          e - i >= 8 ? all : static_cast<__mmask8>((1U << (e - i)) - 1);
-      __m512i z =
-          _mm512_add_epi64(_mm512_maskz_loadu_epi64(live, lanes + i), step);
-      z = _mm512_mullo_epi64(
-          _mm512_xor_si512(z, _mm512_maskz_srli_epi64(all, z, 30)), mul1);
-      z = _mm512_mullo_epi64(
-          _mm512_xor_si512(z, _mm512_maskz_srli_epi64(all, z, 27)), mul2);
-      const __m512i w =
-          _mm512_xor_si512(z, _mm512_maskz_srli_epi64(all, z, 31));
-      const __m512i block = _mm512_and_si512(w, low7);
-      const __m512d top = _mm512_maskz_cvtepu64_pd(
-          all, _mm512_maskz_srli_epi64(all, w, 11));
-      const __m512d u =
-          _mm512_sub_pd(_mm512_mul_pd(two, _mm512_mul_pd(top, unit)), one);
-      const __m512d r = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), all,
-                                                 block, zignor::kTables.r, 8);
-      const __m512d x = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), all,
-                                                 block, zignor::kTables.x, 8);
-      const __mmask8 fast =
-          _mm512_cmp_pd_mask(_mm512_abs_pd(u), r, _CMP_LT_OQ);
-      _mm512_mask_storeu_pd(out + i, live, _mm512_mul_pd(u, x));
-      const __mmask8 slow = live & static_cast<__mmask8>(~fast);
-      _mm512_storeu_si512(redraw + pending,
-                          _mm512_maskz_compress_epi64(slow, index));
-      pending += static_cast<std::size_t>(__builtin_popcount(slow));
-      index = _mm512_add_epi64(index, eight);
-    }
-    for (std::size_t j = 0; j < pending; ++j) {
-      out[redraw[j]] = lanes[redraw[j]].normal(k);
-    }
+  z = _mm512_mullo_epi64(
+      _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAll, z, 30)), mul1);
+  z = _mm512_mullo_epi64(
+      _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAll, z, 27)), mul2);
+  return _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAll, z, 31));
+}
+
+// Eight words split as zignor::normal splits one: the block index, the
+// signed uniform 2.0 * (double(w >> 11) * 0x1p-53) - 1.0 (every step
+// exact) and x[block].
+struct Split8 {
+  __m512i block;
+  __m512d u;
+  __m512d x;
+};
+
+PV_AVX512 inline Split8 split8(__m512i w) {
+  Split8 s;
+  s.block = _mm512_and_si512(w, _mm512_set1_epi64(0x7F));
+  const __m512d top =
+      _mm512_maskz_cvtepu64_pd(kAll, _mm512_maskz_srli_epi64(kAll, w, 11));
+  s.u = _mm512_sub_pd(
+      _mm512_mul_pd(_mm512_set1_pd(2.0),
+                    _mm512_mul_pd(top, _mm512_set1_pd(0x1.0p-53))),
+      _mm512_set1_pd(1.0));
+  s.x = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), kAll, s.block,
+                                 zignor::kTables.x, 8);
+  return s;
+}
+
+// The rectangle test |u| < r[block] of zignor::normal.
+PV_AVX512 inline __mmask8 inside8(const Split8& s) {
+  const __m512d r = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), kAll,
+                                             s.block, zignor::kTables.r, 8);
+  return _mm512_cmp_pd_mask(_mm512_abs_pd(s.u), r, _CMP_LT_OQ);
+}
+
+// zignor::kWedgeExp by Horner's rule: the wedge test's exp.
+PV_AVX512 inline __m512d wedge_exp8(__m512d a) {
+  __m512d p = _mm512_set1_pd(zignor::kWedgeExp[zignor::kWedgeExpDegree]);
+  for (int n = zignor::kWedgeExpDegree - 1; n >= 0; --n) {
+    p = _mm512_fmadd_pd(p, a, _mm512_set1_pd(zignor::kWedgeExp[n]));
+  }
+  return p;
+}
+
+// Draws the `pending` lanes listed in `rejected`, whose words failed the
+// rectangle test: eight at a time where the vector pass below can settle
+// them, through NoiseStream::normal where it cannot.  A lane's word is
+// recomputed from its origin, which ran no slower than keeping the words
+// in a second list.  zignor::rejected makes the wedge test
+// f1 + U·(f0 - f1) < 1 on x = u·x[b], f0 = exp(-0.5·(x[b]² - x²)),
+// f1 = exp(-0.5·(x[b+1]² - x²)) and U = open_unit(mix(w + γ)), and on a
+// rejection puts the sub-stream's next word mix(w + 2γ) through the
+// rectangle test.  Here the same operands, in the same order, feed
+// wedge_exp8 in place of exp.  Its error and libm's are far below
+// kWedgeBand, so a sum below 1 - band is below 1 in the scalar draw too
+// (accept: store x, the scalar product), and one at or above 1 + band is
+// not (the retry word: store its u·x[block] if it passes).  Block-0 words
+// (the tail), sums inside the band and retry words that fail are left to
+// the scalar draw; the list is compacted to them in place (an entry is
+// rewritten only after it was read).
+PV_AVX512 void settle_rejected(const NoiseStream* lanes, std::uint64_t k,
+                               double* out, std::uint64_t* rejected,
+                               std::size_t pending) {
+  const __m512i step =
+      _mm512_set1_epi64(static_cast<long long>((k + 1) * SplitMix64::kGamma));
+  const __m512i gamma =
+      _mm512_set1_epi64(static_cast<long long>(SplitMix64::kGamma));
+  const __m512i gamma2 =
+      _mm512_set1_epi64(static_cast<long long>(2 * SplitMix64::kGamma));
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512d minus_half = _mm512_set1_pd(-0.5);
+  std::size_t rest = 0;
+  for (std::size_t j = 0; j < pending; j += 8) {
+    const __mmask8 live =
+        pending - j >= 8 ? kAll
+                         : static_cast<__mmask8>((1U << (pending - j)) - 1);
+    const __m512i index = _mm512_maskz_loadu_epi64(live, rejected + j);
+    const __m512i w = mix8(_mm512_add_epi64(
+        _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), live, index,
+                                    lanes, 8),
+        step));
+    const Split8 s = split8(w);
+    const __m512d x = _mm512_mul_pd(s.u, s.x);
+    const __m512d x_next = _mm512_mask_i64gather_pd(
+        _mm512_setzero_pd(), kAll, _mm512_add_epi64(s.block, one),
+        zignor::kTables.x, 8);
+    const __m512d xx = _mm512_mul_pd(x, x);
+    const __m512d f0 = wedge_exp8(_mm512_mul_pd(
+        minus_half, _mm512_sub_pd(_mm512_mul_pd(s.x, s.x), xx)));
+    const __m512d f1 = wedge_exp8(_mm512_mul_pd(
+        minus_half, _mm512_sub_pd(_mm512_mul_pd(x_next, x_next), xx)));
+    const __m512d height = _mm512_mul_pd(
+        _mm512_add_pd(
+            _mm512_maskz_cvtepu64_pd(
+                kAll, _mm512_maskz_srli_epi64(
+                          kAll, mix8(_mm512_add_epi64(w, gamma)), 12)),
+            _mm512_set1_pd(0.5)),
+        _mm512_set1_pd(0x1.0p-52));
+    const __m512d sum =
+        _mm512_add_pd(f1, _mm512_mul_pd(height, _mm512_sub_pd(f0, f1)));
+    const __mmask8 wedge = live & _mm512_test_epi64_mask(s.block, s.block);
+    const __mmask8 accept =
+        wedge & _mm512_cmp_pd_mask(sum, _mm512_set1_pd(1.0 - kWedgeBand),
+                                   _CMP_LT_OQ);
+    const __mmask8 reject =
+        wedge & _mm512_cmp_pd_mask(sum, _mm512_set1_pd(1.0 + kWedgeBand),
+                                   _CMP_GE_OQ);
+    const Split8 retry = split8(mix8(_mm512_add_epi64(w, gamma2)));
+    const __mmask8 retried = reject & inside8(retry);
+    _mm512_mask_i64scatter_pd(
+        out, accept | retried, index,
+        _mm512_mask_blend_pd(retried, x, _mm512_mul_pd(retry.u, retry.x)), 8);
+    const __mmask8 scalar = live & static_cast<__mmask8>(~(accept | retried));
+    _mm512_storeu_si512(rejected + rest,
+                        _mm512_maskz_compress_epi64(scalar, index));
+    rest += static_cast<std::size_t>(__builtin_popcount(scalar));
+  }
+  for (std::size_t j = 0; j < rest; ++j) {
+    out[rejected[j]] = lanes[rejected[j]].normal(k);
   }
 }
+
+// normal_row on AVX-512 F+DQ, eight lanes per step.  Each step is the
+// scalar draw's arithmetic, lane for lane: the word is
+// SplitMix64::mix(origin + (k+1)·γ) in 64-bit integer operations, and the
+// uniform and the rectangle test are zignor::normal's.  A lane that
+// passes therefore stores the scalar draw's u * x[block]; a lane that
+// fails is listed and drawn later by settle_rejected.
+PV_AVX512 void normal_row_avx512(const NoiseStream* lanes, std::uint64_t k,
+                                 double* out, std::size_t n) {
+  const __m512i step =
+      _mm512_set1_epi64(static_cast<long long>((k + 1) * SplitMix64::kGamma));
+  const __m512i eight = _mm512_set1_epi64(8);
+  std::uint64_t rejected[kRejectedList] = {};
+  std::size_t pending = 0;
+  __m512i index = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  for (std::size_t i = 0; i < n; i += 8) {
+    if (pending > kRejectedList - 8) {
+      settle_rejected(lanes, k, out, rejected, pending);
+      pending = 0;
+    }
+    const __mmask8 live =
+        n - i >= 8 ? kAll : static_cast<__mmask8>((1U << (n - i)) - 1);
+    const Split8 s = split8(mix8(
+        _mm512_add_epi64(_mm512_maskz_loadu_epi64(live, lanes + i), step)));
+    _mm512_mask_storeu_pd(out + i, live, _mm512_mul_pd(s.u, s.x));
+    const __mmask8 slow = live & static_cast<__mmask8>(~inside8(s));
+    _mm512_storeu_si512(rejected + pending,
+                        _mm512_maskz_compress_epi64(slow, index));
+    pending += static_cast<std::size_t>(__builtin_popcount(slow));
+    index = _mm512_add_epi64(index, eight);
+  }
+  settle_rejected(lanes, k, out, rejected, pending);
+}
+
+#undef PV_AVX512
 
 bool cpu_has_avx512() {
   __builtin_cpu_init();

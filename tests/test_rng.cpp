@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <random>
@@ -226,6 +227,155 @@ TEST(NoiseStream, RowMatchesPerLaneDrawsBitForBit) {
   EXPECT_THROW(normal_row(std::span<const NoiseStream>(pool.data(), 3), 0,
                           short_out),
                contract_error);
+}
+
+// Whether a word fails the rectangle test zignor::normal makes on it.
+bool fails_rectangle(std::uint64_t w) {
+  return !(std::fabs(zignor::signed_unit(w)) <
+           zignor::kTables.r[zignor::block_of(w)]);
+}
+
+// normal_row(lanes, k) against the per-lane draws, to the bit.  The row
+// lands `offset` slots into a guarded buffer, so a store outside it shows
+// as an overwritten sentinel.
+void expect_row_is_per_lane(std::span<const NoiseStream> lanes,
+                            std::uint64_t k, std::size_t offset) {
+  constexpr std::size_t kGuard = 8;
+  const double sentinel = -1234.5;
+  const std::size_t n = lanes.size();
+  std::vector<double> expected(n);
+  for (std::size_t i = 0; i < n; ++i) expected[i] = lanes[i].normal(k);
+  std::vector<double> buf(offset + n + kGuard, sentinel);
+  normal_row(lanes, k, std::span<double>(buf.data() + offset, n));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::memcmp(&buf[offset + i], &expected[i], sizeof(double)) != 0) {
+      ADD_FAILURE() << "k " << k << ", offset " << offset << ", " << n
+                    << " lanes: lane " << i << " reads " << buf[offset + i]
+                    << ", per-lane " << expected[i];
+      break;
+    }
+  }
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    if (i < offset || i >= offset + n) {
+      EXPECT_EQ(buf[i], sentinel) << "k " << k << ", offset " << offset
+                                  << ", " << n << " lanes: slot " << i;
+    }
+  }
+}
+
+// The wedge exponents the vector row feeds zignor::kWedgeExp lie within
+// +-max_b (x[b]² - x[b+1]²)/2 over blocks 1..127.
+double max_wedge_exponent() {
+  const zignor::Tables& t = zignor::kTables;
+  double a = 0.0;
+  for (int b = 1; b < zignor::kBlocks; ++b) {
+    a = std::max(a, 0.5 * (t.x[b] * t.x[b] - t.x[b + 1] * t.x[b + 1]));
+  }
+  return a;
+}
+
+TEST(Zignor, WedgeExpIsWithinTwoToTheMinus40OfExp) {
+  // The vector row decides the wedge test with this polynomial and leaves
+  // a band of 2^-30 around 1 to the scalar draw; an error of 2^-40 in f0
+  // and f1 moves their blend by less than 2^-38.
+  const double a_max = max_wedge_exponent();
+  EXPECT_GT(a_max, 0.73);
+  EXPECT_LT(a_max, 0.7318);
+  constexpr int kPoints = 1 << 20;
+  double worst = 0.0;
+  double worst_at = 0.0;
+  for (int i = 0; i <= kPoints; ++i) {
+    const double a = a_max * (2.0 * i / kPoints - 1.0);
+    double p = zignor::kWedgeExp[zignor::kWedgeExpDegree];
+    for (int n = zignor::kWedgeExpDegree - 1; n >= 0; --n) {
+      p = std::fma(p, a, zignor::kWedgeExp[static_cast<std::size_t>(n)]);
+    }
+    const double err = std::fabs(p - std::exp(a)) / std::exp(a);
+    if (err > worst) {
+      worst = err;
+      worst_at = a;
+    }
+  }
+  EXPECT_LE(worst, 0x1.0p-40) << "at a = " << worst_at;
+}
+
+// What the scalar draw does with a word that fails the rectangle test,
+// as zignor::rejected takes its first steps.
+enum class Fate { kTail, kWedgeAccepts, kRetryPasses, kRetryFails };
+
+struct Outcome {
+  Fate fate;
+  bool in_band;  // the wedge sum within 2^-30 of 1
+};
+
+Outcome rejected_outcome(std::uint64_t w) {
+  const zignor::Tables& t = zignor::kTables;
+  const unsigned b = zignor::block_of(w);
+  if (b == 0) return {Fate::kTail, false};
+  const double x = zignor::signed_unit(w) * t.x[b];
+  const double f0 = std::exp(-0.5 * (t.x[b] * t.x[b] - x * x));
+  const double f1 = std::exp(-0.5 * (t.x[b + 1] * t.x[b + 1] - x * x));
+  const double sum =
+      f1 + zignor::open_unit(SplitMix64::mix(w + SplitMix64::kGamma)) *
+               (f0 - f1);
+  const bool in_band = std::fabs(sum - 1.0) < 0x1.0p-30;
+  if (sum < 1.0) return {Fate::kWedgeAccepts, in_band};
+  const std::uint64_t retry = SplitMix64::mix(w + 2 * SplitMix64::kGamma);
+  return {fails_rectangle(retry) ? Fate::kRetryFails : Fate::kRetryPasses,
+          in_band};
+}
+
+TEST(NoiseStream, RowSettlesRowsOfRejectedWordsBitForBit) {
+  // Rows made only of words that fail the rectangle test: every lane of
+  // the vector row goes through its settle pass, and the longest rows
+  // fill its list of rejected lanes to capacity before it is settled.
+  // Each of the scalar draw's outcomes (wedge accept, a retry word that
+  // passes, one that fails, the tail) occurs among them.
+  constexpr std::size_t kPool = std::size_t{1} << 17;
+  std::vector<NoiseStream> pool;
+  pool.reserve(kPool);
+  for (std::size_t i = 0; i < kPool; ++i) pool.emplace_back(0x5E771E, i);
+  std::vector<std::uint64_t> ks = {std::uint64_t{1} << 32,
+                                   (std::uint64_t{1} << 63) - 1,
+                                   ~std::uint64_t{0} - 1};
+  for (std::uint64_t k = 0; k < 21; ++k) ks.push_back(k);
+  std::size_t words = 0;
+  std::size_t fate[4] = {};
+  std::size_t in_band = 0;
+  for (const std::uint64_t k : ks) {
+    std::vector<NoiseStream> rejected;
+    for (const NoiseStream& lane : pool) {
+      const std::uint64_t w = lane.word(k);
+      ++words;
+      if (!fails_rectangle(w)) continue;
+      rejected.push_back(lane);
+      const Outcome o = rejected_outcome(w);
+      ++fate[static_cast<int>(o.fate)];
+      if (o.in_band) ++in_band;
+    }
+    ASSERT_GE(rejected.size(), 1000u) << "k " << k;
+    // Rows of every length class, each 0, 1 or 2 slots into its guarded
+    // buffer.
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+          std::size_t{255}, std::size_t{256}, std::size_t{257},
+          rejected.size()}) {
+      expect_row_is_per_lane(
+          std::span<const NoiseStream>(rejected.data(), n), k, n % 3);
+    }
+  }
+  EXPECT_GT(fate[static_cast<int>(Fate::kWedgeAccepts)], 0u);
+  EXPECT_GT(fate[static_cast<int>(Fate::kRetryPasses)], 0u);
+  EXPECT_GT(fate[static_cast<int>(Fate::kRetryFails)], 0u);
+  EXPECT_GT(fate[static_cast<int>(Fate::kTail)], 0u);
+  // What the settle pass leaves to the scalar draw: the tail, the band
+  // and failed retries.  About 2.76% of words fail the rectangle test;
+  // at most 0.1% of words may need the scalar draw after it.
+  const std::size_t scalar = fate[static_cast<int>(Fate::kTail)] +
+                             fate[static_cast<int>(Fate::kRetryFails)] +
+                             in_band;
+  EXPECT_LE(scalar * 1000, words)
+      << scalar << " of " << words << " words need the scalar draw";
 }
 
 // Unnormalized density of the ziggurat.

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/expects.hpp"
 
 namespace pv {
@@ -82,10 +84,10 @@ TEST(Submission, MissingAccuracyAssessmentFlaggedUnder2015) {
 TEST(RankedList, OrdersByEfficiency) {
   RankedList list("Test500");
   Submission a = lcsc_submission();
-  a.system_name = "A";
+  a.system_name = std::string("A");
   a.power = kilowatts(100.0);
   Submission b = lcsc_submission();
-  b.system_name = "B";
+  b.system_name = std::string("B");
   b.power = kilowatts(50.0);  // same Rmax, half the power: more efficient
   list.add(a);
   list.add(b);

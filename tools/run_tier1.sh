@@ -26,12 +26,12 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
 # The benchmark builds Release (-O3), and some of GCC's warnings
 # (-Wrestrict, -Wmaybe-uninitialized in the AVX-512 headers) appear only
-# at that optimisation level, so a Release tree of the library, the CLI,
-# the benches and the examples builds with warnings as errors too.  This
-# pass only compiles; the gtest binary is the plain tree's.
+# at that optimisation level, so a Release tree of everything, the tests
+# included, builds with warnings as errors too.  This pass only compiles;
+# the plain tree runs the tests.
 echo "=== tier 1: Release build, warnings as errors (${build_dir}-release) ==="
 cmake -B "${build_dir}-release" -S . -DCMAKE_BUILD_TYPE=Release \
-  -DPOWERVAR_WARNINGS_AS_ERRORS=ON -DPOWERVAR_BUILD_TESTS=OFF >/dev/null
+  -DPOWERVAR_WARNINGS_AS_ERRORS=ON >/dev/null
 cmake --build "${build_dir}-release" -j "$jobs"
 
 if [[ "${PV_SKIP_SANITIZE:-0}" == "1" ]]; then
