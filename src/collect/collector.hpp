@@ -73,11 +73,11 @@ struct CollectionOutcome {
 ///
 /// Restrictions, each a contract_error: the plan must tap nodes (kNodeAc
 /// / kNodeDc) — facility and rack taps stay on the synchronous path —
-/// and `electrical` must be `cluster` lowered through
-/// make_system_power_model (Provision's lowered-model check).  The campaign's FaultPlan
-/// may only name dead_meters (they are routed into the transport's
-/// blackhole list); data-corruption faults, byzantine meters and
-/// reconciliation belong to run_campaign.
+/// and `electrical` must be `cluster`'s own model (make_system_power_model
+/// on this cluster object, checked by run_campaign_stages).  The
+/// campaign's FaultPlan may only name dead_meters (they are routed into
+/// the transport's blackhole list); data-corruption faults, byzantine
+/// meters and reconciliation belong to run_campaign.
 [[nodiscard]] CollectionOutcome collect_campaign(
     const ClusterPowerModel& cluster, const SystemPowerModel& electrical,
     const MeasurementPlan& plan, const CollectorConfig& config);

@@ -181,10 +181,10 @@ struct CampaignResult {
 /// relative_error isolates extrapolation + metering error from scope
 /// differences.
 ///
-/// Lifetime: `electrical` must have been built from `cluster` (see
-/// make_system_power_model) and both must outlive the call.  Node-tap
-/// plans check this up front and throw contract_error on a model that
-/// was not lowered from the cluster.
+/// Lifetime: `electrical` must be `cluster`'s own model (built from this
+/// cluster object by make_system_power_model) and both must outlive the
+/// call.  Every tap checks this up front and throws contract_error on
+/// another cluster's model, even an equal twin's.
 ///
 /// `cancel` (optional) is a cooperative cancellation/deadline token
 /// consulted at every stage boundary; a fired token unwinds as

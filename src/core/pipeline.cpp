@@ -297,8 +297,8 @@ FleetProvisionSpec meter_spec(const CampaignContext& ctx) {
 }
 
 // `truth`, a compute-side truth of the campaign's electrical model, read
-// through the shape memo while ctx.memoize_truth is set (Provision's
-// lowered-model check held and the reference stage has not cleared it).
+// through the shape memo while ctx.memoize_truth is set (Provision sets
+// it; the reference stage clears it).
 PowerFunction eager_truth(const CampaignContext& ctx, PowerFunction truth) {
   if (!ctx.memoize_truth) return truth;
   return memoize_on_shape(*ctx.cluster, std::move(truth));
@@ -431,32 +431,13 @@ Watts scope_power(const PowerFunction& compute,
 
 // --- stages ---------------------------------------------------------------
 
-// True when `electrical` is `cluster` lowered through
-// make_system_power_model: every node's DC truth is this cluster's
-// NodePower for that node, so it draws its mean times the shared shape
-// factor, which the node-tap engine streams and every eager truth's
-// shape memo keys on.  Exact for every node, by type and identity; no
-// truth is evaluated.
-bool lowered_from(const ClusterPowerModel& cluster,
-                  const SystemPowerModel& electrical) {
-  if (electrical.node_count() != cluster.node_count()) return false;
-  for (std::size_t i = 0; i < electrical.node_count(); ++i) {
-    const auto* node = electrical.node_dc_function(i)
-                           .target<ClusterPowerModel::NodePower>();
-    if (node == nullptr || node->cluster != &cluster || node->node != i) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // Derives the campaign's execution parameters: effective interval,
 // metered windows and their per-meter sample count, the analysis grid,
-// the rack list (rack tap) and meters_planned.  On every tap it checks
-// that the electrical model is the cluster lowered through
-// make_system_power_model (a contract_error otherwise) and sets
-// memoize_truth; on node taps it also borrows the process-wide pool for
-// a fan-out above one and provisions the FleetState.
+// the rack list (rack tap) and meters_planned.  On every tap it sets
+// memoize_truth (the electrical model is the cluster's own lowering,
+// which run_campaign_stages checked); on node taps it also borrows the
+// process-wide pool for a fan-out above one and provisions the
+// FleetState.
 class ProvisionStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "provision"; }
@@ -483,14 +464,11 @@ class ProvisionStage final : public CampaignStage {
       ctx.samples_per_meter += window_sample_count(w, ctx.interval);
     }
 
-    // Every tap reads the truth through the lowered model's shape factor:
-    // the node-tap engine streams it, the eager truths memoize on it.
+    // Every tap reads the truth through the cluster's shape factor: the
+    // node-tap engine streams it, the eager truths memoize on it.
     for (const std::size_t node : plan.node_indices) {
       PV_EXPECTS(node < cluster.node_count(), "plan references missing node");
     }
-    PV_EXPECTS(lowered_from(cluster, electrical),
-               "campaigns need the electrical model lowered from the "
-               "cluster (make_system_power_model)");
     ctx.memoize_truth = true;
 
     switch (plan.point) {
@@ -541,8 +519,6 @@ class ProvisionStage final : public CampaignStage {
         {"interval_s", ctx.interval.value()},
         {"fleet_nodes",
          ctx.fleet ? static_cast<double>(ctx.fleet->size()) : 0.0},
-        {"fleet_psu_shared",
-         ctx.fleet && ctx.fleet->bank.shared() ? 1.0 : 0.0},
     };
   }
 };
@@ -927,7 +903,7 @@ class NodeTapMeterStage final : public CampaignStage {
 
 // The eager reference: each node's std::function truth chain metered
 // through meter_device, serially, on the lanes Provision built.  It
-// takes no shortcut the lowered-model identity allows: clearing
+// takes no shortcut the shared shape factor allows: clearing
 // memoize_truth makes the check meters and Assess read their truths
 // directly too.
 class ReferenceMeterStage final : public CampaignStage {
@@ -1333,7 +1309,8 @@ class AssessStage final : public CampaignStage {
   void run(CampaignContext& ctx, StageTrace& trace) override {
     CampaignResult& result = ctx.result;
     // Ground truth and error.  The memoized form returns the exact
-    // doubles the direct form would (lowered model), faster.
+    // doubles the direct form would (every node draws its mean times the
+    // shared shape factor), faster.
     result.true_power = Watts{scope_truth_w(ctx)};
     result.relative_error =
         std::fabs(result.submitted_power.value() - result.true_power.value()) /
@@ -1416,8 +1393,9 @@ CampaignResult run_campaign_stages(const ClusterPowerModel& cluster,
                                    const std::vector<StagePtr>& stages,
                                    const CancelToken* cancel) {
   PV_EXPECTS(!plan.node_indices.empty(), "plan selects no nodes");
-  PV_EXPECTS(electrical.node_count() == cluster.node_count(),
-             "electrical model does not match the cluster");
+  PV_EXPECTS(&electrical.cluster() == &cluster,
+             "campaigns need the cluster's own electrical model "
+             "(make_system_power_model)");
   PV_EXPECTS(plan.window.valid(), "plan window is empty");
 
   CampaignContext ctx;

@@ -82,10 +82,11 @@ struct CampaignContext {
   bool reconciling = false;           ///< byzantine defense enabled
   /// The eager truths — the rack and facility taps, the check meters,
   /// Assess and the live partials' truth — read through a memo on the
-  /// shared shape factor (memoize_on_shape).  Provision sets it once it
-  /// has checked that the electrical model is the cluster lowered
-  /// through make_system_power_model; the eager reference Meter stage
-  /// clears it, so a reference run integrates every truth directly.
+  /// shared shape factor (memoize_on_shape).  Provision sets it: the
+  /// electrical model is its cluster's lowering by construction and
+  /// run_campaign_stages checked it is this campaign's cluster's.  The
+  /// eager reference Meter stage clears it, so a reference run
+  /// integrates every truth directly.
   bool memoize_truth = false;
   std::size_t samples_per_meter = 0;  ///< expected samples, any one meter
   std::vector<std::size_t> racks;     ///< racks metered (rack-PDU tap only)
@@ -164,7 +165,8 @@ using StagePtr = std::unique_ptr<CampaignStage>;
     const MeasurementPlan& plan, const CampaignConfig& config);
 
 /// Runs a caller-assembled stage list as run_campaign would: validates
-/// the rig, wires the context and returns the result.  `cancel` (may be
+/// the rig (`electrical` must be `cluster`'s own model, a contract_error
+/// otherwise), wires the context and returns the result.  `cancel` (may be
 /// null) is checked at every stage boundary; a fired token throws
 /// CancelledError / DeadlineExceededError with no result produced.
 [[nodiscard]] CampaignResult run_campaign_stages(

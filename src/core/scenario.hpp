@@ -60,10 +60,11 @@ struct ScenarioSpec {
   double tail_minutes = 1.0;
 };
 
-/// A built scenario: the cluster, its lowered electrical model, and the
+/// A built scenario: the cluster, its electrical model, and the
 /// PlanInputs every planner call derives from.  The electrical model is
-/// lowered through make_system_power_model, so campaigns on every tap
-/// pass Provision's lowered-model check.
+/// the cluster's own (make_system_power_model), which every campaign on
+/// it requires; the cluster lives behind a unique_ptr, so moving the
+/// Scenario keeps the pair valid.
 struct Scenario {
   std::unique_ptr<ClusterPowerModel> cluster;
   std::unique_ptr<SystemPowerModel> electrical;

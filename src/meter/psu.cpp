@@ -99,15 +99,18 @@ void CompiledPsuCurve::ac_from_dc_batch(std::span<const double> dc,
   const std::size_t n = dc.size();
   PV_EXPECTS(ac.size() == n, "dc/ac spans must have equal length");
   PV_EXPECTS(!empty(), "batch evaluation on an empty curve");
-  const Table& t = *table_;
   lf_tmp.resize(n);
   eff_tmp.resize(n);
   double* const lf = lf_tmp.data();
-  double* const eff = eff_tmp.data();
   const double* const d = dc.data();
-  double* const out = ac.data();
   const double inv = inv_rated_;
   for (std::size_t k = 0; k < n; ++k) lf[k] = d[k] * inv;
+  blend(*table_, d, lf, eff_tmp.data(), ac.data(), n);
+}
+
+void CompiledPsuCurve::blend(const Table& t, const double* d,
+                             const double* lf, double* eff, double* out,
+                             std::size_t n) {
   // Loop inversion: one elementwise blend pass per curve segment instead
   // of a per-value segment scan.  Last writer wins, so after all passes
   // eff[k] = ys[s] + (lf - xs[s]) * slopes[s] for
@@ -152,29 +155,19 @@ void CompiledPsuCurve::ac_from_dc_batch(std::span<const double> dc,
 FleetPsuBank FleetPsuBank::build(
     std::span<const CompiledPsuCurve* const> curves) {
   FleetPsuBank bank;
-  bank.curves_.assign(curves.begin(), curves.end());
-  const std::size_t n = bank.curves_.size();
-  bank.inv_rated_.assign(n, 0.0);
-  const CompiledPsuCurve* ref = nullptr;
-  bool shared = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    const CompiledPsuCurve* c = bank.curves_[i];
-    if (c == nullptr || c->empty()) {
-      // A DC-tap lane in an otherwise AC fleet breaks the uniform blend.
-      shared = false;
-      continue;
-    }
-    bank.inv_rated_[i] = c->inv_rated_;
-    if (ref == nullptr) {
-      ref = c;
-    } else if (!c->shares_table_with(*ref)) {
-      // A lowered fleet's lanes hold one table object.  Distinct tables,
-      // even equal ones, take the per-lane fallback.
-      shared = false;
-    }
+  bank.inv_rated_.assign(curves.size(), 0.0);
+  // A DC tap's lanes are all null; an AC tap's all share the first
+  // lane's table object (equal tables compiled apart do not).
+  const CompiledPsuCurve* ref = curves.empty() ? nullptr : curves.front();
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    const CompiledPsuCurve* c = curves[i];
+    PV_EXPECTS(ref == nullptr ? c == nullptr
+                              : c != nullptr && c->shares_table_with(*ref),
+               "a PSU bank's lanes are all DC taps or all on one shared "
+               "breakpoint table");
+    if (c != nullptr) bank.inv_rated_[i] = c->inv_rated_;
   }
-  // ref stays null when every lane is a DC tap: pass-through fallback.
-  if (shared && ref != nullptr) bank.table_ = ref->table_;
+  if (ref != nullptr) bank.table_ = ref->table_;
   return bank;
 }
 
@@ -184,55 +177,22 @@ void FleetPsuBank::ac_from_dc_fleet(std::span<const double> dc,
                                     std::vector<double>& lf_tmp,
                                     std::vector<double>& eff_tmp) const {
   const std::size_t n = dc.size();
-  PV_EXPECTS(lane_begin + n <= curves_.size(), "lane range out of bank");
+  PV_EXPECTS(lane_begin + n <= inv_rated_.size(), "lane range out of bank");
   PV_EXPECTS(ac.size() == n, "dc/ac spans must have equal length");
-  if (table_ == nullptr) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const CompiledPsuCurve* c = curves_[lane_begin + k];
-      ac[k] = (c != nullptr && !c->empty()) ? c->ac_from_dc(dc[k]) : dc[k];
-    }
+  if (table_ == nullptr) {  // a DC tap meters the DC draw itself
+    std::copy(dc.begin(), dc.end(), ac.begin());
     return;
   }
-  // The ac_from_dc_batch blend with the node index as the lane: identical
-  // passes and operand order, except lf[k] carries the per-node 1/rated.
-  // Each lane therefore computes exactly the scalar call's expression.
-  const CompiledPsuCurve::Table& t = *table_;
+  // The ac_from_dc_batch blend with the node index as the lane: lf[k]
+  // carries the per-node 1/rated, so each lane computes exactly the
+  // scalar call's expression.
   lf_tmp.resize(n);
   eff_tmp.resize(n);
   double* const lf = lf_tmp.data();
-  double* const eff = eff_tmp.data();
   const double* const d = dc.data();
   const double* const inv = inv_rated_.data() + lane_begin;
-  double* const out = ac.data();
   for (std::size_t k = 0; k < n; ++k) lf[k] = d[k] * inv[k];
-  const std::size_t last = t.xs.size() - 1;
-  {
-    const double x0 = t.xs[0];
-    const double y0 = t.ys[0];
-    const double s0 = t.slopes[0];
-    for (std::size_t k = 0; k < n; ++k) {
-      const double cand = y0 + (lf[k] - x0) * s0;
-      eff[k] = lf[k] > x0 ? cand : y0;
-    }
-  }
-  for (std::size_t i = 1; i < last; ++i) {
-    const double xi = t.xs[i];
-    const double yi = t.ys[i];
-    const double si = t.slopes[i];
-    for (std::size_t k = 0; k < n; ++k) {
-      const double prev = eff[k];
-      const double cand = yi + (lf[k] - xi) * si;
-      eff[k] = lf[k] > xi ? cand : prev;
-    }
-  }
-  // Zero loads divide to +0.0 exactly as in ac_from_dc_batch.
-  const double xl = t.xs[last];
-  const double yl = t.ys[last];
-  for (std::size_t k = 0; k < n; ++k) {
-    const double ei = eff[k];
-    const double e = lf[k] >= xl ? yl : ei;
-    out[k] = d[k] / e;
-  }
+  CompiledPsuCurve::blend(*table_, d, lf, eff_tmp.data(), ac.data(), n);
 }
 
 PsuModel::PsuModel(Watts rated_dc_output, const PsuEfficiencyCurve& curve)

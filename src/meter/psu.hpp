@@ -98,6 +98,12 @@ class CompiledPsuCurve {
     std::vector<double> slopes;  // (ys[i+1]-ys[i]) / (xs[i+1]-xs[i])
   };
 
+  /// The blend passes both batch forms run once they have formed the
+  /// load fractions lf[k] = dc[k] * 1/rated: ac[k] = dc[k] / eff(lf[k]),
+  /// with eff[] as scratch, for k in [0, n).
+  static void blend(const Table& t, const double* dc, const double* lf,
+                    double* eff, double* ac, std::size_t n);
+
   std::shared_ptr<const Table> table_;
   double inv_rated_ = 0.0;
 };
@@ -109,26 +115,20 @@ class CompiledPsuCurve {
 /// CompiledPsuCurve evaluates the same breakpoint table and differs only
 /// in 1/rated — the rated output scales with the node's provisioned mean
 /// draw.  A lowered fleet's lanes share one table object, which the bank
-/// recognises by pointer and points at, plus a contiguous inv_rated[]
-/// vector, so the ac_from_dc_batch blend passes run with the node index as
-/// the SIMD lane.  Lanes whose tables are distinct objects (mixed SKUs, or
-/// curves compiled node by node) fall back to the scalar evaluation per
-/// lane, which produces the same bits by construction.
+/// points at, plus a contiguous inv_rated[] vector, so the
+/// ac_from_dc_batch blend passes run with the node index as the SIMD lane.
 class FleetPsuBank {
  public:
   FleetPsuBank() = default;
 
-  /// Build from one curve pointer per node.  Null entries mean a DC tap
-  /// for that node: the bank passes the DC value through unchanged.
+  /// Build from one curve pointer per node: all null (a DC tap, whose
+  /// lanes the bank passes through unchanged) or all on one shared
+  /// breakpoint table (a lowered fleet's AC tap).  Lanes on distinct
+  /// tables, even equal ones, or a mix of DC and AC lanes are a
+  /// contract_error.
   static FleetPsuBank build(std::span<const CompiledPsuCurve* const> curves);
 
-  [[nodiscard]] std::size_t size() const { return curves_.size(); }
-  [[nodiscard]] bool empty() const { return curves_.empty(); }
-  /// True when every lane has a curve and all share one breakpoint table,
-  /// so the fleet-major blend passes apply (the fast path).
-  [[nodiscard]] bool shared() const { return table_ != nullptr; }
-
-  /// ac[k] = curve(lane_begin + k) ? curve->ac_from_dc(dc[k]) : dc[k] for
+  /// ac[k] = the lane's curve->ac_from_dc(dc[k]) (dc[k] on a DC tap) for
   /// k in [0, dc.size()): one DC load per lane of the contiguous lane
   /// range starting at `lane_begin`.  `lf_tmp`/`eff_tmp` are caller-owned
   /// scratch reused across calls (resized to dc.size()).
@@ -137,9 +137,8 @@ class FleetPsuBank {
                         std::vector<double>& eff_tmp) const;
 
  private:
-  std::vector<const CompiledPsuCurve*> curves_;  // per-lane fallback handles
-  std::vector<double> inv_rated_;  // per-lane 1/rated (0 for DC-tap lanes)
-  /// The lanes' common table; null unless every lane shares it.
+  std::vector<double> inv_rated_;  // per-lane 1/rated (0 on a DC tap)
+  /// The lanes' common table; null on a DC tap.
   std::shared_ptr<const CompiledPsuCurve::Table> table_;
 };
 

@@ -1,6 +1,6 @@
 #include "sim/cluster.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <numeric>
 
 #include "util/expects.hpp"
@@ -25,9 +25,6 @@ ClusterPowerModel::ClusterPowerModel(std::string name,
   core_mean_intensity_ = workload_->core_mean_intensity();
   PV_EXPECTS(core_mean_intensity_ > 0.0,
              "workload core intensity must be positive");
-  const double total = std::accumulate(mean_w_.begin(), mean_w_.end(), 0.0);
-  sum_static_ = static_fraction_ * total;
-  sum_dynamic_ = (1.0 - static_fraction_) * total / core_mean_intensity_;
 }
 
 double ClusterPowerModel::shape(double t) const {
@@ -42,37 +39,66 @@ double ClusterPowerModel::node_power_w(std::size_t i, double t) const {
   return mean_w_[i] * shape(t);
 }
 
-ClusterPowerModel::NodePower ClusterPowerModel::node_function(
-    std::size_t i) const {
-  PV_EXPECTS(i < mean_w_.size(), "node index out of range");
-  return NodePower{this, i};
-}
-
-double ClusterPowerModel::system_power_w(double t) const {
-  return sum_static_ + sum_dynamic_ * workload_->intensity(t);
-}
-
-PowerFunction ClusterPowerModel::system_function() const {
-  return [this](double t) { return system_power_w(t); };
-}
-
 Watts ClusterPowerModel::system_core_mean() const {
   return Watts{std::accumulate(mean_w_.begin(), mean_w_.end(), 0.0)};
 }
 
-PowerTrace ClusterPowerModel::system_core_trace(Seconds dt) const {
-  const RunPhases p = phases();
-  const auto n = static_cast<std::size_t>(
-      std::floor(p.core.value() / dt.value() + 1e-9));
-  return PowerTrace::from_function(p.core_begin(), dt, n,
-                                   system_function());
+// --------------------------------------------------------------------------
+// The electrical model
+
+SystemPowerModel::SystemPowerModel(const ClusterPowerModel& cluster,
+                                   std::size_t nodes_per_rack)
+    : cluster_(&cluster), nodes_per_rack_(nodes_per_rack) {
+  PV_EXPECTS(nodes_per_rack_ > 0, "racks must hold at least one node");
 }
 
-PowerTrace ClusterPowerModel::system_full_trace(Seconds dt) const {
-  const RunPhases p = phases();
-  const auto n = static_cast<std::size_t>(
-      std::floor(p.total().value() / dt.value() + 1e-9));
-  return PowerTrace::from_function(Seconds{0.0}, dt, n, system_function());
+std::size_t SystemPowerModel::rack_count() const {
+  return (psus_.size() + nodes_per_rack_ - 1) / nodes_per_rack_;
+}
+
+double SystemPowerModel::node_dc_w(std::size_t node, double t) const {
+  PV_EXPECTS(node < psus_.size(), "node index out of range");
+  return cluster_->node_power_w(node, t);
+}
+
+double SystemPowerModel::node_ac_w(std::size_t node, double t) const {
+  PV_EXPECTS(node < psus_.size(), "node index out of range");
+  return psus_[node].ac_input(Watts{cluster_->node_power_w(node, t)}).value();
+}
+
+double SystemPowerModel::rack_pdu_w(std::size_t rack, double t) const {
+  PV_EXPECTS(rack < rack_count(), "rack index out of range");
+  const std::size_t begin = rack * nodes_per_rack_;
+  const std::size_t end = std::min(begin + nodes_per_rack_, psus_.size());
+  double sum = 0.0;
+  for (std::size_t i = begin; i < end; ++i) sum += node_ac_w(i, t);
+  return sum / (1.0 - kPduLossFraction);
+}
+
+double SystemPowerModel::compute_ac_w(double t) const {
+  double sum = 0.0;
+  for (std::size_t r = 0; r < rack_count(); ++r) sum += rack_pdu_w(r, t);
+  return sum;
+}
+
+double SystemPowerModel::auxiliary_ac_w(double t) const {
+  double sum = 0.0;
+  for (const PowerFunction& a : auxiliaries_) sum += a(t);
+  return sum;
+}
+
+double SystemPowerModel::facility_w(double t) const {
+  return compute_ac_w(t) + auxiliary_ac_w(t);
+}
+
+PowerFunction SystemPowerModel::node_ac_function(std::size_t node) const {
+  PV_EXPECTS(node < psus_.size(), "node index out of range");
+  return [this, node](double t) { return node_ac_w(node, t); };
+}
+
+const PsuModel& SystemPowerModel::node_psu(std::size_t node) const {
+  PV_EXPECTS(node < psus_.size(), "node index out of range");
+  return psus_[node];
 }
 
 SystemPowerModel make_system_power_model(const ClusterPowerModel& cluster,
@@ -81,7 +107,7 @@ SystemPowerModel make_system_power_model(const ClusterPowerModel& cluster,
                                          const AuxiliaryConfig& aux,
                                          double psu_headroom) {
   PV_EXPECTS(psu_headroom >= 1.0, "PSU headroom must be >= 1");
-  SystemPowerModel model(cluster.name(), nodes_per_rack);
+  SystemPowerModel model(cluster, nodes_per_rack);
 
   // Peak node shape factor over the run, for PSU sizing.
   const RunPhases phases = cluster.phases();
@@ -99,32 +125,22 @@ SystemPowerModel make_system_power_model(const ClusterPowerModel& cluster,
   // once (the table does not depend on the rating) and rebind it to each
   // node's rated output, which shares the table instead of copying it.
   const CompiledPsuCurve fleet_curve(psu_curve, Watts{1.0});
+  model.psus_.reserve(cluster.node_count());
   for (std::size_t i = 0; i < cluster.node_count(); ++i) {
     const double rated =
         cluster.node_means()[i] * peak_shape * psu_headroom;
-    model.add_node(cluster.node_function(i),
-                   PsuModel(Watts{rated}, fleet_curve));
+    model.psus_.emplace_back(Watts{rated}, fleet_curve);
   }
 
+  // Constant-power auxiliaries (network, storage, service nodes,
+  // in-machine cooling), in that order.
   const double compute_mean = cluster.system_core_mean().value();
-  const auto constant = [](double w) {
-    return [w](double) { return w; };
-  };
-  if (aux.network_frac > 0.0) {
-    model.add_subsystem(Subsystem::kNetwork, "interconnect",
-                        constant(compute_mean * aux.network_frac));
-  }
-  if (aux.storage_frac > 0.0) {
-    model.add_subsystem(Subsystem::kStorage, "parallel filesystem",
-                        constant(compute_mean * aux.storage_frac));
-  }
-  if (aux.infrastructure_frac > 0.0) {
-    model.add_subsystem(Subsystem::kInfrastructure, "service nodes",
-                        constant(compute_mean * aux.infrastructure_frac));
-  }
-  if (aux.cooling_frac > 0.0) {
-    model.add_subsystem(Subsystem::kCooling, "in-machine cooling",
-                        constant(compute_mean * aux.cooling_frac));
+  for (const double frac : {aux.network_frac, aux.storage_frac,
+                            aux.infrastructure_frac, aux.cooling_frac}) {
+    if (frac > 0.0) {
+      model.auxiliaries_.emplace_back(
+          [w = compute_mean * frac](double) { return w; });
+    }
   }
   return model;
 }

@@ -14,13 +14,13 @@
 // quadrature point, writing into a caller-owned scratch buffer so chunked
 // sharding allocates nothing per node.
 //
-// Byte-identity contract: for a SystemPowerModel lowered from the same
-// cluster, stream_node_window produces bit-identical readings (from the
-// same noise draws) to MeterModel::measure over the node's AC/DC truth
-// function.  Sample times and quadrature replicate
-// MeterModel::measure expression-for-expression (the project builds with
-// -ffp-contract=off, so both TUs round identically), and the shape/PSU
-// arithmetic is the same compiled code both paths call.
+// Byte-identity contract: for the cluster's SystemPowerModel,
+// stream_node_window produces bit-identical readings (from the same noise
+// draws) to MeterModel::measure over the node's AC/DC truth function.
+// Sample times and quadrature replicate MeterModel::measure
+// expression-for-expression (the project builds with -ffp-contract=off,
+// so both TUs round identically), and the shape/PSU arithmetic is the
+// same compiled code both paths call.
 
 #include <cstddef>
 #include <cstdint>
@@ -103,13 +103,14 @@ void stream_node_window(const ShapeTable& table, double node_mean_w,
                         std::uint64_t k0, StreamScratch& scratch);
 
 /// `truth` read through a memo keyed on the shape factor's bit pattern.
-/// On a model lowered from `cluster` (make_system_power_model) every
-/// compute-side truth — a node's AC or DC draw, a rack PDU, the compute
-/// subsystem — depends on t only through cluster.shape_factor(t), so the
-/// wrapper evaluates `truth` once per distinct shape value and returns
-/// the doubles the direct call returns.  Auxiliary subsystems are not
-/// such functions; read them directly.  The memo lives in the returned
-/// function (each copy carries its own), so one thread at a time.
+/// On `cluster`'s SystemPowerModel every node draws its mean times
+/// cluster.shape_factor(t) by construction, so every compute-side truth
+/// — a node's AC or DC draw, a rack PDU, the compute subsystem — depends
+/// on t only through the shape factor, and the wrapper evaluates `truth`
+/// once per distinct shape value and returns the doubles the direct call
+/// returns.  Auxiliary subsystems are not such functions; read them
+/// directly.  The memo lives in the returned function (each copy carries
+/// its own), so one thread at a time.
 [[nodiscard]] PowerFunction memoize_on_shape(const ClusterPowerModel& cluster,
                                              PowerFunction truth);
 

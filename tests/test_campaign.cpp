@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "sim/fleet.hpp"
@@ -107,6 +109,99 @@ TEST(Campaign, PerfectMeterL3EqualsTheClosedFormScopeIntegral) {
       EXPECT_NEAR(result.submitted_power.value() - result.true_power.value(),
                   expected - true_compute, 1e-9 * true_compute);
     }
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Metamorphic oracle: every step from node means to a submission is
+// homogeneous of degree one — a node draws its mean times the shared
+// shape, its PSU's rating scales with its mean (so load fractions and
+// efficiencies do not move), the auxiliaries are fractions of the
+// compute mean, and the Eq. 1 statistics scale with their inputs — and
+// x2 is exact in binary floating point.  So with perfect meters the same
+// plan on a fleet with every node mean doubled reports exactly twice the
+// power, energy, CI bounds and true power, and the same relative error
+// and relative half-width.  It fails if a tap ever reads node truths
+// other than its own cluster's.
+TEST(Campaign, DoublingEveryNodeMeanDoublesTheResultsBitForBit) {
+  CampaignConfig config;
+  config.meter_accuracy = MeterAccuracy::perfect();
+  for (const std::size_t nodes : {16u, 97u, 640u}) {
+    ScenarioSpec scenario;
+    scenario.nodes = nodes;
+    scenario.cv = 0.04;
+    scenario.fleet_seed = nodes;
+    scenario.run_minutes = 20.0;
+    const Scenario base = build_scenario(scenario);
+    std::vector<double> doubled(base.cluster->node_means().begin(),
+                                base.cluster->node_means().end());
+    for (double& w : doubled) w *= 2.0;
+    const Scenario twice =
+        build_scenario_with_powers(scenario, std::move(doubled));
+    for (const Level level : {Level::kL1, Level::kL2, Level::kL3}) {
+      for (const Revision revision : {Revision::kV1_2, Revision::kV2015}) {
+        // Planned once, on the original fleet: L2's 10 kW floor depends
+        // on node power.
+        const MeasurementPlan planned =
+            base.plan(MethodologySpec::get(level, revision), nodes + 5);
+        for (const MeasurementPoint point :
+             {MeasurementPoint::kNodeAc, MeasurementPoint::kNodeDc,
+              MeasurementPoint::kRackPdu, MeasurementPoint::kFacilityFeed}) {
+          SCOPED_TRACE(std::to_string(nodes) + " nodes, L" +
+                       std::to_string(static_cast<int>(level)) +
+                       (revision == Revision::kV2015 ? " 2015, " : " 1.2, ") +
+                       to_string(point));
+          MeasurementPlan plan = planned;
+          plan.point = point;
+          const CampaignResult a =
+              run_campaign(*base.cluster, *base.electrical, plan, config);
+          const CampaignResult b =
+              run_campaign(*twice.cluster, *twice.electrical, plan, config);
+          EXPECT_GT(a.submitted_power.value(), 0.0);
+          EXPECT_TRUE(same_bits(b.submitted_power.value(),
+                                2.0 * a.submitted_power.value()));
+          EXPECT_TRUE(same_bits(b.submitted_energy.value(),
+                                2.0 * a.submitted_energy.value()));
+          EXPECT_TRUE(same_bits(b.node_mean_ci.lo, 2.0 * a.node_mean_ci.lo));
+          EXPECT_TRUE(same_bits(b.node_mean_ci.hi, 2.0 * a.node_mean_ci.hi));
+          EXPECT_TRUE(
+              same_bits(b.true_power.value(), 2.0 * a.true_power.value()));
+          EXPECT_TRUE(same_bits(b.relative_error, a.relative_error));
+          EXPECT_TRUE(same_bits(b.relative_halfwidth, a.relative_halfwidth));
+        }
+      }
+    }
+  }
+}
+
+// A campaign's electrical model must be its own cluster's.  An equal twin
+// cluster's model has equal truths but reads another cluster object, and
+// every tap refuses it with a typed error; each cluster runs with its own.
+TEST(Campaign, TwinClusterModelIsATypedError) {
+  ScenarioSpec spec;
+  spec.nodes = 4;
+  const Scenario built = build_scenario(spec);
+  const Scenario twin = build_scenario(spec);
+  MeasurementPlan plan =
+      built.plan(MethodologySpec::get(Level::kL3, Revision::kV2015), 3);
+  for (const MeasurementPoint point :
+       {MeasurementPoint::kNodeAc, MeasurementPoint::kNodeDc,
+        MeasurementPoint::kRackPdu, MeasurementPoint::kFacilityFeed}) {
+    SCOPED_TRACE(to_string(point));
+    plan.point = point;
+    EXPECT_THROW((void)run_campaign(*built.cluster, *twin.electrical, plan,
+                                    fast_config()),
+                 contract_error);
+    EXPECT_THROW((void)run_campaign(*twin.cluster, *built.electrical, plan,
+                                    fast_config()),
+                 contract_error);
+    EXPECT_NO_THROW((void)run_campaign(*built.cluster, *built.electrical,
+                                       plan, fast_config()));
+    EXPECT_NO_THROW((void)run_campaign(*twin.cluster, *twin.electrical, plan,
+                                       fast_config()));
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -36,16 +37,6 @@ TEST(Cluster, NodeMeansAreReproducedAsTimeAverages) {
   }
 }
 
-TEST(Cluster, SystemPowerIsSumOfNodes) {
-  const ClusterPowerModel cluster = small_cluster();
-  const double t = cluster.phases().core_begin().value() + 100.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    sum += cluster.node_power_w(i, t);
-  }
-  EXPECT_NEAR(cluster.system_power_w(t), sum, 1e-9);
-}
-
 TEST(Cluster, SystemCoreMeanIsSumOfNodeMeans) {
   const ClusterPowerModel cluster = small_cluster();
   EXPECT_NEAR(cluster.system_core_mean().value(), 1605.0, 1e-9);
@@ -67,16 +58,6 @@ TEST(Cluster, StaticFractionBoundsTheDynamicRange) {
   const double swing_elastic =
       elastic.node_power_w(0, t_hi) - elastic.node_power_w(0, t_lo);
   EXPECT_GT(swing_elastic, 5.0 * swing_rigid);
-}
-
-TEST(Cluster, TracesMatchFunctions) {
-  const ClusterPowerModel cluster = small_cluster();
-  const PowerTrace core = cluster.system_core_trace(Seconds{10.0});
-  EXPECT_NEAR(core.mean_power().value(), 1605.0, 1.0);
-  const PowerTrace full = cluster.system_full_trace(Seconds{10.0});
-  EXPECT_GT(full.size(), core.size());
-  // Setup power lower than core power.
-  EXPECT_LT(full.watt_at(0), core.watt_at(0));
 }
 
 TEST(Cluster, ConstructionGuards) {
@@ -115,9 +96,11 @@ TEST(MakeSystemPowerModel, AuxiliarySizingFollowsConfig) {
   const SystemPowerModel sys = make_system_power_model(
       cluster, 2, PsuEfficiencyCurve::platinum(), aux);
   const double compute_mean = cluster.system_core_mean().value();
-  EXPECT_NEAR(sys.auxiliary_ac_w(Subsystem::kNetwork, 0.0),
-              compute_mean * 0.10, 1e-9);
-  EXPECT_DOUBLE_EQ(sys.auxiliary_ac_w(Subsystem::kStorage, 0.0), 0.0);
+  EXPECT_NEAR(sys.auxiliary_ac_w(0.0), compute_mean * 0.10, 1e-9);
+  aux.network_frac = 0.0;
+  const SystemPowerModel bare = make_system_power_model(
+      cluster, 2, PsuEfficiencyCurve::platinum(), aux);
+  EXPECT_EQ(bare.auxiliary_ac_w(0.0), 0.0);
 }
 
 TEST(MakeSystemPowerModel, NodesShareOneCompiledPsuTable) {
@@ -136,16 +119,34 @@ TEST(MakeSystemPowerModel, NodesShareOneCompiledPsuTable) {
     }
     lanes.push_back(&psu.compiled());
   }
-  EXPECT_TRUE(FleetPsuBank::build(lanes).shared());
+  // The PSU bank builds only on lanes that share one table.
+  EXPECT_NO_THROW((void)FleetPsuBank::build(lanes));
 }
 
 TEST(MakeSystemPowerModel, NodeDcMatchesClusterGroundTruth) {
-  const ClusterPowerModel cluster = small_cluster();
-  const SystemPowerModel sys = make_system_power_model(
-      cluster, 2, PsuEfficiencyCurve::platinum(), AuxiliaryConfig{});
-  const double t = cluster.phases().core_begin().value() + 500.0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(sys.node_dc_w(i, t), cluster.node_power_w(i, t));
+  // Every node's DC truth is its cluster's, bit for bit, through setup,
+  // core and teardown — on an HPL cluster too, whose core phase moves.
+  const ClusterPowerModel firestarter = small_cluster();
+  const ClusterPowerModel hpl(
+      "hpl", {400.0, 410.0, 390.0, 405.0, 395.0},
+      std::make_shared<HplWorkload>(HplParams::gpu_incore(), hours(1.0)));
+  for (const ClusterPowerModel* cluster : {&firestarter, &hpl}) {
+    SCOPED_TRACE(cluster->name());
+    const SystemPowerModel sys = make_system_power_model(
+        *cluster, 2, PsuEfficiencyCurve::platinum(), AuxiliaryConfig{});
+    ASSERT_EQ(&sys.cluster(), cluster);
+    ASSERT_EQ(sys.node_count(), cluster->node_count());
+    const double total = cluster->phases().total().value();
+    constexpr int kSteps = 240;
+    for (int k = 0; k <= kSteps; ++k) {
+      const double t = total * k / kSteps;
+      for (std::size_t i = 0; i < sys.node_count(); ++i) {
+        const double want = cluster->node_power_w(i, t);
+        const double got = sys.node_dc_w(i, t);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << "node " << i << ", t=" << t;
+      }
+    }
   }
 }
 

@@ -331,27 +331,28 @@ TEST(Collector, RejectsDataFaultInjectionAndNonNodePlans) {
       contract_error);
 }
 
-TEST(Collector, HandBuiltModelIsATypedError) {
+TEST(Collector, TwinClusterModelIsATypedError) {
+  // An equal twin cluster's electrical model has equal truths but reads
+  // another cluster: the collector refuses it on both node taps and
+  // collects with the cluster's own model.
   ScenarioSpec spec;
   spec.nodes = 4;
-  Scenario built = build_scenario(spec);
-  const MeasurementPlan plan =
+  const Scenario built = build_scenario(spec);
+  const Scenario twin = build_scenario(spec);
+  MeasurementPlan plan =
       built.plan(MethodologySpec::get(Level::kL3, Revision::kV2015), 3);
-  // Built the way test_hierarchy builds one: constant per-node draws.
-  SystemPowerModel hand("testsys", /*nodes_per_rack=*/2);
-  for (int i = 0; i < 4; ++i) {
-    const double base = 100.0 + 10.0 * i;
-    hand.add_node([base](double) { return base; },
-                  PsuModel(Watts{400.0}, PsuEfficiencyCurve::platinum()));
+  for (const MeasurementPoint point :
+       {MeasurementPoint::kNodeAc, MeasurementPoint::kNodeDc}) {
+    SCOPED_TRACE(to_string(point));
+    plan.point = point;
+    EXPECT_THROW((void)collect_campaign(*built.cluster, *twin.electrical,
+                                        plan, fast_config()),
+                 contract_error);
+    EXPECT_NO_THROW((void)collect_campaign(*built.cluster, *built.electrical,
+                                           plan, fast_config()));
+    EXPECT_NO_THROW((void)collect_campaign(*twin.cluster, *twin.electrical,
+                                           plan, fast_config()));
   }
-  hand.set_pdu_loss_fraction(0.02);
-  ASSERT_EQ(hand.node_count(), built.cluster->node_count());
-  EXPECT_THROW(
-      (void)collect_campaign(*built.cluster, hand, plan, fast_config()),
-      contract_error);
-  // The lowered model of the same cluster collects.
-  EXPECT_NO_THROW((void)collect_campaign(*built.cluster, *built.electrical,
-                                         plan, fast_config()));
 }
 
 TEST(Collector, DcTapIsThreadCountInvariant) {

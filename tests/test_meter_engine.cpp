@@ -25,8 +25,7 @@
 // (FleetSoA, run under TSan), the fused kernel against the dense per-node
 // path on hand-built tables whose shape level changes mid-chunk and the
 // typed error for an analysis map naming a missing bucket row
-// (FusedLevelRuns), the scenario-scale guards, and the typed error a
-// hand-built (not lowered) electrical model gets on every tap.
+// (FusedLevelRuns), and the scenario-scale guards.
 //
 // The reference clears memoize_truth, so every engine-vs-reference case
 // that reconciles also compares the check meters' memoized truths with
@@ -36,7 +35,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -704,73 +702,6 @@ TEST(FusedLevelRuns, MapNamingAMissingBucketIsATypedError) {
     }
     std::vector<std::size_t> counts(kBuckets, 0);
     EXPECT_THROW(count_analysis_samples(a_idx, counts), contract_error);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The electrical model must be the cluster lowered through
-// make_system_power_model, node for node: a hand-built one, or one with
-// any node not this cluster's, is a typed error, not a silent change of
-// metering path.
-
-TEST(MeterEngine, HandBuiltModelIsATypedError) {
-  ScenarioSpec spec;
-  spec.nodes = 4;
-  Scenario built = build_scenario(spec);
-  const ClusterPowerModel& cluster = *built.cluster;
-  const MeasurementPlan plan =
-      built.plan(MethodologySpec::get(Level::kL3, Revision::kV2015), 3);
-  // Built the way test_hierarchy builds one: constant per-node draws.
-  SystemPowerModel hand("hand-built", /*nodes_per_rack=*/2);
-  for (int i = 0; i < 4; ++i) {
-    const double base = 100.0 + 10.0 * i;
-    hand.add_node([base](double) { return base; },
-                  PsuModel(Watts{400.0}, PsuEfficiencyCurve::platinum()));
-  }
-  hand.set_pdu_loss_fraction(0.02);
-  ASSERT_EQ(hand.node_count(), cluster.node_count());
-  // Only the first plan node lowered; every other node wanders 1% on a
-  // slow sine.  A check on that one node passes it, and Assess then
-  // reads a memoized truth 1% off the direct one.
-  const std::size_t lowered = plan.node_indices.front();
-  SystemPowerModel wandering("wandering", spec.nodes_per_rack);
-  // Every node this cluster's, but two of them trade places.
-  SystemPowerModel swapped("swapped", spec.nodes_per_rack);
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    const PsuModel& psu = built.electrical->node_psu(i);
-    if (i == lowered) {
-      wandering.add_node(cluster.node_function(i), psu);
-    } else {
-      wandering.add_node(
-          [&cluster, i](double t) {
-            return cluster.node_power_w(i, t) *
-                   (1.0 + 0.01 * std::sin(t / 600.0));
-          },
-          psu);
-    }
-    const std::size_t from = i == 1 ? 2 : i == 2 ? 1 : i;
-    swapped.add_node(cluster.node_function(from), psu);
-  }
-  // An equal twin cluster's lowering: equal truths, another cluster.
-  const Scenario twin = build_scenario(spec);
-  // Every tap reads its truth through the lowered model's shape factor,
-  // so every tap refuses all four.
-  for (const MeasurementPoint point :
-       {MeasurementPoint::kNodeAc, MeasurementPoint::kRackPdu,
-        MeasurementPoint::kFacilityFeed}) {
-    SCOPED_TRACE(to_string(point));
-    MeasurementPlan tapped = plan;
-    tapped.point = point;
-    for (const SystemPowerModel* model :
-         {&hand, &wandering, &swapped, twin.electrical.get()}) {
-      SCOPED_TRACE(model == twin.electrical.get() ? "twin" : model->name());
-      EXPECT_THROW(
-          (void)run_campaign(cluster, *model, tapped, base_config(3)),
-          contract_error);
-    }
-    // The lowered model of the same cluster runs.
-    EXPECT_NO_THROW(
-        (void)run_campaign(cluster, *built.electrical, tapped, base_config(3)));
   }
 }
 

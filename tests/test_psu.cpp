@@ -173,7 +173,6 @@ TEST(CompiledPsuCurve, ReboundCurveIsBitIdenticalToAFreshCompile) {
       const std::vector<const CompiledPsuCurve*> rebound_lanes(n, &rebound);
       const FleetPsuBank fresh_bank = FleetPsuBank::build(fresh_lanes);
       const FleetPsuBank rebound_bank = FleetPsuBank::build(rebound_lanes);
-      ASSERT_TRUE(rebound_bank.shared());
       std::vector<double> fresh_fleet(n), rebound_fleet(n);
       fresh_bank.ac_from_dc_fleet(dc, fresh_fleet, 0, lf, eff);
       rebound_bank.ac_from_dc_fleet(dc, rebound_fleet, 0, lf, eff);
@@ -218,10 +217,10 @@ TEST(PsuModel, FleetCurveConstructorMatchesTheCurveConstructor) {
 TEST(FleetPsuBank, SharesOnlyPointerSharedTablesBitForBit) {
   // Five ratings on one curve, as two fleets: rebound from one compiled
   // table (a lowered model's nodes) and compiled node by node (distinct,
-  // if equal, tables).  The bank recognises a shared table by pointer
-  // only, so the first takes the fleet-major blend with per-lane 1/rated
-  // and the second the per-lane fallback; both must give the bits of a
-  // freshly compiled curve's scalar call.
+  // if equal, tables).  The bank takes a shared table only by pointer:
+  // the first runs the fleet-major blend with per-lane 1/rated and must
+  // give the bits of a freshly compiled curve's scalar call; the second
+  // is refused.
   const CompiledPsuCurve fleet(PsuEfficiencyCurve::platinum(), Watts{1.0});
   std::vector<PsuModel> rebound;
   std::vector<PsuModel> separate;
@@ -230,59 +229,60 @@ TEST(FleetPsuBank, SharesOnlyPointerSharedTablesBitForBit) {
     rebound.emplace_back(rated, fleet);
     separate.emplace_back(rated, PsuEfficiencyCurve::platinum());
   }
+  const auto lanes_of = [](const std::vector<PsuModel>& psus) {
+    std::vector<const CompiledPsuCurve*> lanes;
+    for (const PsuModel& p : psus) lanes.push_back(&p.compiled());
+    return lanes;
+  };
+  const std::vector<const CompiledPsuCurve*> separate_lanes =
+      lanes_of(separate);
+  EXPECT_FALSE(separate_lanes[0]->shares_table_with(*separate_lanes[1]));
+  EXPECT_THROW((void)FleetPsuBank::build(separate_lanes), contract_error);
+
+  const std::vector<const CompiledPsuCurve*> lanes = lanes_of(rebound);
+  EXPECT_TRUE(lanes[0]->shares_table_with(*lanes[1]));
+  const FleetPsuBank bank = FleetPsuBank::build(lanes);
   const std::vector<double> dc = {0.0, 5.0, 60.0, 150.0, 290.0, 512.0};
   const auto want = [&](std::size_t lane, double load) {
     return separate[lane].compiled().ac_from_dc(load);
   };
-  for (const bool pointer_shared : {true, false}) {
-    SCOPED_TRACE(pointer_shared ? "rebound" : "compiled node by node");
-    std::vector<const CompiledPsuCurve*> lanes;
-    for (const PsuModel& p : pointer_shared ? rebound : separate) {
-      lanes.push_back(&p.compiled());
-    }
-    EXPECT_EQ(lanes[0]->shares_table_with(*lanes[1]), pointer_shared);
-    const FleetPsuBank bank = FleetPsuBank::build(lanes);
-    EXPECT_EQ(bank.shared(), pointer_shared);
-    std::vector<double> ac(dc.size()), lf, eff;
-    // Lanes 0..4, then lane 4 again through a one-lane window at offset 4.
-    bank.ac_from_dc_fleet(std::span<const double>(dc).first(5),
-                          std::span<double>(ac).first(5), 0, lf, eff);
-    for (std::size_t k = 0; k < 5; ++k) {
-      EXPECT_TRUE(bits_equal(ac[k], want(k, dc[k])));
-    }
-    bank.ac_from_dc_fleet(std::span<const double>(dc).subspan(5, 1),
-                          std::span<double>(ac).subspan(5, 1), 4, lf, eff);
-    EXPECT_TRUE(bits_equal(ac[5], want(4, dc[5])));
+  std::vector<double> ac(dc.size()), lf, eff;
+  // Lanes 0..4, then lane 4 again through a one-lane window at offset 4.
+  bank.ac_from_dc_fleet(std::span<const double>(dc).first(5),
+                        std::span<double>(ac).first(5), 0, lf, eff);
+  for (std::size_t k = 0; k < 5; ++k) {
+    EXPECT_TRUE(bits_equal(ac[k], want(k, dc[k])));
   }
+  bank.ac_from_dc_fleet(std::span<const double>(dc).subspan(5, 1),
+                        std::span<double>(ac).subspan(5, 1), 4, lf, eff);
+  EXPECT_TRUE(bits_equal(ac[5], want(4, dc[5])));
+  EXPECT_THROW(bank.ac_from_dc_fleet(std::span<const double>(dc).first(2),
+                                     std::span<double>(ac).first(2), 4, lf,
+                                     eff),
+               contract_error);
 }
 
-TEST(FleetPsuBank, MixedCurvesAndDcLanesFallBack) {
+TEST(FleetPsuBank, MixedTablesAndMixedDcLanesAreRefused) {
   const PsuModel gold(Watts{400.0}, PsuEfficiencyCurve::gold());
   const PsuModel platinum(Watts{400.0}, PsuEfficiencyCurve::platinum());
-  const std::vector<double> dc = {120.0, 120.0, 120.0};
-  std::vector<double> ac(dc.size()), lf, eff;
-
-  const std::vector<const CompiledPsuCurve*> mixed = {
-      &gold.compiled(), &platinum.compiled(), &gold.compiled()};
-  const FleetPsuBank mixed_bank = FleetPsuBank::build(mixed);
-  EXPECT_FALSE(mixed_bank.shared());
-  mixed_bank.ac_from_dc_fleet(dc, ac, 0, lf, eff);
-  for (std::size_t k = 0; k < dc.size(); ++k) {
-    EXPECT_TRUE(bits_equal(ac[k], mixed[k]->ac_from_dc(dc[k])));
+  const CompiledPsuCurve none;
+  using Lanes = std::vector<const CompiledPsuCurve*>;
+  for (const Lanes& lanes :
+       {Lanes{&gold.compiled(), &platinum.compiled(), &gold.compiled()},
+        Lanes{&gold.compiled(), nullptr, &gold.compiled()},
+        Lanes{nullptr, &gold.compiled()}, Lanes{&none}}) {
+    EXPECT_THROW((void)FleetPsuBank::build(lanes), contract_error);
   }
-  EXPECT_NE(ac[0], ac[1]);
 
-  const std::vector<const CompiledPsuCurve*> with_dc_lane = {
-      &gold.compiled(), nullptr, &gold.compiled()};
-  const FleetPsuBank dc_bank = FleetPsuBank::build(with_dc_lane);
-  EXPECT_FALSE(dc_bank.shared());
+  // All DC lanes: the bank passes the DC loads through.
+  const std::vector<double> dc = {120.0, 0.0, 333.25};
+  std::vector<double> ac(dc.size()), lf, eff;
+  const FleetPsuBank dc_bank = FleetPsuBank::build(Lanes(3, nullptr));
   dc_bank.ac_from_dc_fleet(dc, ac, 0, lf, eff);
-  EXPECT_TRUE(bits_equal(ac[0], gold.compiled().ac_from_dc(dc[0])));
-  EXPECT_EQ(ac[1], dc[1]);  // a DC tap passes through
-  EXPECT_TRUE(bits_equal(ac[2], gold.compiled().ac_from_dc(dc[2])));
-
-  const std::vector<const CompiledPsuCurve*> all_dc(3, nullptr);
-  EXPECT_FALSE(FleetPsuBank::build(all_dc).shared());
+  for (std::size_t k = 0; k < dc.size(); ++k) {
+    EXPECT_TRUE(bits_equal(ac[k], dc[k]));
+  }
+  EXPECT_THROW(dc_bank.ac_from_dc_fleet(dc, ac, 1, lf, eff), contract_error);
 }
 
 }  // namespace
