@@ -1,5 +1,5 @@
 // Library micro-benchmarks (google-benchmark): the hot paths behind the
-// reproduction — RNG, meter noise (per draw and per row), the fused fleet
+// reproduction — RNG, meter noise (per draw and per block), the fused fleet
 // metering kernel, quantiles, trace window statistics, fleet generation,
 // sliding-window sweeps and the coverage inner loop.
 
@@ -70,58 +70,66 @@ void BM_MeterNoise(benchmark::State& state) {
 }
 BENCHMARK(BM_MeterNoise);
 
-/// BM_MeterNoise's pattern through normal_row, the fused kernel's draw:
-/// 4096 lanes at one shared index per iteration.  The label names the
-/// path this CPU takes (normal_row_path).
-void BM_NoiseRow(benchmark::State& state) {
-  constexpr std::size_t kLanes = 4096;
+/// Meter noise through normal_block, the fused kernel's draw.  Arg 0 is a
+/// 20k-lane row of one sample per iteration (a campaign-wide row), arg 1 a
+/// 64-lane x 32-sample block (the kernel's tile and block); the first
+/// index advances per iteration.  Items are draws, so ns per lane-sample
+/// is 1e9 / items_per_second.  The label names the path this CPU takes
+/// (normal_block_path).
+void BM_NoiseBlock(benchmark::State& state) {
+  const std::size_t lanes_n = state.range(0) != 0 ? 64 : 20000;
+  const std::size_t samples = state.range(0) != 0 ? 32 : 1;
   std::vector<pv::NoiseStream> lanes;
-  lanes.reserve(kLanes);
-  for (std::size_t i = 0; i < kLanes; ++i) lanes.emplace_back(0xBADCAB1E, i);
-  std::vector<double> out(kLanes);
-  std::uint64_t k = 0;
+  lanes.reserve(lanes_n);
+  for (std::size_t i = 0; i < lanes_n; ++i) lanes.emplace_back(0xBADCAB1E, i);
+  std::vector<double> out(lanes_n * samples);
+  std::uint64_t k0 = 0;
   for (auto _ : state) {
-    pv::normal_row(lanes, k, out);
+    pv::normal_block(lanes, k0, samples, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
-    ++k;
+    k0 += samples;
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kLanes));
-  state.SetLabel(pv::normal_row_path());
+                          static_cast<std::int64_t>(lanes_n * samples));
+  state.SetLabel(pv::normal_block_path());
   report_peak_rss(state);
 }
-BENCHMARK(BM_NoiseRow);
+BENCHMARK(BM_NoiseBlock)->Arg(0)->Arg(1);
 
-/// BM_NoiseRow's shape over 4096 lanes whose words all fail the
-/// ziggurat's rectangle test at one fixed index: the row's rejection
-/// path alone.  Items are rejected words, so ns per rejected word is
+/// A block whose words all fail the ziggurat's rectangle test: 2048 lanes
+/// whose words at both kIndex and kIndex + 1 fail, drawn two samples per
+/// call, so the block's rejection path runs alone on lists that mix the
+/// two samples.  Items are rejected words, so ns per rejected word is
 /// 1e9 / items_per_second.
-void BM_NoiseRowRejected(benchmark::State& state) {
-  constexpr std::size_t kLanes = 4096;
+void BM_NoiseBlockRejected(benchmark::State& state) {
+  constexpr std::size_t kLanes = 2048;
+  constexpr std::size_t kSamples = 2;
   constexpr std::uint64_t kIndex = 12345;
+  const auto fails = [](std::uint64_t w) {
+    return !(std::fabs(pv::zignor::signed_unit(w)) <
+             pv::zignor::kTables.r[pv::zignor::block_of(w)]);
+  };
   std::vector<pv::NoiseStream> lanes;
   lanes.reserve(kLanes);
   for (std::uint64_t stream = 0; lanes.size() < kLanes; ++stream) {
     const pv::NoiseStream lane(0xBADCAB1E, stream);
-    const std::uint64_t w = lane.word(kIndex);
-    if (!(std::fabs(pv::zignor::signed_unit(w)) <
-          pv::zignor::kTables.r[pv::zignor::block_of(w)])) {
+    if (fails(lane.word(kIndex)) && fails(lane.word(kIndex + 1))) {
       lanes.push_back(lane);
     }
   }
-  std::vector<double> out(kLanes);
+  std::vector<double> out(kLanes * kSamples);
   for (auto _ : state) {
-    pv::normal_row(lanes, kIndex, out);
+    pv::normal_block(lanes, kIndex, kSamples, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kLanes));
-  state.SetLabel(pv::normal_row_path());
+                          static_cast<std::int64_t>(kLanes * kSamples));
+  state.SetLabel(pv::normal_block_path());
   report_peak_rss(state);
 }
-BENCHMARK(BM_NoiseRowRejected);
+BENCHMARK(BM_NoiseBlockRejected);
 
 /// The fused lane kernel of clean node-tap metering (stream_fleet_chunk)
 /// over a 20k-lane PDU-grade node-AC fleet: one 1800-sample chunk, the

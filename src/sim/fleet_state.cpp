@@ -142,6 +142,30 @@ void FleetAccumulators::close_window(std::size_t begin, std::size_t end,
 
 namespace {
 
+// Lanes per tile and samples per noise block: a tile's block of draws
+// (16 KB), its clean row, window sums and bucket rows stay in L1 while the
+// block's samples are accumulated.
+constexpr std::size_t kTileLanes = 64;
+constexpr std::size_t kBlockSamples = 32;
+
+// Adds one sample's readings of a tile's w lanes into their window sums
+// and, with kBucket, into their bucket row: the clean reading, scaled by
+// 1 + sd * z[i] when kNoisy.  One loop per instantiation, since GCC at -O2
+// does not unswitch an inner `if (bs)` (a merged loop ran perfect-meter
+// chunks at half the speed); the operands never alias, and saying so
+// spares every call a run-time overlap check.
+template <bool kNoisy, bool kBucket>
+void accumulate(std::size_t w, const double* __restrict clean,
+                const double* __restrict z, double sd,
+                double* __restrict win, double* __restrict bs) {
+  for (std::size_t i = 0; i < w; ++i) {
+    double v = clean[i];
+    if constexpr (kNoisy) v *= 1.0 + sd * z[i];
+    win[i] += v;
+    if constexpr (kBucket) bs[i] += v;
+  }
+}
+
 // Feeds one chunk's samples into win_sum (and bucket rows, when mapped)
 // for lanes [begin, end).  Level-indexed tables only — the caller routes
 // dense tables through the per-node kernel.  Every lane evaluates the
@@ -149,15 +173,15 @@ namespace {
 // left-to-right window sum, operand for operand, drawing its own noise
 // stream at the sample's meter-global index k0 + k.
 //
-// A sample's clean reading (GL4 truth, then truth * gain + off) depends
-// only on its level indices, and steady phases repeat them for long runs
-// of samples, so the kernel keeps one clean row per lane and refills it
-// only where a sample's indices (all four planes when integrated) differ
-// from the previous sample's.  Each sample then costs its noise draws,
-// one normal_row over the lanes' streams, and its adds.  Each accumulate
-// stays two loops, with and without a bucket row: GCC at -O2 does not
-// unswitch an inner `if (bs)`, and the merged loop ran perfect-meter
-// chunks at half the speed.
+// The lanes are walked in tiles of kTileLanes, each tile's samples in
+// blocks of kBlockSamples: one normal_block call draws a block's noise
+// for the tile, then its samples are accumulated in order.  Every lane
+// still sees its samples in order, so tiling moves no bit.  A sample's
+// clean reading (GL4 truth, then truth * gain + off) depends only on its
+// level indices, and steady phases repeat them for long runs of samples,
+// so the kernel keeps one clean row per tile and refills it only where a
+// sample's indices (all four planes when integrated) differ from the
+// previous sample's.  Each sample then costs its adds (accumulate).
 void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
                        std::uint64_t k0, std::size_t begin, std::size_t end,
                        double* win_sum,
@@ -183,77 +207,78 @@ void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
         scratch.eff);
   }
 
-  const double* const gain = fleet.gain.data() + begin;
-  const double* const off = fleet.offset_w.data() + begin;
-  double* const win = win_sum + begin;
-  const NoiseStream* const noise = fleet.noise.data() + begin;
   const double sd = fleet.noise_sd;
   const std::uint32_t* const idx = table.level_idx.data();
-  const double* const acl = scratch.acl.data();
-  scratch.clean.resize(m);
+  scratch.clean.resize(kTileLanes);
   double* const clean = scratch.clean.data();
-  scratch.draws.resize(m);
-  double* const z = scratch.draws.data();
+  scratch.draws.resize(kTileLanes * kBlockSamples);
+  double* const draws = scratch.draws.data();
 
-  // Plane q of sample k reads level row idx[q*samples + k].
-  const auto row = [&](std::size_t q, std::size_t k) {
-    return acl + static_cast<std::size_t>(idx[q * samples + k]) * m;
-  };
   const auto same_levels = [&](std::size_t k) {
     for (std::size_t q = 0; q < planes; ++q) {
       if (idx[q * samples + k] != idx[q * samples + k - 1]) return false;
     }
     return true;
   };
-  const auto fill_clean = [&](std::size_t k) {
-    if (planes == 4) {
-      const double* const r0 = row(0, k);
-      const double* const r1 = row(1, k);
-      const double* const r2 = row(2, k);
-      const double* const r3 = row(3, k);
-      for (std::size_t i = 0; i < m; ++i) {
-        const double truth = ((gl4::kWs[0] * r0[i] + gl4::kWs[1] * r1[i]) +
-                              gl4::kWs[2] * r2[i]) +
-                             gl4::kWs[3] * r3[i];
-        clean[i] = truth * gain[i] + off[i];
-      }
-    } else {
-      const double* const r = row(0, k);
-      for (std::size_t i = 0; i < m; ++i) clean[i] = r[i] * gain[i] + off[i];
-    }
-  };
 
-  for (std::size_t k = 0; k < samples; ++k) {
-    if (k == 0 || !same_levels(k)) fill_clean(k);
-    double* bs = nullptr;
-    if (a_idx != nullptr && a_idx[k] >= 0) {
-      bs = bucket_sum + static_cast<std::size_t>(a_idx[k]) * bucket_stride +
-           begin;
-    }
-    if (sd > 0.0) {
-      normal_row(std::span<const NoiseStream>(noise, m), k0 + k,
-                 std::span<double>(z, m));
-      if (bs != nullptr) {
-        for (std::size_t i = 0; i < m; ++i) {
-          double v = clean[i];
-          v *= 1.0 + sd * z[i];
-          win[i] += v;
-          bs[i] += v;
+  for (std::size_t t = 0; t < m; t += kTileLanes) {
+    const std::size_t w = std::min(kTileLanes, m - t);
+    const double* const gain = fleet.gain.data() + begin + t;
+    const double* const off = fleet.offset_w.data() + begin + t;
+    double* const win = win_sum + begin + t;
+    const std::span<const NoiseStream> noise(fleet.noise.data() + begin + t,
+                                             w);
+    // Plane q of sample k reads level row idx[q*samples + k], from this
+    // tile's first lane.
+    const auto row = [&](std::size_t q, std::size_t k) {
+      return scratch.acl.data() +
+             static_cast<std::size_t>(idx[q * samples + k]) * m + t;
+    };
+    const auto fill_clean = [&](std::size_t k) {
+      if (planes == 4) {
+        const double* const r0 = row(0, k);
+        const double* const r1 = row(1, k);
+        const double* const r2 = row(2, k);
+        const double* const r3 = row(3, k);
+        for (std::size_t i = 0; i < w; ++i) {
+          const double truth = ((gl4::kWs[0] * r0[i] + gl4::kWs[1] * r1[i]) +
+                                gl4::kWs[2] * r2[i]) +
+                               gl4::kWs[3] * r3[i];
+          clean[i] = truth * gain[i] + off[i];
         }
       } else {
-        for (std::size_t i = 0; i < m; ++i) {
-          double v = clean[i];
-          v *= 1.0 + sd * z[i];
-          win[i] += v;
+        const double* const r = row(0, k);
+        for (std::size_t i = 0; i < w; ++i) clean[i] = r[i] * gain[i] + off[i];
+      }
+    };
+
+    for (std::size_t b = 0; b < samples; b += kBlockSamples) {
+      const std::size_t block = std::min(kBlockSamples, samples - b);
+      if (sd > 0.0) {
+        normal_block(noise, k0 + b, block,
+                     std::span<double>(draws, block * w));
+      }
+      for (std::size_t s = 0; s < block; ++s) {
+        const std::size_t k = b + s;
+        if (k == 0 || !same_levels(k)) fill_clean(k);
+        double* bs = nullptr;
+        if (a_idx != nullptr && a_idx[k] >= 0) {
+          bs = bucket_sum +
+               static_cast<std::size_t>(a_idx[k]) * bucket_stride + begin + t;
+        }
+        const double* const z = draws + s * w;
+        if (sd > 0.0) {
+          if (bs != nullptr) {
+            accumulate<true, true>(w, clean, z, sd, win, bs);
+          } else {
+            accumulate<true, false>(w, clean, z, sd, win, bs);
+          }
+        } else if (bs != nullptr) {
+          accumulate<false, true>(w, clean, z, sd, win, bs);
+        } else {
+          accumulate<false, false>(w, clean, z, sd, win, bs);
         }
       }
-    } else if (bs != nullptr) {
-      for (std::size_t i = 0; i < m; ++i) {
-        win[i] += clean[i];
-        bs[i] += clean[i];
-      }
-    } else {
-      for (std::size_t i = 0; i < m; ++i) win[i] += clean[i];
     }
   }
 }

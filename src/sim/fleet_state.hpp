@@ -135,10 +135,12 @@ struct FleetAccumulators {
 /// Reused per-worker staging for the fused kernels.
 struct FleetScratch {
   std::vector<double> acl;  ///< levels x lanes AC matrix (row-major by level)
-  /// Per-lane clean reading (truth * gain + offset) of the current run of
-  /// samples with equal level indices; refilled where the indices change.
+  /// The current tile's clean readings (truth * gain + offset), one per
+  /// lane, of the current run of samples with equal level indices;
+  /// refilled where the indices change.
   std::vector<double> clean;
-  /// Per-lane standard normal draws of the current sample (normal_row).
+  /// The current tile's standard normal draws of the current block of
+  /// samples, sample-major (normal_block): 64 lanes x 32 samples, 16 KB.
   std::vector<double> draws;
   std::vector<double> dc;   ///< per-lane DC staging for one level
   std::vector<double> lf;   ///< FleetPsuBank blend staging
@@ -167,9 +169,10 @@ void count_analysis_samples(std::span<const std::int32_t> a_idx,
 /// reading chains into its lane's open window sum and, when `a_idx` (the
 /// chunk's map_analysis_samples) is non-empty, into its reconcile bucket
 /// row.  Chunks with deduplicated shape levels run the fused lane
-/// kernel, which computes each lane's clean reading once per run of
-/// samples with equal level indices and per sample only draws the noise
-/// and adds; dense chunks (ramps past the level cap) fall back to the
+/// kernel, which walks 64-lane tiles in blocks of 32 samples, draws each
+/// block's noise in one normal_block call, computes each lane's clean
+/// reading once per run of samples with equal level indices and per
+/// sample only adds; dense chunks (ramps past the level cap) fall back to the
 /// per-node kernel, chained into the same accumulators.  Chunk sample i
 /// draws every lane's noise at meter-global index k0 + i.  Workers must
 /// own disjoint lane ranges.  A map entry naming a bucket row `acc` lacks

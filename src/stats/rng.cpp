@@ -156,11 +156,17 @@ namespace {
 static_assert(sizeof(NoiseStream) == sizeof(std::uint64_t) &&
               std::is_standard_layout_v<NoiseStream>);
 
-// Entries in the list of lanes whose word failed the rectangle test.  A
-// vector step stores eight entries at the fill mark, so the list is
-// settled whenever fewer than eight are free, and at the end of the row;
-// a long row thus settles its rejected words in full vectors.
-constexpr std::size_t kRejectedList = 264;
+// The main pass draws 64-lane groups: eight vectors of eight lanes whose
+// SplitMix64 states stay in registers across a block's samples.
+constexpr std::size_t kGroup = 64;
+
+// Entries in the list of lane-samples whose word failed the rectangle
+// test, each (s << 32) | lane.  A group's sample stores eight entries per
+// vector at the fill mark, at most 64 in all, so the list is settled
+// whenever fewer than 64 are free, and at the end of the block; a block
+// of 64 lanes and 32 samples (about 56 entries) is settled once, in full
+// vectors.
+constexpr std::size_t kRejectedList = 320;
 
 // Half the width of the band around 1 in which the vector wedge test
 // decides nothing: outside it, its sum and the scalar draw's are on the
@@ -174,6 +180,11 @@ constexpr double kWedgeBand = 0x1.0p-30;
 #define PV_AVX512 __attribute__((target("avx512f,avx512dq")))
 
 constexpr __mmask8 kAll = 0xFF;
+
+// The lanes of a live mask's first `n` (below 8) entries.
+inline __mmask8 first_lanes(std::size_t n) {
+  return static_cast<__mmask8>((1U << n) - 1);
+}
 
 // SplitMix64::mix of eight words; vpmullq is exact modulo 2^64.
 PV_AVX512 inline __m512i mix8(__m512i z) {
@@ -227,51 +238,57 @@ PV_AVX512 inline __m512d wedge_exp8(__m512d a) {
   return p;
 }
 
-// Draws the `pending` lanes listed in `rejected`, whose words failed the
-// rectangle test: eight at a time where the vector pass below can settle
-// them, through NoiseStream::normal where it cannot.  A lane's word is
-// recomputed from its origin, which ran no slower than keeping the words
-// in a second list.  zignor::rejected makes the wedge test
-// f1 + U·(f0 - f1) < 1 on x = u·x[b], f0 = exp(-0.5·(x[b]² - x²)),
-// f1 = exp(-0.5·(x[b+1]² - x²)) and U = open_unit(mix(w + γ)), and on a
-// rejection puts the sub-stream's next word mix(w + 2γ) through the
-// rectangle test.  Here the same operands, in the same order, feed
-// wedge_exp8 in place of exp.  Its error and libm's are far below
-// kWedgeBand, so a sum below 1 - band is below 1 in the scalar draw too
-// (accept: store x, the scalar product), and one at or above 1 + band is
-// not (the retry word: store its u·x[block] if it passes).  Block-0 words
-// (the tail), sums inside the band and retry words that fail are left to
-// the scalar draw; the list is compacted to them in place (an entry is
-// rewritten only after it was read).
-PV_AVX512 void settle_rejected(const NoiseStream* lanes, std::uint64_t k,
-                               double* out, std::uint64_t* rejected,
-                               std::size_t pending) {
-  const __m512i step =
-      _mm512_set1_epi64(static_cast<long long>((k + 1) * SplitMix64::kGamma));
+// Draws the `pending` lane-samples listed in `rejected`, whose words
+// failed the rectangle test: eight at a time where the vector pass below
+// can settle them, through NoiseStream::normal where it cannot.  An entry
+// (s << 32) | lane is draw k0 + s of lane `lane`, stored at
+// out[s·n + lane]; its word is recomputed from the lane's origin and the
+// step (k0 + 1 + s)·γ, which ran no slower than keeping the words in a
+// second list.  zignor::rejected makes the wedge test f1 + U·(f0 - f1) < 1
+// on x = u·x[b], f0 = exp(-0.5·(x[b]² - x²)), f1 = exp(-0.5·(x[b+1]² - x²))
+// and U = open_unit(mix(w + γ)), and on a rejection puts the sub-stream's
+// next word mix(w + 2γ) through the rectangle test.  Here the same
+// operands, in the same order, feed wedge_exp8 in place of exp.  Its error
+// and libm's are far below kWedgeBand, so a sum below 1 - band is below 1
+// in the scalar draw too (accept: store x, the scalar product), and one at
+// or above 1 + band is not (the retry word: store its u·x[block] if it
+// passes).  Block-0 words (the tail), sums inside the band and retry words
+// that fail are left to the scalar draw; the list is compacted to them in
+// place (an entry is rewritten only after it was read).
+PV_AVX512 void settle_rejected(const NoiseStream* lanes, std::uint64_t k0,
+                               double* out, std::size_t n,
+                               std::uint64_t* rejected, std::size_t pending) {
+  const __m512i first = _mm512_set1_epi64(static_cast<long long>(k0 + 1));
   const __m512i gamma =
       _mm512_set1_epi64(static_cast<long long>(SplitMix64::kGamma));
   const __m512i gamma2 =
       _mm512_set1_epi64(static_cast<long long>(2 * SplitMix64::kGamma));
+  const __m512i low = _mm512_set1_epi64(0xFFFFFFFFLL);
+  const __m512i width = _mm512_set1_epi64(static_cast<long long>(n));
   const __m512i one = _mm512_set1_epi64(1);
   const __m512d minus_half = _mm512_set1_pd(-0.5);
   std::size_t rest = 0;
   for (std::size_t j = 0; j < pending; j += 8) {
-    const __mmask8 live =
-        pending - j >= 8 ? kAll
-                         : static_cast<__mmask8>((1U << (pending - j)) - 1);
-    const __m512i index = _mm512_maskz_loadu_epi64(live, rejected + j);
+    const __mmask8 live = pending - j >= 8 ? kAll : first_lanes(pending - j);
+    const __m512i entry = _mm512_maskz_loadu_epi64(live, rejected + j);
+    const __m512i lane = _mm512_and_si512(entry, low);
+    const __m512i s = _mm512_maskz_srli_epi64(kAll, entry, 32);
+    // Both factors are below 2^32, so vpmuludq's 32x32 -> 64 product is
+    // the slot's exact index.
+    const __m512i slot =
+        _mm512_add_epi64(_mm512_maskz_mul_epu32(kAll, s, width), lane);
     const __m512i w = mix8(_mm512_add_epi64(
-        _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), live, index,
+        _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), live, lane,
                                     lanes, 8),
-        step));
-    const Split8 s = split8(w);
-    const __m512d x = _mm512_mul_pd(s.u, s.x);
+        _mm512_mullo_epi64(_mm512_add_epi64(first, s), gamma)));
+    const Split8 sp = split8(w);
+    const __m512d x = _mm512_mul_pd(sp.u, sp.x);
     const __m512d x_next = _mm512_mask_i64gather_pd(
-        _mm512_setzero_pd(), kAll, _mm512_add_epi64(s.block, one),
+        _mm512_setzero_pd(), kAll, _mm512_add_epi64(sp.block, one),
         zignor::kTables.x, 8);
     const __m512d xx = _mm512_mul_pd(x, x);
     const __m512d f0 = wedge_exp8(_mm512_mul_pd(
-        minus_half, _mm512_sub_pd(_mm512_mul_pd(s.x, s.x), xx)));
+        minus_half, _mm512_sub_pd(_mm512_mul_pd(sp.x, sp.x), xx)));
     const __m512d f1 = wedge_exp8(_mm512_mul_pd(
         minus_half, _mm512_sub_pd(_mm512_mul_pd(x_next, x_next), xx)));
     const __m512d height = _mm512_mul_pd(
@@ -283,7 +300,7 @@ PV_AVX512 void settle_rejected(const NoiseStream* lanes, std::uint64_t k,
         _mm512_set1_pd(0x1.0p-52));
     const __m512d sum =
         _mm512_add_pd(f1, _mm512_mul_pd(height, _mm512_sub_pd(f0, f1)));
-    const __mmask8 wedge = live & _mm512_test_epi64_mask(s.block, s.block);
+    const __mmask8 wedge = live & _mm512_test_epi64_mask(sp.block, sp.block);
     const __mmask8 accept =
         wedge & _mm512_cmp_pd_mask(sum, _mm512_set1_pd(1.0 - kWedgeBand),
                                    _CMP_LT_OQ);
@@ -293,49 +310,104 @@ PV_AVX512 void settle_rejected(const NoiseStream* lanes, std::uint64_t k,
     const Split8 retry = split8(mix8(_mm512_add_epi64(w, gamma2)));
     const __mmask8 retried = reject & inside8(retry);
     _mm512_mask_i64scatter_pd(
-        out, accept | retried, index,
+        out, accept | retried, slot,
         _mm512_mask_blend_pd(retried, x, _mm512_mul_pd(retry.u, retry.x)), 8);
     const __mmask8 scalar = live & static_cast<__mmask8>(~(accept | retried));
     _mm512_storeu_si512(rejected + rest,
-                        _mm512_maskz_compress_epi64(scalar, index));
+                        _mm512_maskz_compress_epi64(scalar, entry));
     rest += static_cast<std::size_t>(__builtin_popcount(scalar));
   }
   for (std::size_t j = 0; j < rest; ++j) {
-    out[rejected[j]] = lanes[rejected[j]].normal(k);
+    const std::uint64_t s = rejected[j] >> 32;
+    const std::uint64_t lane = rejected[j] & 0xFFFFFFFFU;
+    out[s * n + lane] = lanes[lane].normal(k0 + s);
   }
 }
 
-// normal_row on AVX-512 F+DQ, eight lanes per step.  Each step is the
-// scalar draw's arithmetic, lane for lane: the word is
-// SplitMix64::mix(origin + (k+1)·γ) in 64-bit integer operations, and the
-// uniform and the rectangle test are zignor::normal's.  A lane that
-// passes therefore stores the scalar draw's u * x[block]; a lane that
-// fails is listed and drawn later by settle_rejected.
-PV_AVX512 void normal_row_avx512(const NoiseStream* lanes, std::uint64_t k,
-                                 double* out, std::size_t n) {
-  const __m512i step =
-      _mm512_set1_epi64(static_cast<long long>((k + 1) * SplitMix64::kGamma));
-  const __m512i eight = _mm512_set1_epi64(8);
-  std::uint64_t rejected[kRejectedList] = {};
-  std::size_t pending = 0;
-  __m512i index = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-  for (std::size_t i = 0; i < n; i += 8) {
-    if (pending > kRejectedList - 8) {
-      settle_rejected(lanes, k, out, rejected, pending);
+// Eight lanes of one sample in the main pass: the words of the SplitMix64
+// states `state`, their values u * x[block] stored at `dst` (masked to
+// `live` in the trailing partial group), and the entries of the lanes
+// that fail the rectangle test listed.  Each step is the scalar draw's
+// arithmetic, lane for lane: the word is SplitMix64::mix(origin + (k0+1+s)·γ) in 64-bit integer
+// operations, and the uniform and the rectangle test are zignor::normal's,
+// so a lane that passes stores the scalar draw's value.
+template <bool kMasked>
+PV_AVX512 __attribute__((always_inline)) inline void draw8(
+    __m512i state, __mmask8 live, __m512i entry, double* dst,
+    std::uint64_t* rejected, std::size_t& pending) {
+  const Split8 sp = split8(mix8(state));
+  const __m512d value = _mm512_mul_pd(sp.u, sp.x);
+  __mmask8 slow = static_cast<__mmask8>(~inside8(sp));
+  if constexpr (kMasked) {
+    _mm512_mask_storeu_pd(dst, live, value);
+    slow &= live;
+  } else {
+    _mm512_storeu_pd(dst, value);
+  }
+  _mm512_storeu_si512(rejected + pending,
+                      _mm512_maskz_compress_epi64(slow, entry));
+  pending += static_cast<std::size_t>(__builtin_popcount(slow));
+}
+
+// Draws every sample of the block for the group of lanes [g, g + 64), or
+// [g, n) for the trailing partial group (kMasked).  The group's eight
+// SplitMix64 states, origin + (k0+1+s)·γ, stay in registers and gain γ
+// per sample; a full group stores whole vectors without masks.  The list
+// is checked once per sample, before the group adds at most 64 entries.
+template <bool kMasked>
+PV_AVX512 __attribute__((always_inline)) inline void draw_group(
+    const NoiseStream* lanes, std::uint64_t k0, std::size_t samples,
+    double* out, std::size_t n, std::size_t g, std::uint64_t* rejected,
+    std::size_t& pending) {
+  const __m512i gamma =
+      _mm512_set1_epi64(static_cast<long long>(SplitMix64::kGamma));
+  const __m512i first = _mm512_set1_epi64(
+      static_cast<long long>((k0 + 1) * SplitMix64::kGamma));
+  const __m512i iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  const std::size_t vectors = kMasked ? (n - g + 7) / 8 : kGroup / 8;
+  __m512i state[kGroup / 8] = {};
+  __mmask8 live[kGroup / 8] = {};
+#pragma GCC unroll 8
+  for (std::size_t v = 0; v < vectors; ++v) {
+    const std::size_t left = n - g - 8 * v;
+    live[v] = left >= 8 ? kAll : first_lanes(left);
+    state[v] = _mm512_add_epi64(
+        _mm512_maskz_loadu_epi64(live[v], lanes + g + 8 * v), first);
+  }
+  for (std::size_t s = 0; s < samples; ++s) {
+    if (pending > kRejectedList - kGroup) {
+      settle_rejected(lanes, k0, out, n, rejected, pending);
       pending = 0;
     }
-    const __mmask8 live =
-        n - i >= 8 ? kAll : static_cast<__mmask8>((1U << (n - i)) - 1);
-    const Split8 s = split8(mix8(
-        _mm512_add_epi64(_mm512_maskz_loadu_epi64(live, lanes + i), step)));
-    _mm512_mask_storeu_pd(out + i, live, _mm512_mul_pd(s.u, s.x));
-    const __mmask8 slow = live & static_cast<__mmask8>(~inside8(s));
-    _mm512_storeu_si512(rejected + pending,
-                        _mm512_maskz_compress_epi64(slow, index));
-    pending += static_cast<std::size_t>(__builtin_popcount(slow));
-    index = _mm512_add_epi64(index, eight);
+    const __m512i tag = _mm512_add_epi64(
+        iota, _mm512_set1_epi64(static_cast<long long>((s << 32) | g)));
+    double* const row = out + s * n + g;
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < vectors; ++v) {
+      draw8<kMasked>(state[v], live[v],
+                     _mm512_add_epi64(
+                         tag, _mm512_set1_epi64(static_cast<long long>(8 * v))),
+                     row + 8 * v, rejected, pending);
+      state[v] = _mm512_add_epi64(state[v], gamma);
+    }
   }
-  settle_rejected(lanes, k, out, rejected, pending);
+}
+
+// normal_block on AVX-512 F+DQ: whole 64-lane groups, then the trailing
+// partial one, then the lane-samples still listed.
+PV_AVX512 void normal_block_avx512(const NoiseStream* lanes, std::uint64_t k0,
+                                   std::size_t samples, double* out,
+                                   std::size_t n) {
+  std::uint64_t rejected[kRejectedList] = {};
+  std::size_t pending = 0;
+  const std::size_t full = n - n % kGroup;
+  for (std::size_t g = 0; g < full; g += kGroup) {
+    draw_group<false>(lanes, k0, samples, out, n, g, rejected, pending);
+  }
+  if (full < n) {
+    draw_group<true>(lanes, k0, samples, out, n, full, rejected, pending);
+  }
+  settle_rejected(lanes, k0, out, n, rejected, pending);
 }
 
 #undef PV_AVX512
@@ -352,28 +424,37 @@ bool cpu_has_avx512() { return false; }
 
 #endif
 
-// Whether normal_row takes its vector path: asked of the CPU once.
-bool row_is_vector() {
+// Whether normal_block takes its vector path: asked of the CPU once.
+bool block_is_vector() {
   static const bool vector = cpu_has_avx512();
   return vector;
 }
 
 }  // namespace
 
-void normal_row(std::span<const NoiseStream> lanes, std::uint64_t k,
-                std::span<double> out) {
-  PV_EXPECTS(out.size() == lanes.size(), "normal_row needs one out per lane");
+void normal_block(std::span<const NoiseStream> lanes, std::uint64_t k0,
+                  std::size_t samples, std::span<double> out) {
+  constexpr std::size_t kMaxCount = 0xFFFFFFFFU;
+  const std::size_t n = lanes.size();
+  PV_EXPECTS(n <= kMaxCount && samples <= kMaxCount,
+             "normal_block draws fewer than 2^32 lanes and samples");
+  PV_EXPECTS(out.size() == samples * n,
+             "normal_block needs one out per lane and sample");
 #ifdef PV_NOISE_AVX512
-  if (row_is_vector()) {
-    normal_row_avx512(lanes.data(), k, out.data(), lanes.size());
+  if (block_is_vector()) {
+    normal_block_avx512(lanes.data(), k0, samples, out.data(), n);
     return;
   }
 #endif
-  for (std::size_t i = 0; i < lanes.size(); ++i) out[i] = lanes[i].normal(k);
+  for (std::size_t s = 0; s < samples; ++s) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[s * n + i] = lanes[i].normal(k0 + s);
+    }
+  }
 }
 
-const char* normal_row_path() {
-  return row_is_vector() ? "avx512" : "per-lane";
+const char* normal_block_path() {
+  return block_is_vector() ? "avx512" : "per-lane";
 }
 
 }  // namespace pv

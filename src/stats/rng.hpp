@@ -21,19 +21,21 @@
 //     function of (origin, k).  The stream is an immutable 8-byte origin:
 //     no path has to consume a meter's noise in sample order, and a
 //     retried, re-polled or re-chunked sample sees the same value.
-//     normal_row draws one index across a row of streams, the fused
-//     fleet kernel's access pattern.  On CPUs with AVX-512 F+DQ (checked
-//     once, at the first call) it runs eight lanes per step: SplitMix64
-//     with 64-bit vector multiplies, the block index, the uniform and the
-//     rectangle test on the scalar draw's operations in the scalar
-//     draw's order, so every lane that passes gets the scalar value.  The
-//     lanes that fail (about 2.8%) are settled eight at a time too: the
-//     wedge test on the scalar draw's operands with a polynomial exp
-//     (kWedgeExp), decided only outside a band of 2^-30 around 1 that
-//     the polynomial's error cannot cross, then the retry word's
-//     rectangle test.  The tail, the band and failed retries (about 0.09%
-//     of words) are redrawn through the scalar draw.  Elsewhere it is the
-//     per-lane loop.
+//     normal_block draws a block of consecutive indices across a row of
+//     streams, the fused fleet kernel's access pattern, sample-major.  On
+//     CPUs with AVX-512 F+DQ (checked once, at the first call) it runs
+//     64-lane groups: a group's origins stay in registers across the
+//     block's samples, and each lane-sample is SplitMix64 with 64-bit
+//     vector multiplies, the block index, the uniform and the rectangle
+//     test on the scalar draw's operations in the scalar draw's order, so
+//     every lane that passes gets the scalar value.  The lane-samples that
+//     fail (about 2.8%) are listed as (sample, lane) entries and settled
+//     eight at a time: the wedge test on the scalar draw's operands with a
+//     polynomial exp (kWedgeExp), decided only outside a band of 2^-30
+//     around 1 that the polynomial's error cannot cross, then the retry
+//     word's rectangle test.  The tail, the band and failed retries (about
+//     0.09% of words) are redrawn through the scalar draw.  Elsewhere it
+//     is the per-lane loop.
 
 #include <array>
 #include <cmath>
@@ -152,7 +154,7 @@ inline double open_unit(std::uint64_t w) {
   return (static_cast<double>(w >> 12) + 0.5) * 0x1.0p-52;
 }
 
-/// The vector row's stand-in for exp in the wedge test: the Taylor
+/// The vector block's stand-in for exp in the wedge test: the Taylor
 /// coefficients 1/n! of exp, n = 0..kWedgeExpDegree, evaluated by Horner's
 /// rule with fused multiply-adds.  The wedge exponents of blocks 1..127
 /// lie within +-0.7317, where it is within 2^-50 of exp, relative, so a
@@ -206,12 +208,15 @@ class NoiseStream {
   std::uint64_t origin_;
 };
 
-/// Draw k of every lane: out[i] = lanes[i].normal(k), bit for bit.
-/// `out` must be as long as `lanes` (contract_error otherwise).
-void normal_row(std::span<const NoiseStream> lanes, std::uint64_t k,
-                std::span<double> out);
+/// Draws k0 .. k0 + samples - 1 of every lane, sample-major:
+/// out[s * lanes.size() + i] = lanes[i].normal(k0 + s), bit for bit (the
+/// indices wrap modulo 2^64, as normal's do).  `out` must hold
+/// samples * lanes.size() values, and neither count may exceed 2^32 - 1
+/// (contract_error otherwise).
+void normal_block(std::span<const NoiseStream> lanes, std::uint64_t k0,
+                  std::size_t samples, std::span<double> out);
 
-/// The path normal_row takes on this CPU: "avx512" or "per-lane".
-[[nodiscard]] const char* normal_row_path();
+/// The path normal_block takes on this CPU: "avx512" or "per-lane".
+[[nodiscard]] const char* normal_block_path();
 
 }  // namespace pv

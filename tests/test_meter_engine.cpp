@@ -23,9 +23,10 @@
 // emission schedule, the facility check meter on a zero-auxiliary rig,
 // thread invariance of the sharded provision and of both loop shapes
 // (FleetSoA, run under TSan), the fused kernel against the dense per-node
-// path on hand-built tables whose shape level changes mid-chunk and the
-// typed error for an analysis map naming a missing bucket row
-// (FusedLevelRuns), and the scenario-scale guards.
+// path on hand-built tables whose shape level changes mid-chunk, also at
+// the kernel's tile and noise-block edges, and the typed error for an
+// analysis map naming a missing bucket row (FusedLevelRuns), and the
+// scenario-scale guards.
 //
 // The reference clears memoize_truth, so every engine-vs-reference case
 // that reconciles also compares the check meters' memoized truths with
@@ -37,9 +38,12 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -565,34 +569,38 @@ ShapeTable level_table(MeterMode mode, const std::vector<double>& levels,
 }
 
 // Streams `chunks` back to back (one scratch, advancing k0, as a worker
-// walks a window) over lanes [1, n) through the fused kernel and through
-// the dense path, then compares the window sums and, when `mapped`, the
-// reconcile buckets.
-void expect_fused_matches_dense(const std::vector<ShapeTable>& chunks,
-                                const FleetState& fleet, bool mapped) {
-  constexpr std::size_t kBuckets = 2;
+// walks a window) over lanes [begin, n) through the fused kernel and
+// through the dense path, then compares the window sums and the reconcile
+// buckets.  `maps` is empty (unmapped) or holds each chunk's analysis map.
+void expect_fused_matches_dense(
+    const std::vector<ShapeTable>& chunks,
+    const std::vector<std::vector<std::int32_t>>& maps,
+    const FleetState& fleet, std::size_t begin) {
+  std::size_t buckets = 0;
+  for (const std::vector<std::int32_t>& map : maps) {
+    for (const std::int32_t a : map) {
+      buckets = std::max(buckets, static_cast<std::size_t>(a + 1));
+    }
+  }
   const std::size_t n = fleet.size();
   FleetAccumulators fused;
   FleetAccumulators dense;
-  fused.init(n, mapped ? kBuckets : 0);
-  dense.init(n, mapped ? kBuckets : 0);
+  fused.init(n, buckets);
+  dense.init(n, buckets);
   FleetScratch fused_scratch;
   FleetScratch dense_scratch;
   std::uint64_t k0 = 0;
-  for (const ShapeTable& chunk : chunks) {
-    std::vector<std::int32_t> a_idx;
-    if (mapped) {
-      for (std::size_t k = 0; k < chunk.samples; ++k) {
-        a_idx.push_back(k % 4 == 3 ? -1
-                                   : static_cast<std::int32_t>(
-                                         k * kBuckets / chunk.samples));
-      }
-    }
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    const ShapeTable& chunk = chunks[c];
+    const std::vector<std::int32_t> a_idx =
+        maps.empty() ? std::vector<std::int32_t>{} : maps[c];
     ShapeTable cleared = chunk;
     cleared.levels.clear();
     cleared.level_idx.clear();
-    stream_fleet_chunk(chunk, a_idx, fleet, k0, 1, n, fused, fused_scratch);
-    stream_fleet_chunk(cleared, a_idx, fleet, k0, 1, n, dense, dense_scratch);
+    stream_fleet_chunk(chunk, a_idx, fleet, k0, begin, n, fused,
+                       fused_scratch);
+    stream_fleet_chunk(cleared, a_idx, fleet, k0, begin, n, dense,
+                       dense_scratch);
     k0 += chunk.samples;
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -603,6 +611,12 @@ void expect_fused_matches_dense(const std::vector<ShapeTable>& chunks,
         << "bucket entry " << j;
   }
 }
+
+// Noise-free meters still carry calibration error, so the clean row's
+// gain and offset matter on both accumulate paths.
+const MeterAccuracy kNoiseFree{.gain_error_sd = 0.01,
+                                   .offset_error_sd_w = 1.5,
+                                   .noise_sd = 0.0};
 
 // Runs `planes_of(sequence)` chunks — the sequence, then reversed — on
 // noisy and noise-free fleets, unmapped and mapped.
@@ -617,13 +631,17 @@ void expect_level_runs_match(
   std::reverse(seq.begin(), seq.end());
   const std::vector<ShapeTable> chunks = {
       forward, level_table(mode, levels, planes_of(seq))};
-  // Noise-free meters still carry calibration error, so the clean row's
-  // gain and offset matter on both accumulate paths.
-  const MeterAccuracy noise_free{.gain_error_sd = 0.01,
-                                 .offset_error_sd_w = 1.5,
-                                 .noise_sd = 0.0};
+  std::vector<std::vector<std::int32_t>> maps;
+  for (const ShapeTable& chunk : chunks) {
+    std::vector<std::int32_t>& a_idx = maps.emplace_back();
+    for (std::size_t k = 0; k < chunk.samples; ++k) {
+      a_idx.push_back(k % 4 == 3 ? -1
+                                 : static_cast<std::int32_t>(
+                                       k * 2 / chunk.samples));
+    }
+  }
   for (const MeterAccuracy& accuracy :
-       {MeterAccuracy::pdu_grade(), noise_free}) {
+       {MeterAccuracy::pdu_grade(), kNoiseFree}) {
     FleetProvisionSpec spec;
     spec.accuracy = accuracy;
     spec.mode = mode;
@@ -634,7 +652,9 @@ void expect_level_runs_match(
     for (const bool mapped : {false, true}) {
       SCOPED_TRACE("noise_sd=" + std::to_string(accuracy.noise_sd) +
                    (mapped ? ", mapped" : ", unmapped"));
-      expect_fused_matches_dense(chunks, fleet, mapped);
+      expect_fused_matches_dense(
+          chunks, mapped ? maps : std::vector<std::vector<std::int32_t>>{},
+          fleet, 1);
     }
   }
 }
@@ -662,6 +682,73 @@ TEST(FusedLevelRuns, IntegratedLevelChangesMatchDensePath) {
           planes[q] = seq;
           return planes;
         });
+  }
+}
+
+TEST(FusedLevelRuns, TileAndBlockEdgesMatchDensePath) {
+  // The fused kernel walks 64-lane tiles and draws noise in blocks of 32
+  // samples.  Fleets of 1, 63, 64, 65 and 130 lanes, from lane 0 and from
+  // lane 1, put tile edges everywhere; the level sequence and the analysis
+  // map change at samples 31, 32 and 33 (block edges), at 63 and 64, and
+  // between chunks of 70 and 33 samples.
+  const Rig rig = make_rig(130, Level::kL3, 4);
+  const std::vector<double> levels = {1.0, 0.6, 0.85, 1.1};
+  const auto sequence = [](std::size_t samples, std::size_t shift) {
+    // Level index and analysis row of each sample: a new run starts at
+    // every edge; every third run is unmapped.
+    constexpr std::size_t kEdges[] = {31, 32, 33, 63, 64};
+    std::vector<std::uint32_t> seq;
+    std::vector<std::int32_t> map;
+    std::size_t run = shift;
+    for (std::size_t k = 0; k < samples; ++k) {
+      if (std::find(std::begin(kEdges), std::end(kEdges), k) !=
+          std::end(kEdges)) {
+        ++run;
+      }
+      seq.push_back(static_cast<std::uint32_t>(run % 4));
+      map.push_back(run % 3 == 2 ? -1 : static_cast<std::int32_t>(run % 3));
+    }
+    return std::make_pair(seq, map);
+  };
+  const auto [seq0, map0] = sequence(70, 0);
+  const auto [seq1, map1] = sequence(33, 1);
+  const std::vector<std::vector<std::int32_t>> maps = {map0, map1};
+  for (const MeterMode mode : {MeterMode::kSampled, MeterMode::kIntegrated}) {
+    const std::size_t planes = mode == MeterMode::kIntegrated ? 4 : 1;
+    const std::vector<ShapeTable> chunks = {
+        level_table(mode, levels,
+                    std::vector<std::vector<std::uint32_t>>(planes, seq0)),
+        level_table(mode, levels,
+                    std::vector<std::vector<std::uint32_t>>(planes, seq1))};
+    for (const MeterAccuracy& accuracy :
+         {MeterAccuracy::pdu_grade(), kNoiseFree}) {
+      FleetProvisionSpec spec;
+      spec.accuracy = accuracy;
+      spec.mode = mode;
+      spec.seed = 4;
+      for (const std::size_t n : {1, 63, 64, 65, 130}) {
+        std::vector<std::size_t> nodes(n);
+        std::iota(nodes.begin(), nodes.end(), std::size_t{0});
+        const FleetState fleet = build_fleet_state(
+            nodes, spec, rig.cluster.get(), rig.electrical.get());
+        for (const std::size_t begin : {0, 1}) {
+          if (begin >= n) continue;
+          for (const bool mapped : {false, true}) {
+            SCOPED_TRACE(std::string(mode == MeterMode::kIntegrated
+                                         ? "integrated"
+                                         : "sampled") +
+                         ", noise_sd=" + std::to_string(accuracy.noise_sd) +
+                         ", lanes [" + std::to_string(begin) + ", " +
+                         std::to_string(n) + ")" +
+                         (mapped ? ", mapped" : ", unmapped"));
+            expect_fused_matches_dense(
+                chunks,
+                mapped ? maps : std::vector<std::vector<std::int32_t>>{},
+                fleet, begin);
+          }
+        }
+      }
+    }
   }
 }
 

@@ -168,102 +168,98 @@ TEST(NoiseStream, OriginIsKeyedBySeedAndStream) {
             SplitMix64(stream_seed(7, 3)).next());
 }
 
-TEST(NoiseStream, RowMatchesPerLaneDrawsBitForBit) {
-  // Whichever path this CPU takes (normal_row_path), the row is the
-  // per-lane draws to the bit: over vector bodies and tails, spans that
-  // start off a vector boundary, and indices whose (k+1)·γ wraps.
-  constexpr std::size_t kGuard = 8;
-  const double sentinel = -1234.5;
-  std::vector<NoiseStream> pool;
-  for (std::size_t i = 0; i < 4099 + 3; ++i) {
-    pool.emplace_back(0xBADCAB1EULL, i);
-  }
-  std::size_t rejected = 0;  // words that fail the rectangle test
-  std::size_t tail = 0;      // of those, block-0 words: the tail draw
-  for (const std::uint64_t k :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1} << 32,
-        (std::uint64_t{1} << 63) - 1, ~std::uint64_t{0} - 1}) {
-    for (const std::size_t offset : {1, 3}) {
-      for (const std::size_t n : {0, 1, 7, 8, 9, 17, 4099}) {
-        const std::span<const NoiseStream> lanes(pool.data() + offset, n);
-        std::vector<double> expected(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          expected[i] = lanes[i].normal(k);
-          const std::uint64_t w = lanes[i].word(k);
-          const unsigned block = zignor::block_of(w);
-          if (!(std::fabs(zignor::signed_unit(w)) <
-                zignor::kTables.r[block])) {
-            ++rejected;
-            if (block == 0) ++tail;
-          }
-        }
-        // The row lands inside a guarded buffer, so a store outside it
-        // shows as an overwritten sentinel.
-        std::vector<double> buf(offset + n + kGuard, sentinel);
-        normal_row(lanes, k, std::span<double>(buf.data() + offset, n));
-        for (std::size_t i = 0; i < n; ++i) {
-          if (std::memcmp(&buf[offset + i], &expected[i], sizeof(double)) !=
-              0) {
-            ADD_FAILURE() << "k " << k << ", offset " << offset << ", "
-                          << n << " lanes: lane " << i << " reads "
-                          << buf[offset + i] << ", per-lane "
-                          << expected[i];
-            break;
-          }
-        }
-        for (std::size_t i = 0; i < buf.size(); ++i) {
-          if (i < offset || i >= offset + n) {
-            EXPECT_EQ(buf[i], sentinel) << "k " << k << ", offset " << offset
-                                        << ", " << n << " lanes: slot " << i;
-          }
-        }
-      }
-    }
-  }
-  // Both slow paths ran, so the row's redraws were exercised.
-  EXPECT_GT(rejected, 0u);
-  EXPECT_GT(tail, 0u);
-  std::vector<double> short_out(2);
-  EXPECT_THROW(normal_row(std::span<const NoiseStream>(pool.data(), 3), 0,
-                          short_out),
-               contract_error);
-}
-
 // Whether a word fails the rectangle test zignor::normal makes on it.
 bool fails_rectangle(std::uint64_t w) {
   return !(std::fabs(zignor::signed_unit(w)) <
            zignor::kTables.r[zignor::block_of(w)]);
 }
 
-// normal_row(lanes, k) against the per-lane draws, to the bit.  The row
-// lands `offset` slots into a guarded buffer, so a store outside it shows
-// as an overwritten sentinel.
-void expect_row_is_per_lane(std::span<const NoiseStream> lanes,
-                            std::uint64_t k, std::size_t offset) {
+// normal_block(lanes, k0, samples) against the per-lane draws, to the bit.
+// The block lands `offset` slots into a guarded buffer, so a store outside
+// it shows as an overwritten sentinel.
+void expect_block_is_per_lane(std::span<const NoiseStream> lanes,
+                              std::uint64_t k0, std::size_t samples,
+                              std::size_t offset) {
   constexpr std::size_t kGuard = 8;
   const double sentinel = -1234.5;
   const std::size_t n = lanes.size();
-  std::vector<double> expected(n);
-  for (std::size_t i = 0; i < n; ++i) expected[i] = lanes[i].normal(k);
-  std::vector<double> buf(offset + n + kGuard, sentinel);
-  normal_row(lanes, k, std::span<double>(buf.data() + offset, n));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (std::memcmp(&buf[offset + i], &expected[i], sizeof(double)) != 0) {
-      ADD_FAILURE() << "k " << k << ", offset " << offset << ", " << n
-                    << " lanes: lane " << i << " reads " << buf[offset + i]
-                    << ", per-lane " << expected[i];
+  std::vector<double> expected(samples * n);
+  for (std::size_t s = 0; s < samples; ++s) {
+    for (std::size_t i = 0; i < n; ++i) {
+      expected[s * n + i] = lanes[i].normal(k0 + s);
+    }
+  }
+  std::vector<double> buf(offset + samples * n + kGuard, sentinel);
+  normal_block(lanes, k0, samples,
+               std::span<double>(buf.data() + offset, samples * n));
+  for (std::size_t j = 0; j < expected.size(); ++j) {
+    if (std::memcmp(&buf[offset + j], &expected[j], sizeof(double)) != 0) {
+      ADD_FAILURE() << "k0 " << k0 << ", offset " << offset << ", " << n
+                    << " lanes x " << samples << " samples: lane " << j % n
+                    << " of sample " << j / n << " reads " << buf[offset + j]
+                    << ", per-lane " << expected[j];
       break;
     }
   }
   for (std::size_t i = 0; i < buf.size(); ++i) {
-    if (i < offset || i >= offset + n) {
-      EXPECT_EQ(buf[i], sentinel) << "k " << k << ", offset " << offset
-                                  << ", " << n << " lanes: slot " << i;
+    if (i < offset || i >= offset + expected.size()) {
+      EXPECT_EQ(buf[i], sentinel)
+          << "k0 " << k0 << ", offset " << offset << ", " << n << " lanes x "
+          << samples << " samples: slot " << i;
     }
   }
 }
 
-// The wedge exponents the vector row feeds zignor::kWedgeExp lie within
+TEST(NoiseStream, BlockMatchesPerLaneDrawsBitForBit) {
+  // Whichever path this CPU takes (normal_block_path), the block is the
+  // per-lane draws to the bit: over whole 64-lane groups and partial
+  // ones, blocks shorter and longer than the kernel's 32 samples, spans
+  // that start off a vector boundary, and first indices whose (k+1)·γ
+  // wraps or whose block wraps to index 0.
+  std::vector<NoiseStream> pool;
+  for (std::size_t i = 0; i < 4099 + 3; ++i) {
+    pool.emplace_back(0xBADCAB1EULL, i);
+  }
+  std::size_t rejected = 0;  // words that fail the rectangle test
+  std::size_t tail = 0;      // of those, block-0 words: the tail draw
+  for (const std::uint64_t k0 :
+       {std::uint64_t{0}, std::uint64_t{1} << 32,
+        (std::uint64_t{1} << 63) - 1, ~std::uint64_t{0} - 2}) {
+    for (const std::size_t offset : {1, 3}) {
+      for (const std::size_t n :
+           {0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 4099}) {
+        for (const std::size_t samples : {0, 1, 2, 31, 32, 33}) {
+          const std::span<const NoiseStream> lanes(pool.data() + offset, n);
+          for (std::size_t s = 0; s < samples; ++s) {
+            for (const NoiseStream& lane : lanes) {
+              const std::uint64_t w = lane.word(k0 + s);
+              if (fails_rectangle(w)) {
+                ++rejected;
+                if (zignor::block_of(w) == 0) ++tail;
+              }
+            }
+          }
+          expect_block_is_per_lane(lanes, k0, samples, offset);
+        }
+      }
+    }
+  }
+  // Both slow paths ran, so the block's redraws were exercised.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(tail, 0u);
+  std::vector<double> short_out(2 * 3 - 1);
+  EXPECT_THROW(normal_block(std::span<const NoiseStream>(pool.data(), 3), 0,
+                            2, short_out),
+               contract_error);
+  std::vector<double> long_out(2 * 3 + 1);
+  EXPECT_THROW(normal_block(std::span<const NoiseStream>(pool.data(), 3), 0,
+                            2, long_out),
+               contract_error);
+  // A block lists its rejected words by 32-bit sample and lane.
+  EXPECT_THROW(normal_block({}, 0, std::size_t{1} << 32, {}), contract_error);
+}
+
+// The wedge exponents the vector block feeds zignor::kWedgeExp lie within
 // +-max_b (x[b]² - x[b+1]²)/2 over blocks 1..127.
 double max_wedge_exponent() {
   const zignor::Tables& t = zignor::kTables;
@@ -275,7 +271,7 @@ double max_wedge_exponent() {
 }
 
 TEST(Zignor, WedgeExpIsWithinTwoToTheMinus40OfExp) {
-  // The vector row decides the wedge test with this polynomial and leaves
+  // The vector block decides the wedge test with this polynomial and leaves
   // a band of 2^-30 around 1 to the scalar draw; an error of 2^-40 in f0
   // and f1 moves their blend by less than 2^-38.
   const double a_max = max_wedge_exponent();
@@ -325,16 +321,20 @@ Outcome rejected_outcome(std::uint64_t w) {
           in_band};
 }
 
-TEST(NoiseStream, RowSettlesRowsOfRejectedWordsBitForBit) {
-  // Rows made only of words that fail the rectangle test: every lane of
-  // the vector row goes through its settle pass, and the longest rows
-  // fill its list of rejected lanes to capacity before it is settled.
-  // Each of the scalar draw's outcomes (wedge accept, a retry word that
-  // passes, one that fails, the tail) occurs among them.
+TEST(NoiseStream, BlockSettlesBlocksOfRejectedWordsBitForBit) {
+  // Blocks made only of words that fail the rectangle test: every
+  // lane-sample of the vector block goes through its settle pass.  Rows
+  // (one sample) of up to 3450+ lanes fill its list of rejected entries to
+  // capacity before it is settled.  Two-sample blocks, of lanes whose words
+  // at k - 1 and k both fail, list (sample, lane) entries of both samples,
+  // so one settle batch of eight mixes them; the longer ones outgrow the
+  // list too.  Each of the scalar draw's outcomes (wedge accept, a retry
+  // word that passes, one that fails, the tail) occurs among the rows.
   constexpr std::size_t kPool = std::size_t{1} << 17;
+  constexpr std::size_t kPairPool = std::size_t{1} << 19;
   std::vector<NoiseStream> pool;
-  pool.reserve(kPool);
-  for (std::size_t i = 0; i < kPool; ++i) pool.emplace_back(0x5E771E, i);
+  pool.reserve(kPairPool);
+  for (std::size_t i = 0; i < kPairPool; ++i) pool.emplace_back(0x5E771E, i);
   std::vector<std::uint64_t> ks = {std::uint64_t{1} << 32,
                                    (std::uint64_t{1} << 63) - 1,
                                    ~std::uint64_t{0} - 1};
@@ -344,11 +344,11 @@ TEST(NoiseStream, RowSettlesRowsOfRejectedWordsBitForBit) {
   std::size_t in_band = 0;
   for (const std::uint64_t k : ks) {
     std::vector<NoiseStream> rejected;
-    for (const NoiseStream& lane : pool) {
-      const std::uint64_t w = lane.word(k);
+    for (std::size_t i = 0; i < kPool; ++i) {
+      const std::uint64_t w = pool[i].word(k);
       ++words;
       if (!fails_rectangle(w)) continue;
-      rejected.push_back(lane);
+      rejected.push_back(pool[i]);
       const Outcome o = rejected_outcome(w);
       ++fate[static_cast<int>(o.fate)];
       if (o.in_band) ++in_band;
@@ -360,8 +360,22 @@ TEST(NoiseStream, RowSettlesRowsOfRejectedWordsBitForBit) {
          {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
           std::size_t{255}, std::size_t{256}, std::size_t{257},
           rejected.size()}) {
-      expect_row_is_per_lane(
-          std::span<const NoiseStream>(rejected.data(), n), k, n % 3);
+      expect_block_is_per_lane(
+          std::span<const NoiseStream>(rejected.data(), n), k, 1, n % 3);
+    }
+    // Lanes rejected at both k - 1 and k (k = 0 wraps to 2^64 - 1).
+    std::vector<NoiseStream> pairs;
+    for (const NoiseStream& lane : pool) {
+      if (fails_rectangle(lane.word(k - 1)) && fails_rectangle(lane.word(k))) {
+        pairs.push_back(lane);
+      }
+    }
+    ASSERT_GE(pairs.size(), 300u) << "k " << k;
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{7}, std::size_t{9}, std::size_t{65},
+          std::size_t{129}, pairs.size()}) {
+      expect_block_is_per_lane(std::span<const NoiseStream>(pairs.data(), n),
+                               k - 1, 2, n % 3);
     }
   }
   EXPECT_GT(fate[static_cast<int>(Fate::kWedgeAccepts)], 0u);
