@@ -6,7 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -21,6 +24,7 @@
 #include "stats/special.hpp"
 #include "trace/window_select.hpp"
 #include "workload/hpl.hpp"
+#include "workload/profiles.hpp"
 
 namespace {
 
@@ -133,9 +137,12 @@ BENCHMARK(BM_NoiseBlockRejected);
 
 /// The fused lane kernel of clean node-tap metering (stream_fleet_chunk)
 /// over a 20k-lane PDU-grade node-AC fleet: one 1800-sample chunk, the
-/// 30-minute core window at a 1 s interval.  Arg 0 meters sampled (L1/L2
-/// midpoints), arg 1 integrated (L3 Gauss-Legendre).  Items are
-/// lane-samples, so ns per lane-sample is 1e9 / items_per_second.
+/// 30-minute core window at a 1 s interval.  Arg 0 meters sampled (0,
+/// L1/L2 midpoints) or integrated (1, L3 Gauss-Legendre); arg 1 runs the
+/// scenario's FIRESTARTER cluster (0), whose flat core is one shape run,
+/// or the same fleet under MPrime (1), whose drifting core starts a run
+/// at every sample.  Items are lane-samples, so ns per lane-sample is
+/// 1e9 / items_per_second.
 void BM_FusedChunk(benchmark::State& state) {
   constexpr std::size_t kLanes = 20000;
   constexpr std::size_t kSamples = 1800;
@@ -144,7 +151,18 @@ void BM_FusedChunk(benchmark::State& state) {
                                                  : pv::MeterMode::kSampled;
   pv::ScenarioSpec spec;
   spec.nodes = kLanes;
-  const pv::Scenario scenario = pv::build_scenario(spec);
+  pv::Scenario scenario = pv::build_scenario(spec);
+  if (state.range(1) != 0) {
+    const std::span<const double> means = scenario.cluster->node_means();
+    auto cluster = std::make_unique<pv::ClusterPowerModel>(
+        "mprime", std::vector<double>(means.begin(), means.end()),
+        std::make_shared<pv::MprimeWorkload>(pv::minutes(30.0)));
+    scenario.electrical = std::make_unique<pv::SystemPowerModel>(
+        pv::make_system_power_model(*cluster, spec.nodes_per_rack,
+                                    pv::PsuEfficiencyCurve::platinum(),
+                                    pv::AuxiliaryConfig{}));
+    scenario.cluster = std::move(cluster);
+  }
   std::vector<std::size_t> nodes(kLanes);
   std::iota(nodes.begin(), nodes.end(), std::size_t{0});
   pv::FleetProvisionSpec provision;
@@ -172,7 +190,10 @@ void BM_FusedChunk(benchmark::State& state) {
                           static_cast<std::int64_t>(kLanes * kSamples));
   report_peak_rss(state);
 }
-BENCHMARK(BM_FusedChunk)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FusedChunk)
+    ->ArgNames({"integrated", "drifting"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_NormQuantile(benchmark::State& state) {
   double p = 0.0001;

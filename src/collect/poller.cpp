@@ -73,7 +73,7 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
   double now_s = 0.0;   // virtual clock: 0 == campaign window begin
   double busy_s = 0.0;  // time actually spent waiting on this meter
   std::size_t delivered = 0;
-  StreamScratch scratch;  // chunk reply buffers, reused per chunk
+  std::vector<double> readings;  // chunk reply buffer, reused per chunk
 
   for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
     const PollChunk& chunk = chunks[ci];
@@ -109,10 +109,7 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
     // The reply: this chunk's readings at their meter-global draw
     // indices, so retries, duplicates and resumed runs see identical
     // values.
-    stream_node_window(chunk.table, fleet.mean_w[lane], fleet.curve[lane],
-                       fleet.meters[lane], fleet.noise[lane], chunk.first,
-                       scratch);
-    const std::vector<double>& readings = scratch.readings;
+    stream_lane_window(chunk.table, fleet, lane, chunk.first, readings);
     double sum = 0.0;
     for (double w : readings) sum += w;
     window_sum[chunk.window_index] += sum;

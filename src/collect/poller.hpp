@@ -18,8 +18,8 @@
 // carries the shape table of its samples on the chunk's own time grid
 // (sample i at chunk begin + dt*i): the grid the collect goldens pin,
 // which at fractional intervals rounds differently from the engine's
-// window-global grid.  A delivered chunk is filled by the lane kernel
-// (stream_node_window) from the meter's FleetState lane — its mean draw,
+// window-global grid.  A delivered chunk is filled by the lane function
+// (stream_lane_window) from the meter's FleetState lane — its mean draw,
 // PSU curve, calibration and noise.
 //
 // Chunk sample values draw the meter's noise stream at their

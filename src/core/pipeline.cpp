@@ -497,11 +497,11 @@ class ProvisionStage final : public CampaignStage {
         // campaign starts and joins no threads of its own.
         ctx.fanout = std::max<std::size_t>(config.threads, 1);
         if (ctx.fanout > 1) ctx.pool = &default_pool();
-        // Transpose the cohort into the fleet table: meter models +
-        // calibration columns, per-node noise origins and PSU lanes, in
-        // plan order.  Every lane is a pure function of its own node id,
-        // so the sharded build is bit-identical at any thread count.  DC
-        // taps bind no PSU lanes: they meter the DC draw itself.
+        // Transpose the cohort into the fleet table: calibration
+        // columns, per-node noise origins and PSU lanes, in plan order.
+        // Every lane is a pure function of its own node id, so the
+        // sharded build is bit-identical at any thread count.  DC taps
+        // bind no PSU lanes: they meter the DC draw itself.
         ctx.fleet = std::make_unique<FleetState>(build_fleet_state(
             plan.node_indices, meter_spec(ctx), &cluster,
             plan.point == MeasurementPoint::kNodeDc ? nullptr : &electrical,
@@ -691,12 +691,9 @@ class NodeTapRun {
     const TimeWindow& w = ctx_.windows[wi];
     for (std::size_t i = b; i < e; ++i) {
       if (meters_[i].dead()) continue;
-      stream_node_window(chunk, fleet_.mean_w[i], fleet_.curve[i],
-                         fleet_.meters[i], fleet_.noise[i], k0, scratch.node);
+      stream_lane_window(chunk, fleet_, i, k0, scratch.readings);
       const std::optional<double> wm = meters_[i].feed_faulted_window(
-          PowerTrace(w.begin, fleet_.meters[i].interval(),
-                     scratch.node.readings),
-          w);
+          PowerTrace(w.begin, ctx_.interval, scratch.readings), w);
       if (!window_mean_.empty()) {
         in_window_[i] = wm.has_value() ? 1 : 0;
         window_mean_[i] = wm.value_or(0.0);
@@ -902,10 +899,11 @@ class NodeTapMeterStage final : public CampaignStage {
 };
 
 // The eager reference: each node's std::function truth chain metered
-// through meter_device, serially, on the lanes Provision built.  It
-// takes no shortcut the shared shape factor allows: clearing
-// memoize_truth makes the check meters and Assess read their truths
-// directly too.
+// through meter_device, serially, in the plan order Provision built the
+// lanes in, each node on the meter provision_meter gives its id (the
+// streams the lanes carry).  It takes no shortcut the shared shape factor
+// allows: clearing memoize_truth makes the check meters and Assess read
+// their truths directly too.
 class ReferenceMeterStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "meter"; }
@@ -916,9 +914,11 @@ class ReferenceMeterStage final : public CampaignStage {
     const SystemPowerModel& electrical = *ctx.electrical;
     const MeasurementPlan& plan = *ctx.plan;
     const FleetState& fleet = *ctx.fleet;
+    const FleetProvisionSpec spec = meter_spec(ctx);
     ctx.devices.resize(fleet.size());
     for (std::size_t i = 0; i < fleet.size(); ++i) {
       const std::size_t node = fleet.node[i];
+      const ProvisionedMeter meter = provision_meter(spec, node);
       const PowerFunction truth =
           plan.point == MeasurementPoint::kNodeDc
               ? PowerFunction([&electrical, node](double t) {
@@ -926,7 +926,7 @@ class ReferenceMeterStage final : public CampaignStage {
                 })
               : electrical.node_ac_function(node);
       ctx.devices[i] =
-          meter_device(ctx, fleet.meters[i], fleet.noise[i], truth, node, node);
+          meter_device(ctx, meter.meter, meter.noise, truth, node, node);
     }
     finish_node_meter(ctx, trace);
   }

@@ -92,22 +92,6 @@ CompiledPsuCurve CompiledPsuCurve::rebound(Watts rated_dc_output) const {
   return c;
 }
 
-void CompiledPsuCurve::ac_from_dc_batch(std::span<const double> dc,
-                                        std::span<double> ac,
-                                        std::vector<double>& lf_tmp,
-                                        std::vector<double>& eff_tmp) const {
-  const std::size_t n = dc.size();
-  PV_EXPECTS(ac.size() == n, "dc/ac spans must have equal length");
-  PV_EXPECTS(!empty(), "batch evaluation on an empty curve");
-  lf_tmp.resize(n);
-  eff_tmp.resize(n);
-  double* const lf = lf_tmp.data();
-  const double* const d = dc.data();
-  const double inv = inv_rated_;
-  for (std::size_t k = 0; k < n; ++k) lf[k] = d[k] * inv;
-  blend(*table_, d, lf, eff_tmp.data(), ac.data(), n);
-}
-
 void CompiledPsuCurve::blend(const Table& t, const double* d,
                              const double* lf, double* eff, double* out,
                              std::size_t n) {
@@ -183,9 +167,9 @@ void FleetPsuBank::ac_from_dc_fleet(std::span<const double> dc,
     std::copy(dc.begin(), dc.end(), ac.begin());
     return;
   }
-  // The ac_from_dc_batch blend with the node index as the lane: lf[k]
-  // carries the per-node 1/rated, so each lane computes exactly the
-  // scalar call's expression.
+  // The blend with the node index as the lane: lf[k] carries the
+  // per-node 1/rated, so each lane computes exactly the scalar call's
+  // expression.
   lf_tmp.resize(n);
   eff_tmp.resize(n);
   double* const lf = lf_tmp.data();

@@ -78,16 +78,6 @@ class CompiledPsuCurve {
     return table_ != nullptr && table_ == other.table_;
   }
 
-  /// Batch form of ac_from_dc over a whole window of loads: the segment
-  /// scan becomes one blend pass per curve segment (loop inversion), so
-  /// every inner loop is elementwise and vectorizes.  Each lane performs
-  /// exactly the operations of the scalar call with the same operands, so
-  /// ac[k] is bit-identical to ac_from_dc(dc[k]).  `lf_tmp`/`eff_tmp` are
-  /// caller-owned scratch reused across calls.
-  void ac_from_dc_batch(std::span<const double> dc, std::span<double> ac,
-                        std::vector<double>& lf_tmp,
-                        std::vector<double>& eff_tmp) const;
-
  private:
   friend class FleetPsuBank;
 
@@ -98,9 +88,12 @@ class CompiledPsuCurve {
     std::vector<double> slopes;  // (ys[i+1]-ys[i]) / (xs[i+1]-xs[i])
   };
 
-  /// The blend passes both batch forms run once they have formed the
-  /// load fractions lf[k] = dc[k] * 1/rated: ac[k] = dc[k] / eff(lf[k]),
-  /// with eff[] as scratch, for k in [0, n).
+  /// The blend passes FleetPsuBank runs once it has formed the load
+  /// fractions lf[k] = dc[k] * 1/rated: ac[k] = dc[k] / eff(lf[k]), with
+  /// eff[] as scratch, for k in [0, n).  The segment scan becomes one
+  /// blend pass per curve segment (loop inversion), so every inner loop
+  /// is elementwise and vectorizes, and each value takes exactly the
+  /// scalar ac_from_dc's operations with the same operands.
   static void blend(const Table& t, const double* dc, const double* lf,
                     double* eff, double* ac, std::size_t n);
 
@@ -115,8 +108,8 @@ class CompiledPsuCurve {
 /// CompiledPsuCurve evaluates the same breakpoint table and differs only
 /// in 1/rated — the rated output scales with the node's provisioned mean
 /// draw.  A lowered fleet's lanes share one table object, which the bank
-/// points at, plus a contiguous inv_rated[] vector, so the
-/// ac_from_dc_batch blend passes run with the node index as the SIMD lane.
+/// points at, plus a contiguous inv_rated[] vector, so the blend passes
+/// run with the node index as the SIMD lane.
 class FleetPsuBank {
  public:
   FleetPsuBank() = default;

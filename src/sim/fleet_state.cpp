@@ -38,7 +38,6 @@ FleetState build_fleet_state(std::span<const std::size_t> nodes,
   fs.gain.assign(n, 1.0);
   fs.offset_w.assign(n, 0.0);
   fs.noise_sd = spec.accuracy.noise_sd;
-  fs.meters.resize(n);
   fs.noise.assign(n, NoiseStream(0, 0));
   fs.curve.assign(n, nullptr);
 
@@ -48,10 +47,9 @@ FleetState build_fleet_state(std::span<const std::size_t> nodes,
   const auto provision = [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       const std::size_t id = fs.node[i];
-      ProvisionedMeter provisioned = provision_meter(spec, id);
+      const ProvisionedMeter provisioned = provision_meter(spec, id);
       fs.gain[i] = provisioned.meter.gain();
       fs.offset_w[i] = provisioned.meter.offset_w();
-      fs.meters[i] = std::move(provisioned.meter);
       fs.noise[i] = provisioned.noise;
       if (cluster != nullptr) {
         PV_EXPECTS(id < cluster->node_count(),
@@ -148,6 +146,14 @@ namespace {
 constexpr std::size_t kTileLanes = 64;
 constexpr std::size_t kBlockSamples = 32;
 
+// The GL4 reduce of one sample's four quadrature-point draws, in the
+// left-to-right order of MeterModel::measure's `truth += kWs[q] * w`
+// loop (whose 0.0 seed is exact for the non-negative powers here).
+inline double gl4_truth(double a0, double a1, double a2, double a3) {
+  return ((gl4::kWs[0] * a0 + gl4::kWs[1] * a1) + gl4::kWs[2] * a2) +
+         gl4::kWs[3] * a3;
+}
+
 // Adds one sample's readings of a tile's w lanes into their window sums
 // and, with kBucket, into their bucket row: the clean reading, scaled by
 // 1 + sd * z[i] when kNoisy.  One loop per instantiation, since GCC at -O2
@@ -167,88 +173,75 @@ void accumulate(std::size_t w, const double* __restrict clean,
 }
 
 // Feeds one chunk's samples into win_sum (and bucket rows, when mapped)
-// for lanes [begin, end).  Level-indexed tables only — the caller routes
-// dense tables through the per-node kernel.  Every lane evaluates the
-// per-node expressions of stream_node_window + apply_errors + the
-// left-to-right window sum, operand for operand, drawing its own noise
-// stream at the sample's meter-global index k0 + k.
+// for lanes [begin, end).  Every lane evaluates stream_lane_window's
+// expressions and the left-to-right window sum, operand for operand,
+// drawing its own noise stream at the sample's meter-global index k0 + k.
 //
 // The lanes are walked in tiles of kTileLanes, each tile's samples in
 // blocks of kBlockSamples: one normal_block call draws a block's noise
 // for the tile, then its samples are accumulated in order.  Every lane
-// still sees its samples in order, so tiling moves no bit.  A sample's
-// clean reading (GL4 truth, then truth * gain + off) depends only on its
-// level indices, and steady phases repeat them for long runs of samples,
-// so the kernel keeps one clean row per tile and refills it only where a
-// sample's indices (all four planes when integrated) differ from the
-// previous sample's.  Each sample then costs its adds (accumulate).
-void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
-                       std::uint64_t k0, std::size_t begin, std::size_t end,
-                       double* win_sum,
-                       const std::int32_t* a_idx, double* bucket_sum,
-                       std::size_t bucket_stride, FleetScratch& scratch) {
+// still sees its samples in order, so tiling moves no bit.  A lane's
+// clean reading changes only where a shape run starts, so the kernel
+// keeps one clean row per tile and refills it there (through the PSU
+// bank, one plane at a time); the run starts are marked once per call,
+// not once per tile, so the tiles do not re-read the shape table.  Each
+// sample then costs its adds (accumulate).
+void fused_chunk(const ShapeTable& table, const FleetState& fleet,
+                 std::uint64_t k0, std::size_t begin, std::size_t end,
+                 double* win_sum, const std::int32_t* a_idx,
+                 double* bucket_sum, std::size_t bucket_stride,
+                 FleetScratch& scratch) {
   const std::size_t m = end - begin;
-  const std::size_t nl = table.levels.size();
   const std::size_t samples = table.samples;
   const std::size_t planes = table.mode == MeterMode::kIntegrated ? 4 : 1;
-  // AC-at-level matrix: acl[l*m + i] = lane (begin+i)'s clean AC (or DC
-  // pass-through) at shape level l — the per-node `acl[l]` table, built
-  // fleet-major through the PSU bank (bit-identical per lane).
-  scratch.acl.resize(nl * m);
-  scratch.dc.resize(m);
-  const double* const mean = fleet.mean_w.data() + begin;
-  for (std::size_t l = 0; l < nl; ++l) {
-    const double level = table.levels[l];
-    double* const dc = scratch.dc.data();
-    for (std::size_t i = 0; i < m; ++i) dc[i] = mean[i] * level;
-    fleet.bank.ac_from_dc_fleet(
-        std::span<const double>(scratch.dc.data(), m),
-        std::span<double>(scratch.acl.data() + l * m, m), begin, scratch.lf,
-        scratch.eff);
+  scratch.run_starts.resize(samples);
+  std::uint8_t* const starts = scratch.run_starts.data();
+  for (std::size_t k = 0; k < samples; ++k) {
+    starts[k] = starts_shape_run(table, k) ? 1 : 0;
   }
 
   const double sd = fleet.noise_sd;
-  const std::uint32_t* const idx = table.level_idx.data();
   scratch.clean.resize(kTileLanes);
   double* const clean = scratch.clean.data();
   scratch.draws.resize(kTileLanes * kBlockSamples);
   double* const draws = scratch.draws.data();
-
-  const auto same_levels = [&](std::size_t k) {
-    for (std::size_t q = 0; q < planes; ++q) {
-      if (idx[q * samples + k] != idx[q * samples + k - 1]) return false;
-    }
-    return true;
-  };
+  scratch.dc.resize(kTileLanes);
+  double* const dc = scratch.dc.data();
+  scratch.ac.resize(kTileLanes * planes);
+  double* const ac = scratch.ac.data();
 
   for (std::size_t t = 0; t < m; t += kTileLanes) {
     const std::size_t w = std::min(kTileLanes, m - t);
+    const double* const mean = fleet.mean_w.data() + begin + t;
     const double* const gain = fleet.gain.data() + begin + t;
     const double* const off = fleet.offset_w.data() + begin + t;
     double* const win = win_sum + begin + t;
     const std::span<const NoiseStream> noise(fleet.noise.data() + begin + t,
                                              w);
-    // Plane q of sample k reads level row idx[q*samples + k], from this
-    // tile's first lane.
-    const auto row = [&](std::size_t q, std::size_t k) {
-      return scratch.acl.data() +
-             static_cast<std::size_t>(idx[q * samples + k]) * m + t;
-    };
+    // The tile's clean row at sample k: each plane's DC loads through the
+    // bank (the lanes' ac_from_dc, or the DC draw on a DC tap), reduced
+    // and calibrated.
     const auto fill_clean = [&](std::size_t k) {
+      for (std::size_t q = 0; q < planes; ++q) {
+        const double shape = table.shape[q * samples + k];
+        for (std::size_t i = 0; i < w; ++i) dc[i] = mean[i] * shape;
+        fleet.bank.ac_from_dc_fleet(std::span<const double>(dc, w),
+                                    std::span<double>(ac + q * kTileLanes, w),
+                                    begin + t, scratch.lf, scratch.eff);
+      }
       if (planes == 4) {
-        const double* const r0 = row(0, k);
-        const double* const r1 = row(1, k);
-        const double* const r2 = row(2, k);
-        const double* const r3 = row(3, k);
+        const double* const a0 = ac;
+        const double* const a1 = ac + kTileLanes;
+        const double* const a2 = ac + 2 * kTileLanes;
+        const double* const a3 = ac + 3 * kTileLanes;
         for (std::size_t i = 0; i < w; ++i) {
-          const double truth = ((gl4::kWs[0] * r0[i] + gl4::kWs[1] * r1[i]) +
-                                gl4::kWs[2] * r2[i]) +
-                               gl4::kWs[3] * r3[i];
-          clean[i] = truth * gain[i] + off[i];
+          clean[i] =
+              gl4_truth(a0[i], a1[i], a2[i], a3[i]) * gain[i] + off[i];
         }
       } else {
-        const double* const r = row(0, k);
-        for (std::size_t i = 0; i < w; ++i) clean[i] = r[i] * gain[i] + off[i];
+        for (std::size_t i = 0; i < w; ++i) {
+          clean[i] = ac[i] * gain[i] + off[i];
+        }
       }
     };
 
@@ -260,7 +253,7 @@ void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
       }
       for (std::size_t s = 0; s < block; ++s) {
         const std::size_t k = b + s;
-        if (k == 0 || !same_levels(k)) fill_clean(k);
+        if (starts[k] != 0) fill_clean(k);
         double* bs = nullptr;
         if (a_idx != nullptr && a_idx[k] >= 0) {
           bs = bucket_sum +
@@ -283,34 +276,38 @@ void fused_level_chunk(const ShapeTable& table, const FleetState& fleet,
   }
 }
 
-// Dense-table fallback: one per-node pass through the proven scalar
-// kernel, chained into the fleet accumulators in sample order.
-void dense_chunk(const ShapeTable& table, const FleetState& fleet,
-                 std::uint64_t k0, std::size_t begin, std::size_t end,
-                 double* win_sum,
-                 const std::int32_t* a_idx, double* bucket_sum,
-                 std::size_t bucket_stride, FleetScratch& scratch) {
-  for (std::size_t lane = begin; lane < end; ++lane) {
-    stream_node_window(table, fleet.mean_w[lane], fleet.curve[lane],
-                       fleet.meters[lane], fleet.noise[lane], k0,
-                       scratch.node);
-    const std::vector<double>& readings = scratch.node.readings;
-    double s = win_sum[lane];
-    for (const double x : readings) s += x;
-    win_sum[lane] = s;
-    if (a_idx != nullptr) {
-      for (std::size_t j = 0; j < readings.size(); ++j) {
-        const std::int32_t a = a_idx[j];
-        if (a >= 0) {
-          bucket_sum[static_cast<std::size_t>(a) * bucket_stride + lane] +=
-              readings[j];
-        }
+}  // namespace
+
+void stream_lane_window(const ShapeTable& table, const FleetState& fleet,
+                        std::size_t lane, std::uint64_t k0,
+                        std::vector<double>& readings) {
+  PV_EXPECTS(lane < fleet.size(), "lane out of fleet");
+  const std::size_t samples = table.samples;
+  const std::size_t planes = table.mode == MeterMode::kIntegrated ? 4 : 1;
+  const double mean = fleet.mean_w[lane];
+  const CompiledPsuCurve* const curve = fleet.curve[lane];
+  const double gain = fleet.gain[lane];
+  const double off = fleet.offset_w[lane];
+  const double sd = fleet.noise_sd;
+  const NoiseStream noise = fleet.noise[lane];
+  readings.resize(samples);
+  double clean = 0.0;
+  for (std::size_t i = 0; i < samples; ++i) {
+    if (starts_shape_run(table, i)) {
+      double a[4] = {};
+      for (std::size_t q = 0; q < planes; ++q) {
+        const double dc = mean * table.shape[q * samples + i];
+        a[q] = curve != nullptr ? curve->ac_from_dc(dc) : dc;
       }
+      const double truth =
+          planes == 4 ? gl4_truth(a[0], a[1], a[2], a[3]) : a[0];
+      clean = truth * gain + off;
     }
+    double v = clean;
+    if (sd > 0.0) v *= 1.0 + sd * noise.normal(k0 + i);
+    readings[i] = v;
   }
 }
-
-}  // namespace
 
 void stream_fleet_chunk(const ShapeTable& chunk,
                         std::span<const std::int32_t> a_idx,
@@ -323,14 +320,9 @@ void stream_fleet_chunk(const ShapeTable& chunk,
              "analysis map not parallel to the chunk");
   PV_EXPECTS(map_within(a_idx, acc.bucket_n.size()),
              "analysis map names a bucket row the accumulators lack");
-  const std::int32_t* const map = a_idx.empty() ? nullptr : a_idx.data();
-  if (!chunk.levels.empty()) {
-    fused_level_chunk(chunk, fleet, k0, begin, end, acc.win_sum.data(), map,
-                      acc.bucket_sum.data(), acc.nodes, scratch);
-  } else {
-    dense_chunk(chunk, fleet, k0, begin, end, acc.win_sum.data(), map,
-                acc.bucket_sum.data(), acc.nodes, scratch);
-  }
+  fused_chunk(chunk, fleet, k0, begin, end, acc.win_sum.data(),
+              a_idx.empty() ? nullptr : a_idx.data(), acc.bucket_sum.data(),
+              acc.nodes, scratch);
 }
 
 }  // namespace pv

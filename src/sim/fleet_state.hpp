@@ -8,21 +8,25 @@
 // window's running sum — serial *within* a node, so the reduction never
 // vectorizes.  FleetState transposes the fleet: contiguous per-field
 // vectors (node ids, provisioned DC draw, meter gain/offset, PSU curve
-// lanes, per-node noise origins) let the streaming
-// window kernels run sample-major with the *node index as the SIMD lane*.
-// Per-node accumulator chains are independent across lanes, so the
-// previously serial sum becomes an elementwise vector add.
+// lanes, per-node noise origins) let the fused chunk kernel
+// (stream_fleet_chunk) run sample-major with the *node index as the SIMD
+// lane*.  Per-node accumulator chains are independent across lanes, so
+// the previously serial sum becomes an elementwise vector add.  Faulted
+// windows and poll chunks need one lane's readings as a trace; they read
+// the same lane through stream_lane_window.  Both kernels recompute a
+// lane's clean reading only where a shape run starts (sim/streaming), so
+// flat and drifting windows run on the one path.
 //
-// Byte-identity contract (the repo's signature): every lane performs the
-// exact scalar expressions of the per-node path, operand for operand, in
-// the per-node order — each node's window sums still chain left-to-right,
-// and each reading draws its node's noise stream at the same meter-global
-// sample index — so gathered results are bit-identical to the per-node
-// reference at any thread count and chunk size (ctest-enforced by
-// test_meter_engine).  After provisioning the table is read-only: the
-// noise streams are random-access origins, not generator state.  The
-// project builds with -ffp-contract=off, so the shared expressions round
-// identically in every translation unit.
+// Byte-identity contract (the repo's signature): every lane performs
+// MeterModel::measure's expressions over the node's truth function,
+// operand for operand — each node's window sums still chain
+// left-to-right, and each reading draws its node's noise stream at the
+// same meter-global sample index — so gathered results are bit-identical
+// to the eager reference at any thread count and chunk size
+// (ctest-enforced by test_meter_engine).  After provisioning the table is
+// read-only: the noise streams are random-access origins, not generator
+// state.  The project builds with -ffp-contract=off, so the shared
+// expressions round identically in every translation unit.
 //
 // Ownership: build_fleet_state provisions a FleetState from the plan's
 // node cohort; core/pipeline's CampaignContext owns the instance for the
@@ -53,15 +57,11 @@ struct FleetState {
   std::vector<double> mean_w;     ///< per-node mean DC draw (0 w/o cluster)
 
   // --- meter calibration -------------------------------------------------
-  /// SoA mirrors of meters[i].gain()/offset_w() — the fused kernels read
-  /// these contiguously; the per-node paths use the models directly.
+  /// Each lane's meter calibration: provision_meter's gain() and
+  /// offset_w() for the node, read contiguously by the lane kernels.
   std::vector<double> gain;
   std::vector<double> offset_w;
   double noise_sd = 0.0;  ///< shared accuracy class (fixed per campaign)
-  /// Per-node meter models for the per-node code paths (faulted windows,
-  /// the dense-chunk fallback, the eager reference stage), from
-  /// provision_meter on the node id's stream.
-  std::vector<MeterModel> meters;
   /// Per-node per-sample noise (provision_meter's stream for the node):
   /// 8-byte immutable origins, read at each sample's meter-global index.
   std::vector<NoiseStream> noise;
@@ -132,20 +132,24 @@ struct FleetAccumulators {
                     double dt, double* means = nullptr);
 };
 
-/// Reused per-worker staging for the fused kernels.
+/// Reused per-worker staging for the node-tap kernels.
 struct FleetScratch {
-  std::vector<double> acl;  ///< levels x lanes AC matrix (row-major by level)
+  /// One byte per chunk sample: 1 where the sample starts a shape run
+  /// (starts_shape_run), marked once per call for every tile.
+  std::vector<std::uint8_t> run_starts;
   /// The current tile's clean readings (truth * gain + offset), one per
-  /// lane, of the current run of samples with equal level indices;
-  /// refilled where the indices change.
+  /// lane, of the current shape run; refilled where a run starts.
   std::vector<double> clean;
   /// The current tile's standard normal draws of the current block of
   /// samples, sample-major (normal_block): 64 lanes x 32 samples, 16 KB.
   std::vector<double> draws;
-  std::vector<double> dc;   ///< per-lane DC staging for one level
+  std::vector<double> dc;   ///< one plane's per-lane DC loads
+  std::vector<double> ac;   ///< per-plane per-lane AC (or DC) draws
   std::vector<double> lf;   ///< FleetPsuBank blend staging
   std::vector<double> eff;  ///< FleetPsuBank blend staging
-  StreamScratch node;       ///< per-node fallback (dense chunks)
+  /// One lane's readings of a window (stream_lane_window's output for the
+  /// faulted lanes).
+  std::vector<double> readings;
 };
 
 /// Maps one chunk's samples onto the analysis windows: out[k] is the
@@ -163,17 +167,25 @@ void map_analysis_samples(const ShapeTable& chunk,
 void count_analysis_samples(std::span<const std::int32_t> a_idx,
                             std::span<std::size_t> bucket_n);
 
+/// Lane `lane`'s readings of one chunk into `readings` (resized to
+/// table.samples): the node's DC draw mean_w * shape at every quadrature
+/// point, through its PSU curve on an AC tap, reduced to the sample's
+/// truth (GL4 when integrated), calibrated as truth * gain + offset and,
+/// with noise, scaled by 1 + noise_sd * z, z drawn at meter-global index
+/// k0 + i — MeterModel::measure's readings from the same draws, bit for
+/// bit.  The clean reading is recomputed only where a shape run starts.
+void stream_lane_window(const ShapeTable& table, const FleetState& fleet,
+                        std::size_t lane, std::uint64_t k0,
+                        std::vector<double>& readings);
+
 /// Streams one chunk (from build_shape_chunk) for lanes [begin, end) into
-/// `acc` — the fused form of stream_node_window plus the per-node window
-/// sum, sample-major with the node index as the vector lane.  Each
-/// reading chains into its lane's open window sum and, when `a_idx` (the
-/// chunk's map_analysis_samples) is non-empty, into its reconcile bucket
-/// row.  Chunks with deduplicated shape levels run the fused lane
-/// kernel, which walks 64-lane tiles in blocks of 32 samples, draws each
-/// block's noise in one normal_block call, computes each lane's clean
-/// reading once per run of samples with equal level indices and per
-/// sample only adds; dense chunks (ramps past the level cap) fall back to the
-/// per-node kernel, chained into the same accumulators.  Chunk sample i
+/// `acc` — stream_lane_window's readings chained into each lane's open
+/// window sum and, when `a_idx` (the chunk's map_analysis_samples) is
+/// non-empty, into its reconcile bucket row.  The kernel marks the
+/// chunk's shape-run starts once, then walks 64-lane tiles in blocks of
+/// 32 samples: each block's noise comes from one normal_block call, each
+/// lane's clean reading is recomputed (through the PSU bank) only where a
+/// run starts, and every sample only scales and adds.  Chunk sample i
 /// draws every lane's noise at meter-global index k0 + i.  Workers must
 /// own disjoint lane ranges.  A map entry naming a bucket row `acc` lacks
 /// (acc.bucket_n.size() rows) is a contract_error.

@@ -1,33 +1,32 @@
 #pragma once
-// Streaming node-metering kernels.
+// Shape tables: the workload's shape factor on a metered window's grid.
 //
-// The eager campaign path evaluates, per node and per quadrature point, a
-// std::function chain: meter -> node AC lambda -> PSU -> node DC lambda ->
-// workload intensity (virtual).  For a balanced workload almost all of
-// that work is shared: every node's DC power is its mean times one common
-// shape factor, so the shape can be evaluated once per time-grid point and
-// reused across the whole cohort.  These kernels do exactly that —
-// build_shape_chunk walks the workload model once per chunk of a metered
-// window; stream_node_window then reduces a node's readings to one
-// multiply, one
-// compiled-PSU evaluation and one calibration/noise application per
-// quadrature point, writing into a caller-owned scratch buffer so chunked
-// sharding allocates nothing per node.
+// On a cluster's SystemPowerModel every node draws its mean times one
+// common shape factor, and an AC tap converts that draw through the
+// node's PSU.  So a node's clean reading depends on the sample only
+// through the shape factor at the sample's quadrature points, and the
+// factor can be evaluated once per grid point and shared by the whole
+// cohort.  build_shape_chunk walks the workload model once per chunk of
+// a metered window into a ShapeTable; the lane kernels in
+// sim/fleet_state read it for every node.  A steady phase repeats one
+// shape for long runs of samples, a ramp or a drifting core changes it
+// every sample: the kernels recompute a lane's clean reading only where
+// a sample starts a shape run (starts_shape_run), so both regimes run
+// on the one path.
 //
-// Byte-identity contract: for the cluster's SystemPowerModel,
-// stream_node_window produces bit-identical readings (from the same noise
-// draws) to MeterModel::measure over the node's AC/DC truth function.
-// Sample times and quadrature replicate MeterModel::measure
-// expression-for-expression (the project builds with -ffp-contract=off,
-// so both TUs round identically), and the shape/PSU arithmetic is the
-// same compiled code both paths call.
+// Byte-identity contract: the table's sample times and quadrature
+// replicate MeterModel::measure expression for expression (the project
+// builds with -ffp-contract=off, so both TUs round identically), and the
+// PSU arithmetic is the same compiled code both paths call, so the lane
+// kernels' readings are bit-identical to MeterModel::measure over the
+// node's AC/DC truth function from the same noise draws.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "meter/meter.hpp"
-#include "meter/psu.hpp"
 #include "sim/cluster.hpp"
 #include "trace/time_series.hpp"
 
@@ -44,22 +43,26 @@ struct ShapeTable {
   MeterMode mode = MeterMode::kSampled;
   /// samples entries (kSampled, midpoints) or 4*samples (kIntegrated,
   /// Gauss-Legendre abscissae).  kIntegrated is stored plane-major:
-  /// abscissa q occupies [q*samples, (q+1)*samples), so the quadrature
-  /// reduce is elementwise across samples and vectorizes.
+  /// abscissa q of sample k is shape[q*samples + k].
   std::vector<double> shape;
-  /// Deduplicated shape values.  Steady workload phases make shape[]
-  /// massively repetitive (an L3 window inside the full-load phase is one
-  /// value repeated); when the window has at most kMaxLevels distinct
-  /// bit patterns the kernel evaluates the PSU once per level per node
-  /// and gathers, instead of evaluating per point.  Empty when the window
-  /// exceeds the cap; kernels then fall back to the dense batch path.
-  std::vector<double> levels;
-  /// Per-point index into levels (shape[k] bit-equals levels[level_idx[k]]);
-  /// parallel to shape, empty iff levels is.
-  std::vector<std::uint32_t> level_idx;
-
-  static constexpr std::size_t kMaxLevels = 32;
 };
+
+/// True when sample k of `table` starts a shape run: k is 0, or its shape
+/// bits differ from sample k - 1's in some quadrature plane.  A lane's
+/// clean reading is a function of those bits, so it changes only at run
+/// starts.
+[[nodiscard]] inline bool starts_shape_run(const ShapeTable& table,
+                                           std::size_t k) {
+  if (k == 0) return true;
+  const std::size_t n = table.samples;
+  for (std::size_t p = k; p < table.shape.size(); p += n) {
+    if (std::bit_cast<std::uint64_t>(table.shape[p]) !=
+        std::bit_cast<std::uint64_t>(table.shape[p - 1])) {
+      return true;
+    }
+  }
+  return false;
+}
 
 /// Readings MeterModel::measure would produce over `w` at `interval` —
 /// the same floor arithmetic, so sample accounting (expected vs
@@ -76,31 +79,6 @@ struct ShapeTable {
 void build_shape_chunk(const ClusterPowerModel& cluster, const TimeWindow& w,
                        Seconds interval, MeterMode mode, std::size_t first,
                        std::size_t count, ShapeTable& out);
-
-/// Reused per-worker buffers for stream_node_window.  `readings` receives
-/// the finished samples; the rest are kernel-internal staging arrays for
-/// the batched (vectorized) PSU evaluation.  One instance per shard,
-/// reused across every node and window in the chunk, so the hot path
-/// allocates nothing after the first node.
-struct StreamScratch {
-  std::vector<double> readings;
-  std::vector<double> dc;     ///< per-point DC loads
-  std::vector<double> ac;     ///< per-point AC inputs
-  std::vector<double> lf;     ///< CompiledPsuCurve batch staging
-  std::vector<double> eff;    ///< CompiledPsuCurve batch staging
-  std::vector<double> truth;  ///< per-sample quadrature-reduced truth
-};
-
-/// Streams one node's clean readings over one chunk into
-/// `scratch.readings` (resized to table.samples).  The node's DC power at
-/// table point t is node_mean_w * shape; `ac_curve` non-null converts
-/// through the node PSU (AC tap, evaluated in batch), null meters the DC
-/// tap.  Reading i draws `noise` at meter-global index k0 + i — the draws
-/// MeterModel::measure makes for the same samples.
-void stream_node_window(const ShapeTable& table, double node_mean_w,
-                        const CompiledPsuCurve* ac_curve,
-                        const MeterModel& meter, NoiseStream noise,
-                        std::uint64_t k0, StreamScratch& scratch);
 
 /// `truth` read through a memo keyed on the shape factor's bit pattern.
 /// On `cluster`'s SystemPowerModel every node draws its mean times

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -171,6 +176,127 @@ TEST(Campaign, DoublingEveryNodeMeanDoublesTheResultsBitForBit) {
               same_bits(b.true_power.value(), 2.0 * a.true_power.value()));
           EXPECT_TRUE(same_bits(b.relative_error, a.relative_error));
           EXPECT_TRUE(same_bits(b.relative_halfwidth, a.relative_halfwidth));
+        }
+      }
+    }
+  }
+}
+
+// Each surviving node's mean, keyed by node id: node_mean_powers_w holds
+// the plan's nodes in plan order, lost meters skipped.
+std::map<std::size_t, double> means_by_node(const MeasurementPlan& plan,
+                                            const CampaignResult& result) {
+  const std::vector<std::size_t>& lost = result.data_quality.lost_meter_ids;
+  std::map<std::size_t, double> means;
+  std::size_t next = 0;
+  for (const std::size_t node : plan.node_indices) {
+    if (std::find(lost.begin(), lost.end(), node) != lost.end()) continue;
+    EXPECT_LT(next, result.node_mean_powers_w.size());
+    if (next < result.node_mean_powers_w.size()) {
+      means[node] = result.node_mean_powers_w[next++];
+    }
+  }
+  EXPECT_EQ(next, result.node_mean_powers_w.size());
+  return means;
+}
+
+// `v` in the order of a Fisher-Yates shuffle drawn from Rng(seed).
+std::vector<std::size_t> shuffled(std::vector<std::size_t> v,
+                                  std::uint64_t seed) {
+  Rng rng(seed);
+  for (std::size_t i = v.size(); i > 1; --i) {
+    std::swap(v[i - 1], v[rng.uniform_index(i)]);
+  }
+  return v;
+}
+
+// Metamorphic oracle: a node-tap lane's calibration, noise and fault
+// streams are keyed by its node id, not by its place in the plan, so
+// shuffling the plan's node order shuffles the readings with it.  Each
+// node's mean moves with its node bit for bit, the lost meters are the
+// same set, and the aggregates, which sum in plan order, agree within
+// rounding.  Plans of 1, 63, 64, 65 and 130 nodes put lanes on both
+// sides of the fused kernel's 64-lane tile edges.
+TEST(Campaign, PermutingThePlanPermutesTheReadings) {
+  ScenarioSpec scenario;
+  scenario.nodes = 160;
+  scenario.cv = 0.04;
+  scenario.fleet_seed = 23;
+  scenario.run_minutes = 20.0;
+  const Scenario built = build_scenario(scenario);
+  std::vector<std::size_t> fleet(scenario.nodes);
+  std::iota(fleet.begin(), fleet.end(), std::size_t{0});
+  const std::vector<std::size_t> drawn = shuffled(fleet, 31);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+    for (const Level level : {Level::kL1, Level::kL2, Level::kL3}) {
+      MeasurementPlan plan =
+          built.plan(MethodologySpec::get(level, Revision::kV2015), n);
+      plan.node_indices.assign(drawn.begin(), drawn.begin() + n);
+      for (const MeasurementPoint point :
+           {MeasurementPoint::kNodeAc, MeasurementPoint::kNodeDc}) {
+        plan.point = point;
+        plan.conversion = point == MeasurementPoint::kNodeDc
+                              ? ConversionCorrection::kMeasuredCurve
+                              : ConversionCorrection::kNone;
+        MeasurementPlan permuted = plan;
+        permuted.node_indices = shuffled(plan.node_indices, n + 7);
+        for (const std::size_t threads : {1u, 3u}) {
+          for (const bool faulted : {false, true}) {
+            SCOPED_TRACE(std::to_string(n) + " nodes, L" +
+                         std::to_string(static_cast<int>(level)) + ", " +
+                         to_string(point) + ", threads " +
+                         std::to_string(threads) +
+                         (faulted ? ", harsh + dead" : ", clean"));
+            CampaignConfig config;
+            config.seed = 5;
+            config.threads = threads;
+            config.meter_interval_override = Seconds{10.0};
+            if (faulted) {
+              config.faults.spec = FaultSpec::harsh();
+              if (n > 2) {
+                config.faults.dead_meters = {plan.node_indices[0],
+                                             plan.node_indices[n / 2]};
+              }
+            }
+            const CampaignResult a =
+                run_campaign(*built.cluster, *built.electrical, plan, config);
+            const CampaignResult b = run_campaign(
+                *built.cluster, *built.electrical, permuted, config);
+
+            const std::map<std::size_t, double> ma = means_by_node(plan, a);
+            const std::map<std::size_t, double> mb =
+                means_by_node(permuted, b);
+            ASSERT_EQ(ma.size(), mb.size());
+            for (const auto& [node, mean] : ma) {
+              ASSERT_EQ(mb.count(node), 1u) << "node " << node;
+              EXPECT_TRUE(same_bits(mean, mb.at(node))) << "node " << node;
+            }
+            std::vector<std::size_t> lost_a = a.data_quality.lost_meter_ids;
+            std::vector<std::size_t> lost_b = b.data_quality.lost_meter_ids;
+            std::sort(lost_a.begin(), lost_a.end());
+            std::sort(lost_b.begin(), lost_b.end());
+            EXPECT_EQ(lost_a, lost_b);
+            if (faulted && n > 2) {
+              EXPECT_GE(lost_a.size(), 2u);
+            }
+            EXPECT_EQ(a.data_quality.samples_lost,
+                      b.data_quality.samples_lost);
+            EXPECT_EQ(a.data_quality.samples_repaired,
+                      b.data_quality.samples_repaired);
+
+            const auto near = [](double x, double y) {
+              return std::abs(x - y) <= 1e-12 * std::abs(x);
+            };
+            EXPECT_TRUE(near(a.submitted_power.value(),
+                             b.submitted_power.value()));
+            EXPECT_TRUE(near(a.submitted_energy.value(),
+                             b.submitted_energy.value()));
+            EXPECT_TRUE(near(a.node_mean_ci.lo, b.node_mean_ci.lo));
+            EXPECT_TRUE(near(a.node_mean_ci.hi, b.node_mean_ci.hi));
+            EXPECT_TRUE(near(a.relative_halfwidth, b.relative_halfwidth));
+            EXPECT_TRUE(near(a.true_power.value(), b.true_power.value()));
+            EXPECT_NEAR(a.relative_error, b.relative_error, 1e-12);
+          }
         }
       }
     }

@@ -412,8 +412,8 @@ TEST(Collector, RunsTheCampaignStageList) {
 
 // A cohort lowered through make_system_power_model.  MPrime's drifting
 // core makes the shape vary sample to sample, so a table built on the
-// wrong time grid moves bits; Firestarter's flat core exercises the
-// level-indexed tables.
+// wrong time grid moves bits; Firestarter's flat core is one long shape
+// run.
 struct ChunkRig {
   std::unique_ptr<ClusterPowerModel> cluster;
   std::unique_ptr<SystemPowerModel> electrical;
@@ -498,9 +498,10 @@ TEST(PollChunks, TablesReproduceMeasureBitForBit) {
               }
               EXPECT_EQ(ci, plan.chunks.size());
 
-              StreamScratch scratch;
+              std::vector<double> readings;
               for (std::size_t lane = 0; lane < fleet.size(); ++lane) {
                 const std::size_t node = fleet.node[lane];
+                const ProvisionedMeter meter = provision_meter(spec, node);
                 const SystemPowerModel& electrical = *rig.electrical;
                 const PowerFunction truth =
                     dc_tap ? PowerFunction([&electrical, node](double t) {
@@ -508,14 +509,12 @@ TEST(PollChunks, TablesReproduceMeasureBitForBit) {
                     })
                            : electrical.node_ac_function(node);
                 for (const PollChunk& c : plan.chunks) {
-                  stream_node_window(c.table, fleet.mean_w[lane],
-                                     fleet.curve[lane], fleet.meters[lane],
-                                     fleet.noise[lane], c.first, scratch);
-                  const PowerTrace oracle = fleet.meters[lane].measure(
-                      truth, c.window.begin, c.window.end, fleet.noise[lane],
+                  stream_lane_window(c.table, fleet, lane, c.first, readings);
+                  const PowerTrace oracle = meter.meter.measure(
+                      truth, c.window.begin, c.window.end, meter.noise,
                       c.first);
-                  ASSERT_EQ(scratch.readings.size(), oracle.size());
-                  EXPECT_EQ(std::memcmp(scratch.readings.data(),
+                  ASSERT_EQ(readings.size(), oracle.size());
+                  EXPECT_EQ(std::memcmp(readings.data(),
                                         oracle.watts().data(),
                                         oracle.size() * sizeof(double)),
                             0)

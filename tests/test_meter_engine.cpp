@@ -2,31 +2,41 @@
 //
 // make_node_meter_stage() is the one node-tap metering engine: a chunked
 // walk over the FleetState lanes, clean lanes through the fused chunk
-// kernel, faulted lanes through one DeviceMeter each, batch (no sink) as
-// one fan-out and live (collecting sink) one chunk at a time.  Its oracle
-// is make_reference_node_meter_stage(): every node metered through its
-// std::function truth chain by the same meter_device loop the rack and
-// facility taps run.  Every case swaps the reference into the stage list
-// make_campaign_stages returns and memcmps every reported double and
-// verdict (plus the rendered JSON document) against the engine across
-// threads {1, 2, 8} x chunk sizes {37, 4096}:
+// kernel, faulted lanes through stream_lane_window into one DeviceMeter
+// each, batch (no sink) as one fan-out and live (collecting sink) one
+// chunk at a time.  Its oracle is make_reference_node_meter_stage():
+// every node metered through its std::function truth chain by the same
+// meter_device loop the rack and facility taps run.  Every case swaps the
+// reference into the stage list make_campaign_stages returns and memcmps
+// every reported double and verdict (plus the rendered JSON document)
+// against the engine across thread counts x chunk sizes {37, 4096}:
 //
-//   suite                    faults                         sink
-//   StreamingEquivalence     clean | harsh+dead+byz+recon   none
-//   StreamingAssessment      clean | harsh+dead+byz+recon   collecting
-//   FleetEngineDifferential  clean + reconcile              none | collecting
-//                            perfect meters (noise-free lane loops)
+//   suite                    rig            faults                sink
+//   StreamingEquivalence     FIRESTARTER    clean | harsh+dead+   none
+//                                           byz+recon
+//   StreamingAssessment      FIRESTARTER    clean | harsh+dead+   collecting
+//                                           byz+recon
+//   FleetEngineDifferential  FIRESTARTER    clean + reconcile     none |
+//                            perfect meters (noise-free lane      collecting
+//                            loops)
+//   DriftingShapes           HPL CPU, HPL   clean (one harsh+     none
+//                            GPU in-core,   dead+byz+recon case)
+//                            MPrime
 //
-// each over seeds 1..3 x L1/L2/L3, plus DC taps.  Collecting sinks emit
-// at every window close, so their partial transcripts must match across
-// threads and chunk sizes too.  Alongside: dead-lane masking, the pinned live
-// emission schedule, the facility check meter on a zero-auxiliary rig,
-// thread invariance of the sharded provision and of both loop shapes
-// (FleetSoA, run under TSan), the fused kernel against the dense per-node
-// path on hand-built tables whose shape level changes mid-chunk, also at
-// the kernel's tile and noise-block edges, and the typed error for an
-// analysis map naming a missing bucket row (FusedLevelRuns), and the
-// scenario-scale guards.
+// the FIRESTARTER suites at threads {1, 2, 8} over seeds 1..3 x L1/L2/L3,
+// plus DC taps; DriftingShapes at threads {1, 3} over L1/L2/L3 x node
+// AC/DC x perfect/PDU-grade meters.  FIRESTARTER's core phase is one
+// shape level, so only DriftingShapes starts shape runs inside campaign
+// chunks.  Collecting sinks emit at every window close, so their partial
+// transcripts must match across threads and chunk sizes too.  Alongside:
+// dead-lane masking, the pinned live emission schedule, the facility
+// check meter on a zero-auxiliary rig, thread invariance of the sharded
+// provision and of both loop shapes (FleetSoA, run under TSan), the fused
+// kernel against the dense path (each lane's stream_lane_window readings
+// chained in sample order) on hand-built tables whose shape changes
+// mid-chunk, also at the kernel's tile and noise-block edges, and the
+// typed error for an analysis map naming a missing bucket row
+// (FusedLevelRuns), and the scenario-scale guards.
 //
 // The reference clears memoize_truth, so every engine-vs-reference case
 // that reconciles also compares the check meters' memoized truths with
@@ -42,6 +52,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,9 +62,12 @@
 #include "core/plan.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
+#include "sim/fleet.hpp"
 #include "sim/fleet_state.hpp"
 #include "util/expects.hpp"
 #include "util/parallel.hpp"
+#include "workload/hpl.hpp"
+#include "workload/profiles.hpp"
 
 namespace pv {
 namespace {
@@ -210,16 +224,16 @@ CampaignResult run_reference(const Rig& rig, const CampaignConfig& cfg) {
 
 enum class Sink { kNone, kCollecting };
 
-// Runs `cfg` through the engine at threads {1, 2, 8} x chunk sizes
+// Runs `cfg` through the engine at `thread_counts` x chunk sizes
 // {37, 4096} and expects every result byte-identical to the reference.
 // With a collecting sink the campaign runs live, emitting at every
 // window close, and every run must emit the same partial transcript.
-void expect_engine_matches_reference(const Rig& rig, const CampaignConfig& cfg,
-                                     Sink sink) {
+void expect_engine_matches_reference(
+    const Rig& rig, const CampaignConfig& cfg, Sink sink,
+    const std::vector<std::size_t>& thread_counts = {1, 2, 8}) {
   const CampaignResult reference = run_reference(rig, cfg);
   std::vector<std::string> first_partials;
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+  for (const std::size_t threads : thread_counts) {
     for (const std::size_t chunk : {std::size_t{37}, std::size_t{4096}}) {
       const std::string what = "threads=" + std::to_string(threads) +
                                ", chunk=" + std::to_string(chunk);
@@ -391,6 +405,99 @@ TEST(FleetEngineDifferential, FacilityCheckMeterMatchesScalarPath) {
 }
 
 // ---------------------------------------------------------------------------
+// Drifting shapes.  Every case above runs FIRESTARTER, whose core phase is
+// one shape level, so its chunks start no shape run after their first
+// sample.  HPL's shrinking trailing matrix and MPrime's drifting core
+// change the shape at almost every sample, so on these rigs both kernels
+// refill their clean readings inside every chunk.  The threads-3 cases
+// fan the fused kernel out over workers, each marking its own run starts
+// (run under TSan).
+
+enum class Drift { kHplCpu, kHplGpuInCore, kMprime };
+
+// 64 nodes in racks of 16 with auxiliaries, on a 20-minute core phase,
+// planned at `level` under the 2015 rules.
+Rig make_drifting_rig(Drift drift, Level level) {
+  std::shared_ptr<const Workload> workload;
+  switch (drift) {
+    case Drift::kHplCpu:
+      workload = std::make_shared<HplWorkload>(HplParams::cpu_traditional(),
+                                               minutes(20.0), Seconds{60.0},
+                                               Seconds{30.0});
+      break;
+    case Drift::kHplGpuInCore:
+      workload = std::make_shared<HplWorkload>(HplParams::gpu_incore(),
+                                               minutes(20.0), Seconds{60.0},
+                                               Seconds{30.0});
+      break;
+    case Drift::kMprime:
+      workload = std::make_shared<MprimeWorkload>(minutes(20.0));
+      break;
+  }
+  FleetVariability var = FleetVariability::typical_cpu().scaled_to(0.03);
+  var.outlier_prob = 0.0;
+  Rig rig;
+  rig.cluster = std::make_unique<ClusterPowerModel>(
+      "drift-rig", generate_node_powers(64, 400.0, var, 11),
+      std::move(workload));
+  rig.electrical = std::make_unique<SystemPowerModel>(make_system_power_model(
+      *rig.cluster, 16, PsuEfficiencyCurve::platinum(), AuxiliaryConfig{}));
+  PlanInputs inputs;
+  inputs.total_nodes = 64;
+  inputs.approx_node_power = Watts{400.0};
+  inputs.run = rig.cluster->phases();
+  Rng rng(11);
+  rig.plan = plan_measurement(MethodologySpec::get(level, Revision::kV2015),
+                              inputs, rng);
+  return rig;
+}
+
+class DriftingShapes
+    : public ::testing::TestWithParam<std::tuple<Drift, Level>> {};
+
+TEST_P(DriftingShapes, EngineMatchesReference) {
+  const auto [drift, level] = GetParam();
+  for (const bool dc_tap : {false, true}) {
+    Rig rig = make_drifting_rig(drift, level);
+    if (dc_tap) {
+      rig.plan.point = MeasurementPoint::kNodeDc;
+      rig.plan.conversion = ConversionCorrection::kMeasuredCurve;
+    }
+    for (const MeterAccuracy& accuracy :
+         {MeterAccuracy::perfect(), MeterAccuracy::pdu_grade()}) {
+      SCOPED_TRACE(std::string(dc_tap ? "DC tap" : "AC tap") +
+                   ", noise_sd=" + std::to_string(accuracy.noise_sd));
+      CampaignConfig cfg = base_config(11);
+      cfg.meter_accuracy = accuracy;
+      expect_engine_matches_reference(rig, cfg, Sink::kNone, {1, 3});
+    }
+  }
+}
+
+std::string drift_name(
+    const ::testing::TestParamInfo<DriftingShapes::ParamType>& p) {
+  static const char* const kNames[] = {"HplCpu", "HplGpuInCore", "Mprime"};
+  return std::string(kNames[static_cast<int>(std::get<0>(p.param))]) + "_L" +
+         std::to_string(static_cast<int>(std::get<1>(p.param)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drifts, DriftingShapes,
+    ::testing::Combine(::testing::Values(Drift::kHplCpu, Drift::kHplGpuInCore,
+                                         Drift::kMprime),
+                       ::testing::Values(Level::kL1, Level::kL2, Level::kL3)),
+    drift_name);
+
+TEST(DriftingShapes, HarshFaultsReconciledMatchReference) {
+  // Faulted lanes meter whole windows through stream_lane_window; the
+  // reconciling check meters read the drifting truths through the memo.
+  const Rig rig = make_drifting_rig(Drift::kMprime, Level::kL3);
+  expect_engine_matches_reference(
+      rig, with_faults(base_config(11), Faults::kHarsh, rig.plan), Sink::kNone,
+      {1, 3});
+}
+
+// ---------------------------------------------------------------------------
 // Live emission.
 
 TEST(StreamingAssessment, PartialsParseAndFollowThePinnedSchedule) {
@@ -483,8 +590,6 @@ void expect_same_fleet(const FleetState& a, const FleetState& b,
     EXPECT_TRUE(bits_equal(a.mean_w[i], b.mean_w[i]));
     EXPECT_TRUE(bits_equal(a.gain[i], b.gain[i]));
     EXPECT_TRUE(bits_equal(a.offset_w[i], b.offset_w[i]));
-    EXPECT_TRUE(bits_equal(a.meters[i].gain(), b.meters[i].gain()));
-    EXPECT_TRUE(bits_equal(a.meters[i].offset_w(), b.meters[i].offset_w()));
     EXPECT_EQ(a.curve[i], b.curve[i]);
     // The noise streams must share their origin: every draw then agrees.
     EXPECT_EQ(a.noise[i].origin(), b.noise[i].origin());
@@ -541,16 +646,16 @@ TEST(FleetSoA, FusedLiveChunkDriverIsThreadCountInvariant) {
 
 // ---------------------------------------------------------------------------
 // FusedLevelRuns: the fused kernel computes each lane's clean reading once
-// per run of samples with equal level indices.  Campaign windows rarely
-// change level inside a chunk (FIRESTARTER's core phase is one level), so
-// these hand-built tables do: their level tuple changes mid-chunk
-// (A A B A C ...), in one plane or in all.  Each must match the dense
-// per-node path — the same table with levels/level_idx cleared — bit for
-// bit in every accumulator.
+// per shape run.  Campaign windows on FIRESTARTER rarely start a run inside
+// a chunk (its core phase is one level), so these hand-built tables do:
+// their shape levels change mid-chunk (A A B A C ...), in one plane or in
+// all.  Each must match the dense path — every lane's stream_lane_window
+// readings chained in sample order, each reading first checked against
+// MeterModel::apply_errors on a truth evaluated afresh at every sample —
+// bit for bit in every accumulator.
 
-// A table over `levels` whose quadrature plane q reads level indices
-// planes[q] (one plane when sampled); shape[] holds the same values, so
-// the dense path meters the same points.
+// A table whose quadrature plane q holds levels[planes[q][k]] at sample k
+// (one plane when sampled).
 ShapeTable level_table(MeterMode mode, const std::vector<double>& levels,
                        const std::vector<std::vector<std::uint32_t>>& planes) {
   ShapeTable t;
@@ -558,14 +663,53 @@ ShapeTable level_table(MeterMode mode, const std::vector<double>& levels,
   t.dt = 1.0;
   t.mode = mode;
   t.samples = planes.front().size();
-  t.levels = levels;
   for (const std::vector<std::uint32_t>& plane : planes) {
-    for (const std::uint32_t l : plane) {
-      t.level_idx.push_back(l);
-      t.shape.push_back(levels[l]);
-    }
+    for (const std::uint32_t l : plane) t.shape.push_back(levels[l]);
   }
   return t;
+}
+
+// The dense path over lanes [begin, n): each lane's readings from
+// stream_lane_window, checked against the meter provision_meter gives the
+// node applied to MeterModel::measure's truth expression at every
+// sample, then chained into the lane's window sum and bucket rows in
+// sample order.
+void dense_chunk(const ShapeTable& table, std::span<const std::int32_t> a_idx,
+                 const FleetState& fleet, const FleetProvisionSpec& spec,
+                 std::uint64_t k0, std::size_t begin, FleetAccumulators& acc) {
+  std::vector<double> readings;
+  for (std::size_t lane = begin; lane < fleet.size(); ++lane) {
+    stream_lane_window(table, fleet, lane, k0, readings);
+    ASSERT_EQ(readings.size(), table.samples);
+    const ProvisionedMeter meter = provision_meter(spec, fleet.node[lane]);
+    const CompiledPsuCurve* const curve = fleet.curve[lane];
+    const auto draw = [&](double shape) {
+      const double dc = fleet.mean_w[lane] * shape;
+      return curve != nullptr ? curve->ac_from_dc(dc) : dc;
+    };
+    for (std::size_t k = 0; k < table.samples; ++k) {
+      double truth = 0.0;
+      if (table.mode == MeterMode::kIntegrated) {
+        for (std::size_t q = 0; q < 4; ++q) {
+          truth += gl4::kWs[q] * draw(table.shape[q * table.samples + k]);
+        }
+      } else {
+        truth = draw(table.shape[k]);
+      }
+      ASSERT_TRUE(bits_equal(readings[k], meter.meter.apply_errors(
+                                              truth, meter.noise, k0 + k)))
+          << "lane " << lane << ", sample " << k;
+    }
+    double s = acc.win_sum[lane];
+    for (const double x : readings) s += x;
+    acc.win_sum[lane] = s;
+    for (std::size_t k = 0; k < a_idx.size(); ++k) {
+      if (a_idx[k] >= 0) {
+        acc.bucket_sum[static_cast<std::size_t>(a_idx[k]) * acc.nodes +
+                       lane] += readings[k];
+      }
+    }
+  }
 }
 
 // Streams `chunks` back to back (one scratch, advancing k0, as a worker
@@ -575,7 +719,8 @@ ShapeTable level_table(MeterMode mode, const std::vector<double>& levels,
 void expect_fused_matches_dense(
     const std::vector<ShapeTable>& chunks,
     const std::vector<std::vector<std::int32_t>>& maps,
-    const FleetState& fleet, std::size_t begin) {
+    const FleetState& fleet, const FleetProvisionSpec& spec,
+    std::size_t begin) {
   std::size_t buckets = 0;
   for (const std::vector<std::int32_t>& map : maps) {
     for (const std::int32_t a : map) {
@@ -587,20 +732,14 @@ void expect_fused_matches_dense(
   FleetAccumulators dense;
   fused.init(n, buckets);
   dense.init(n, buckets);
-  FleetScratch fused_scratch;
-  FleetScratch dense_scratch;
+  FleetScratch scratch;
   std::uint64_t k0 = 0;
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     const ShapeTable& chunk = chunks[c];
     const std::vector<std::int32_t> a_idx =
         maps.empty() ? std::vector<std::int32_t>{} : maps[c];
-    ShapeTable cleared = chunk;
-    cleared.levels.clear();
-    cleared.level_idx.clear();
-    stream_fleet_chunk(chunk, a_idx, fleet, k0, begin, n, fused,
-                       fused_scratch);
-    stream_fleet_chunk(cleared, a_idx, fleet, k0, begin, n, dense,
-                       dense_scratch);
+    stream_fleet_chunk(chunk, a_idx, fleet, k0, begin, n, fused, scratch);
+    dense_chunk(chunk, a_idx, fleet, spec, k0, begin, dense);
     k0 += chunk.samples;
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -654,7 +793,7 @@ void expect_level_runs_match(
                    (mapped ? ", mapped" : ", unmapped"));
       expect_fused_matches_dense(
           chunks, mapped ? maps : std::vector<std::vector<std::int32_t>>{},
-          fleet, 1);
+          fleet, spec, 1);
     }
   }
 }
@@ -744,7 +883,7 @@ TEST(FusedLevelRuns, TileAndBlockEdgesMatchDensePath) {
             expect_fused_matches_dense(
                 chunks,
                 mapped ? maps : std::vector<std::vector<std::int32_t>>{},
-                fleet, begin);
+                fleet, spec, begin);
           }
         }
       }
@@ -754,8 +893,8 @@ TEST(FusedLevelRuns, TileAndBlockEdgesMatchDensePath) {
 
 TEST(FusedLevelRuns, MapNamingAMissingBucketIsATypedError) {
   // A map entry past the accumulators' bucket rows would write past
-  // bucket_sum (and bucket_n); both kernels and the shared count refuse
-  // the whole map before anything is written.
+  // bucket_sum (and bucket_n); the kernel and the shared count refuse the
+  // whole map before anything is written.
   const Rig rig = make_rig(24, Level::kL3, 4);
   FleetProvisionSpec spec;
   spec.seed = 4;
@@ -763,14 +902,8 @@ TEST(FusedLevelRuns, MapNamingAMissingBucketIsATypedError) {
       build_fleet_state(rig.plan.node_indices, spec, rig.cluster.get(),
                         rig.electrical.get());
   const std::vector<std::uint32_t> seq = {0, 0, 1, 0, 2, 2, 2, 3};
-  const ShapeTable leveled =
+  const ShapeTable table =
       level_table(MeterMode::kSampled, {1.0, 0.6, 0.85, 1.1}, {seq});
-  const ShapeTable dense = [&] {
-    ShapeTable t = leveled;
-    t.levels.clear();
-    t.level_idx.clear();
-    return t;
-  }();
   constexpr std::size_t kBuckets = 2;
   for (const std::int32_t bad : {std::numeric_limits<std::int32_t>::max(),
                                  static_cast<std::int32_t>(kBuckets)}) {
@@ -778,15 +911,12 @@ TEST(FusedLevelRuns, MapNamingAMissingBucketIsATypedError) {
     std::vector<std::int32_t> a_idx(seq.size(), 0);
     a_idx[3] = -1;
     a_idx[5] = bad;
-    for (const ShapeTable* table : {&leveled, &dense}) {
-      FleetAccumulators acc;
-      acc.init(fleet.size(), kBuckets);
-      FleetScratch scratch;
-      EXPECT_THROW(stream_fleet_chunk(*table, a_idx, fleet, 0, 0, fleet.size(),
-                                      acc, scratch),
-                   contract_error)
-          << (table == &dense ? "dense" : "level-indexed");
-    }
+    FleetAccumulators acc;
+    acc.init(fleet.size(), kBuckets);
+    FleetScratch scratch;
+    EXPECT_THROW(stream_fleet_chunk(table, a_idx, fleet, 0, 0, fleet.size(),
+                                    acc, scratch),
+                 contract_error);
     std::vector<std::size_t> counts(kBuckets, 0);
     EXPECT_THROW(count_analysis_samples(a_idx, counts), contract_error);
   }

@@ -165,9 +165,6 @@ TEST(CompiledPsuCurve, ReboundCurveIsBitIdenticalToAFreshCompile) {
       const std::vector<double> dc = sweep_loads(curve, rated);
       const std::size_t n = dc.size();
       std::vector<double> lf, eff;
-      std::vector<double> fresh_batch(n), rebound_batch(n);
-      fresh.ac_from_dc_batch(dc, fresh_batch, lf, eff);
-      rebound.ac_from_dc_batch(dc, rebound_batch, lf, eff);
       // Every lane of a bank on the rebound curve against the fresh one.
       const std::vector<const CompiledPsuCurve*> fresh_lanes(n, &fresh);
       const std::vector<const CompiledPsuCurve*> rebound_lanes(n, &rebound);
@@ -181,8 +178,6 @@ TEST(CompiledPsuCurve, ReboundCurveIsBitIdenticalToAFreshCompile) {
         SCOPED_TRACE("rated " + std::to_string(rated) + ", load " +
                      std::to_string(dc[k]));
         EXPECT_TRUE(bits_equal(rebound.ac_from_dc(dc[k]), want));
-        EXPECT_TRUE(bits_equal(fresh_batch[k], want));
-        EXPECT_TRUE(bits_equal(rebound_batch[k], want));
         EXPECT_TRUE(bits_equal(fresh_fleet[k], want));
         EXPECT_TRUE(bits_equal(rebound_fleet[k], want));
       }

@@ -61,7 +61,9 @@ ctest --test-dir "${build_dir}-ubsan" --output-on-failure -j "$jobs" -LE perf
 # racing threads), the thread pool, the bounded queue and the node-tap
 # engine suite (test_meter_engine: the sharded fleet provision, the
 # batch fan-out and the live per-chunk fan-out with emission between
-# barriers, across thread counts).  TSan finds the
+# barriers, across thread counts, and the drifting-shape suite whose
+# threads-3 cases fan the fused kernel out with per-worker run marks).
+# TSan finds the
 # races ASan cannot; the other deterministic numeric suites gain nothing
 # from it, so the filter keeps this pass fast.
 # Wall-time-sensitive gates are excluded as in the other trees.
@@ -71,7 +73,7 @@ cmake --build "${build_dir}-tsan" -j "$jobs"
 tsan_terms=(ThreadPool ParallelFor DefaultPool BoundedQueue CampaignService
   ServiceChaos ScenarioCacheContention ServiceFairShare ServiceResume
   Collector StreamingEquivalence StreamingAssessment FleetEngineDifferential
-  FleetSoA)
+  FleetSoA DriftingShapes)
 # A term that lists no test (its suite renamed or deleted) would silently
 # drop that suite from this pass, so it fails tier-1 instead.
 for term in "${tsan_terms[@]}"; do
