@@ -39,6 +39,7 @@ PollChunks plan_poll_chunks(const ClusterPowerModel& cluster,
       c.first = window_first + first;
       c.avail_s = c.window.end.value() - campaign_window.begin.value();
       build_shape_chunk(cluster, c.window, interval, mode, 0, len, c.table);
+      mark_shape_runs(c.table, c.run_starts);
     }
     window_first += n;
   }
@@ -109,7 +110,8 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
     // The reply: this chunk's readings at their meter-global draw
     // indices, so retries, duplicates and resumed runs see identical
     // values.
-    stream_lane_window(chunk.table, fleet, lane, chunk.first, readings);
+    stream_lane_window(chunk.table, chunk.run_starts, fleet, lane,
+                       chunk.first, readings);
     double sum = 0.0;
     for (double w : readings) sum += w;
     window_sum[chunk.window_index] += sum;

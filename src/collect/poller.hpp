@@ -58,6 +58,9 @@ struct PollChunk {
   /// Shape factors of the chunk's samples, on the chunk's own time grid
   /// (table.samples is the chunk's sample count).
   ShapeTable table;
+  /// The table's shape-run starts (mark_shape_runs), marked once when the
+  /// grid is planned and read by every poller.
+  std::vector<std::uint8_t> run_starts;
 };
 
 /// A collection's poll-chunk grid, shared read-only by every poller.
@@ -68,9 +71,10 @@ struct PollChunks {
 
 /// Splits every metered window into requests of at most
 /// config.chunk_duration and builds each chunk's table with
-/// build_shape_chunk(cluster, chunk window, interval, mode, 0, len).  The
-/// virtual clock starts at campaign_window.begin.  Memory is
-/// O(samples per meter), whatever the cohort size.
+/// build_shape_chunk(cluster, chunk window, interval, mode, 0, len) and
+/// marks its run starts.  The virtual clock starts at
+/// campaign_window.begin.  Memory is O(samples per meter), whatever the
+/// cohort size.
 [[nodiscard]] PollChunks plan_poll_chunks(
     const ClusterPowerModel& cluster, const std::vector<TimeWindow>& windows,
     TimeWindow campaign_window, Seconds interval, MeterMode mode,

@@ -83,9 +83,12 @@ struct CampaignConfig {
   /// node-tap campaigns reconcile — rack/facility taps have no sibling
   /// cohort to cross-validate against.
   ReconcilePolicy reconcile;
-  /// Worker threads for the node-metering fan-out.  Every
-  /// RNG stream is keyed by node id and every result lands in its own
-  /// slot, so output is bit-identical at any thread count.  1 = serial.
+  /// The most worker threads the node-metering fan-out uses.  A clean
+  /// campaign uses one per kFanoutGrain lane-samples of work, up to this
+  /// many, so a small one runs serially whatever is asked; a faulted one
+  /// uses this many (core/pipeline.hpp).  Every RNG stream is keyed by
+  /// node id and every result lands in its own slot, so output is
+  /// bit-identical at any thread count.  1 = serial.
   std::size_t threads = 1;
   /// Live metering (see LiveOptions).
   LiveOptions live;

@@ -16,16 +16,9 @@
 #include "util/mathx.hpp"
 #include "util/parallel.hpp"
 #include "util/ring.hpp"
-#include "workload/workload.hpp"
 
 namespace pv {
 namespace {
-
-// Average of f over [a, b] via midpoint panels — used for ground truth.
-double mean_over_window(const std::function<double(double)>& f, double a,
-                        double b) {
-  return average_over(f, a, b, 2048);
-}
 
 // RNG stream salts for the fault processes (calibration and noise come
 // from provision_meter, shared with fleet provisioning).
@@ -411,33 +404,15 @@ std::vector<HierarchyCheck> build_hierarchy_checks(
   return checks;
 }
 
-// The scope-matched ground truth: `compute` (the compute subsystem's AC
-// power) averaged over the core phase, plus the auxiliaries' average for
-// scopes that include them.  Auxiliaries are arbitrary functions of t,
-// so their panels are always evaluated directly.
-Watts scope_power(const PowerFunction& compute,
-                  const ClusterPowerModel& cluster,
-                  const SystemPowerModel& electrical,
-                  const MethodologySpec& spec) {
-  const TimeWindow core = cluster.phases().core_window();
-  const double compute_w =
-      mean_over_window(compute, core.begin.value(), core.end.value());
-  if (spec.subsystems == SubsystemRule::kComputeOnly) return Watts{compute_w};
-  const double aux = mean_over_window(
-      [&](double t) { return electrical.auxiliary_ac_w(t); },
-      core.begin.value(), core.end.value());
-  return Watts{compute_w + aux};
-}
-
 // --- stages ---------------------------------------------------------------
 
 // Derives the campaign's execution parameters: effective interval,
 // metered windows and their per-meter sample count, the analysis grid,
 // the rack list (rack tap) and meters_planned.  On every tap it sets
 // memoize_truth (the electrical model is the cluster's own lowering,
-// which run_campaign_stages checked); on node taps it also borrows the
-// process-wide pool for a fan-out above one and provisions the
-// FleetState.
+// which run_campaign_stages checked); on node taps it also sets the
+// fan-out's width, borrows the process-wide pool when that is above one
+// and provisions the FleetState.
 class ProvisionStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "provision"; }
@@ -494,8 +469,19 @@ class ProvisionStage final : public CampaignStage {
         }
         // The fleet build below and the Meter stage fan out into at most
         // `fanout` lane ranges on the process-wide pool, borrowed: a
-        // campaign starts and joins no threads of its own.
-        ctx.fanout = std::max<std::size_t>(config.threads, 1);
+        // campaign starts and joins no threads of its own.  Handing a range
+        // to the pool and joining it costs about 10 us, more than a small
+        // clean campaign's whole kernel, so a clean campaign takes one
+        // range per kFanoutGrain lane-samples, up to config.threads.  A
+        // faulted lane costs about 150x a clean one per sample, so faulted
+        // campaigns keep the requested width.
+        const std::size_t threads = std::max<std::size_t>(config.threads, 1);
+        ctx.fanout = ctx.faulty
+                         ? threads
+                         : std::clamp<std::size_t>(
+                               plan.node_count() * ctx.samples_per_meter /
+                                   kFanoutGrain,
+                               1, threads);
         if (ctx.fanout > 1) ctx.pool = &default_pool();
         // Transpose the cohort into the fleet table: calibration
         // columns, per-node noise origins and PSU lanes, in plan order.
@@ -553,11 +539,20 @@ void finish_node_meter(CampaignContext& ctx, StageTrace& trace) {
   meter_trace(ctx, ctx.readings.size(), lost, trace);
 }
 
-// The scope-matched ground truth, its compute part through eager_truth.
+// The scope-matched ground truth.  While ctx.memoize_truth is set it is
+// the electrical model's kept core-phase means (the compute part read
+// through the shape memo), so only a scenario's first campaign integrates;
+// otherwise it integrates directly, as true_scope_power does.
 double scope_truth_w(const CampaignContext& ctx) {
-  return scope_power(compute_truth(ctx), *ctx.cluster, *ctx.electrical,
-                     ctx.plan->spec)
-      .value();
+  const SystemPowerModel& electrical = *ctx.electrical;
+  if (!ctx.memoize_truth) {
+    return true_scope_power(*ctx.cluster, electrical, ctx.plan->spec).value();
+  }
+  double w = electrical.core_compute_mean_w();
+  if (ctx.plan->spec.subsystems != SubsystemRule::kComputeOnly) {
+    w += electrical.core_auxiliary_mean_w();
+  }
+  return w;
 }
 
 // One closed metering window's fleet-level summary, retained in the live
@@ -689,9 +684,11 @@ class NodeTapRun {
       return;
     }
     const TimeWindow& w = ctx_.windows[wi];
+    mark_shape_runs(chunk, scratch.run_starts);
     for (std::size_t i = b; i < e; ++i) {
       if (meters_[i].dead()) continue;
-      stream_lane_window(chunk, fleet_, i, k0, scratch.readings);
+      stream_lane_window(chunk, scratch.run_starts, fleet_, i, k0,
+                         scratch.readings);
       const std::optional<double> wm = meters_[i].feed_faulted_window(
           PowerTrace(w.begin, ctx_.interval, scratch.readings), w);
       if (!window_mean_.empty()) {
@@ -737,9 +734,6 @@ std::vector<std::pair<std::string, double>> NodeTapRun::run_live() {
   std::size_t open_samples = 0;  // clean lanes' samples in the open window
   std::size_t chunks_run = 0;
   std::size_t partials = 0;
-  // Ground truth for partial documents, computed once on first use (the
-  // final document's truth comes from AssessStage as usual).
-  std::optional<double> truth_cache;
 
   // Emits one partial assessment Document from a read-only snapshot of
   // the lanes, through the exact node-tap Aggregate tail the final
@@ -783,11 +777,10 @@ std::vector<std::pair<std::string, double>> NodeTapRun::run_live() {
     snap.dq().meters_planned = ctx_.dq().meters_planned;
     snap.dq().faults_enabled = ctx_.faulty;
     aggregate_nodes(snap);
-    if (!truth_cache) truth_cache = scope_truth_w(ctx_);
-    snap.result.true_power = Watts{*truth_cache};
+    const double truth = scope_truth_w(ctx_);
+    snap.result.true_power = Watts{truth};
     snap.result.relative_error =
-        std::fabs(snap.result.submitted_power.value() - *truth_cache) /
-        *truth_cache;
+        std::fabs(snap.result.submitted_power.value() - truth) / truth;
 
     LiveProgress prog;
     prog.seq = partials;
@@ -1300,17 +1293,17 @@ class AggregateStage final : public CampaignStage {
 };
 
 // Ground truth and relative error — the simulation-only assessment.
-// Reads the compute part through the shape memo when ctx.memoize_truth
-// is set.
+// Reads the electrical model's kept core-phase means when
+// ctx.memoize_truth is set.
 class AssessStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "assess"; }
 
   void run(CampaignContext& ctx, StageTrace& trace) override {
     CampaignResult& result = ctx.result;
-    // Ground truth and error.  The memoized form returns the exact
-    // doubles the direct form would (every node draws its mean times the
-    // shared shape factor), faster.
+    // Ground truth and error.  The kept means are the exact doubles the
+    // direct integral returns (every node draws its mean times the shared
+    // shape factor), integrated once per electrical model.
     result.true_power = Watts{scope_truth_w(ctx)};
     result.relative_error =
         std::fabs(result.submitted_power.value() - result.true_power.value()) /
@@ -1346,9 +1339,16 @@ NodeReading node_reading(const CampaignContext& ctx, std::size_t i,
 Watts true_scope_power(const ClusterPowerModel& cluster,
                        const SystemPowerModel& electrical,
                        const MethodologySpec& spec) {
-  return scope_power(
-      [&electrical](double t) { return electrical.compute_ac_w(t); }, cluster,
-      electrical, spec);
+  // The compute subsystem's AC power averaged over the core phase, plus
+  // the auxiliaries' average for scopes that include them.
+  double w = core_phase_mean(
+      cluster, [&electrical](double t) { return electrical.compute_ac_w(t); });
+  if (spec.subsystems != SubsystemRule::kComputeOnly) {
+    w += core_phase_mean(cluster, [&electrical](double t) {
+      return electrical.auxiliary_ac_w(t);
+    });
+  }
+  return Watts{w};
 }
 
 StagePtr make_node_meter_stage() {

@@ -80,23 +80,29 @@ struct CampaignContext {
   std::vector<TimeWindow> analysis;   ///< cross-validation grid (reconcile)
   bool faulty = false;                ///< fault injection enabled
   bool reconciling = false;           ///< byzantine defense enabled
-  /// The eager truths — the rack and facility taps, the check meters,
-  /// Assess and the live partials' truth — read through a memo on the
-  /// shared shape factor (memoize_on_shape).  Provision sets it: the
-  /// electrical model is its cluster's lowering by construction and
+  /// The eager truths — the rack and facility taps and the check meters —
+  /// read through a memo on the shared shape factor (memoize_on_shape),
+  /// and Assess and the live partials read the electrical model's kept
+  /// core-phase means (SystemPowerModel::core_compute_mean_w), integrated
+  /// once per model through that memo.  Provision sets it: the electrical
+  /// model is its cluster's lowering by construction and
   /// run_campaign_stages checked it is this campaign's cluster's.  The
   /// eager reference Meter stage clears it, so a reference run
   /// integrates every truth directly.
   bool memoize_truth = false;
   std::size_t samples_per_meter = 0;  ///< expected samples, any one meter
   std::vector<std::size_t> racks;     ///< racks metered (rack-PDU tap only)
-  /// The requested node fan-out (Provision: config.threads, at least 1):
-  /// the most lane ranges a node-tap fan-out splits into, whatever the
-  /// pool's size.
+  /// The node fan-out's width, the most lane ranges the fleet build and
+  /// the Meter stage split into, whatever the pool's size (the Meter
+  /// trace's `fanout` counter).  Provision sets it: config.threads (at
+  /// least 1) for a faulted campaign; for a clean one, one range per
+  /// kFanoutGrain lane-samples (plan nodes x samples_per_meter), at least
+  /// 1 and at most config.threads.
   std::size_t fanout = 1;
   /// The pool the node fan-outs run on: util's process-wide
   /// default_pool(), borrowed (never owned) by Provision when fanout > 1;
-  /// null when the fan-out is serial or the tap has no node cohort.
+  /// null when the fan-out is serial or the tap has no node cohort, so a
+  /// campaign below the grain never starts or wakes the pool.
   ThreadPool* pool = nullptr;
   /// The node-tap cohort transposed to structure-of-arrays (null for the
   /// rack/facility taps): meter models + calibration columns, per-node
@@ -122,6 +128,12 @@ struct CampaignContext {
 
   [[nodiscard]] DataQuality& dq() { return result.data_quality; }
 };
+
+/// Lane-samples of clean node-tap work per lane range of the fan-out.
+/// Handing a range to the pool and joining it costs about 10 us, so a
+/// clean campaign below twice this runs inline at any config.threads
+/// (see CampaignContext::fanout).
+inline constexpr std::size_t kFanoutGrain = std::size_t{1} << 16;
 
 /// One pipeline stage.  run() reads/writes the context and fills its
 /// trace's deterministic fields (items, samples, virtual_s, counters);

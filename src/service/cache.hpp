@@ -24,7 +24,12 @@
 //
 // Entries are shared immutable (shared_ptr<const Scenario>); campaigns
 // never write through them, which is half of the per-request isolation
-// story (the other half is per-request RNG seeding).
+// story (the other half is per-request RNG seeding).  The one thing a
+// campaign adds to an entry is its electrical model's core-phase means
+// (SystemPowerModel::core_compute_mean_w), which the first campaign to
+// assess the scenario integrates once (std::call_once) and every later
+// one reads: a pure function of the scenario, so no request can see
+// another's trace in it.
 
 #include <cstdint>
 #include <future>

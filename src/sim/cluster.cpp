@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "sim/streaming.hpp"
 #include "util/expects.hpp"
 
 namespace pv {
@@ -41,6 +42,12 @@ double ClusterPowerModel::node_power_w(std::size_t i, double t) const {
 
 Watts ClusterPowerModel::system_core_mean() const {
   return Watts{std::accumulate(mean_w_.begin(), mean_w_.end(), 0.0)};
+}
+
+double core_phase_mean(const ClusterPowerModel& cluster,
+                       const PowerFunction& f) {
+  const TimeWindow core = cluster.phases().core_window();
+  return average_over(f, core.begin.value(), core.end.value(), 2048);
 }
 
 // --------------------------------------------------------------------------
@@ -99,6 +106,24 @@ PowerFunction SystemPowerModel::node_ac_function(std::size_t node) const {
 const PsuModel& SystemPowerModel::node_psu(std::size_t node) const {
   PV_EXPECTS(node < psus_.size(), "node index out of range");
   return psus_[node];
+}
+
+double SystemPowerModel::core_compute_mean_w() const {
+  std::call_once(core_means_->compute_once, [this] {
+    core_means_->compute_w = core_phase_mean(
+        *cluster_, memoize_on_shape(*cluster_, [this](double t) {
+          return compute_ac_w(t);
+        }));
+  });
+  return core_means_->compute_w;
+}
+
+double SystemPowerModel::core_auxiliary_mean_w() const {
+  std::call_once(core_means_->auxiliary_once, [this] {
+    core_means_->auxiliary_w = core_phase_mean(
+        *cluster_, [this](double t) { return auxiliary_ac_w(t); });
+  });
+  return core_means_->auxiliary_w;
 }
 
 SystemPowerModel make_system_power_model(const ClusterPowerModel& cluster,

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -68,6 +69,11 @@ class ClusterPowerModel {
 
   [[nodiscard]] double shape(double t) const;  // (static + dyn*intensity)/mean
 };
+
+/// `f` averaged over the cluster's core phase with 2048 midpoint panels:
+/// the ground-truth integral of every scope truth.
+[[nodiscard]] double core_phase_mean(const ClusterPowerModel& cluster,
+                                     const PowerFunction& f);
 
 /// Auxiliary-subsystem sizing for lowering into a SystemPowerModel,
 /// expressed as fractions of the compute core-phase average.
@@ -135,6 +141,16 @@ class SystemPowerModel {
   /// Per-node PSU access (e.g. for conversion-loss correction).
   [[nodiscard]] const PsuModel& node_psu(std::size_t node) const;
 
+  // --- Core-phase means, the parts of every scope truth -------------------
+
+  /// core_phase_mean of compute_ac_w, read through memoize_on_shape.
+  /// Integrated on the first call and kept: the model is immutable, so
+  /// every later call, from any thread, returns the same double without
+  /// integrating, and threads that call first together integrate once.
+  [[nodiscard]] double core_compute_mean_w() const;
+  /// core_phase_mean of auxiliary_ac_w, read directly; kept the same way.
+  [[nodiscard]] double core_auxiliary_mean_w() const;
+
  private:
   friend SystemPowerModel make_system_power_model(
       const ClusterPowerModel& cluster, std::size_t nodes_per_rack,
@@ -144,10 +160,20 @@ class SystemPowerModel {
   SystemPowerModel(const ClusterPowerModel& cluster,
                    std::size_t nodes_per_rack);
 
+  // The kept core-phase means.  A once_flag cannot move, so they live on
+  // the heap and the model stays movable.
+  struct CoreMeans {
+    std::once_flag compute_once;
+    std::once_flag auxiliary_once;
+    double compute_w = 0.0;
+    double auxiliary_w = 0.0;
+  };
+
   const ClusterPowerModel* cluster_;
   std::size_t nodes_per_rack_;
   std::vector<PsuModel> psus_;
   std::vector<PowerFunction> auxiliaries_;
+  std::unique_ptr<CoreMeans> core_means_ = std::make_unique<CoreMeans>();
 };
 
 }  // namespace pv

@@ -194,11 +194,8 @@ void fused_chunk(const ShapeTable& table, const FleetState& fleet,
   const std::size_t m = end - begin;
   const std::size_t samples = table.samples;
   const std::size_t planes = table.mode == MeterMode::kIntegrated ? 4 : 1;
-  scratch.run_starts.resize(samples);
-  std::uint8_t* const starts = scratch.run_starts.data();
-  for (std::size_t k = 0; k < samples; ++k) {
-    starts[k] = starts_shape_run(table, k) ? 1 : 0;
-  }
+  mark_shape_runs(table, scratch.run_starts);
+  const std::uint8_t* const starts = scratch.run_starts.data();
 
   const double sd = fleet.noise_sd;
   scratch.clean.resize(kTileLanes);
@@ -278,10 +275,13 @@ void fused_chunk(const ShapeTable& table, const FleetState& fleet,
 
 }  // namespace
 
-void stream_lane_window(const ShapeTable& table, const FleetState& fleet,
-                        std::size_t lane, std::uint64_t k0,
-                        std::vector<double>& readings) {
+void stream_lane_window(const ShapeTable& table,
+                        std::span<const std::uint8_t> run_starts,
+                        const FleetState& fleet, std::size_t lane,
+                        std::uint64_t k0, std::vector<double>& readings) {
   PV_EXPECTS(lane < fleet.size(), "lane out of fleet");
+  PV_EXPECTS(run_starts.size() == table.samples,
+             "run marks not parallel to the table");
   const std::size_t samples = table.samples;
   const std::size_t planes = table.mode == MeterMode::kIntegrated ? 4 : 1;
   const double mean = fleet.mean_w[lane];
@@ -293,7 +293,7 @@ void stream_lane_window(const ShapeTable& table, const FleetState& fleet,
   readings.resize(samples);
   double clean = 0.0;
   for (std::size_t i = 0; i < samples; ++i) {
-    if (starts_shape_run(table, i)) {
+    if (run_starts[i] != 0) {
       double a[4] = {};
       for (std::size_t q = 0; q < planes; ++q) {
         const double dc = mean * table.shape[q * samples + i];

@@ -135,7 +135,7 @@ struct FleetAccumulators {
 /// Reused per-worker staging for the node-tap kernels.
 struct FleetScratch {
   /// One byte per chunk sample: 1 where the sample starts a shape run
-  /// (starts_shape_run), marked once per call for every tile.
+  /// (mark_shape_runs), marked once per call for every tile or lane.
   std::vector<std::uint8_t> run_starts;
   /// The current tile's clean readings (truth * gain + offset), one per
   /// lane, of the current shape run; refilled where a run starts.
@@ -173,10 +173,14 @@ void count_analysis_samples(std::span<const std::int32_t> a_idx,
 /// truth (GL4 when integrated), calibrated as truth * gain + offset and,
 /// with noise, scaled by 1 + noise_sd * z, z drawn at meter-global index
 /// k0 + i — MeterModel::measure's readings from the same draws, bit for
-/// bit.  The clean reading is recomputed only where a shape run starts.
-void stream_lane_window(const ShapeTable& table, const FleetState& fleet,
-                        std::size_t lane, std::uint64_t k0,
-                        std::vector<double>& readings);
+/// bit.  The clean reading is recomputed only where `run_starts` (the
+/// table's mark_shape_runs, one byte per sample, marked once by the
+/// caller for every lane it meters) marks a shape run; marks of another
+/// length are a contract_error.
+void stream_lane_window(const ShapeTable& table,
+                        std::span<const std::uint8_t> run_starts,
+                        const FleetState& fleet, std::size_t lane,
+                        std::uint64_t k0, std::vector<double>& readings);
 
 /// Streams one chunk (from build_shape_chunk) for lanes [begin, end) into
 /// `acc` — stream_lane_window's readings chained into each lane's open

@@ -1,7 +1,8 @@
 #include "sim/streaming.hpp"
 
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <optional>
 #include <unordered_map>
 
 #include "util/expects.hpp"
@@ -46,20 +47,33 @@ void build_shape_chunk(const ClusterPowerModel& cluster, const TimeWindow& w,
   }
 }
 
+void mark_shape_runs(const ShapeTable& table, std::vector<std::uint8_t>& out) {
+  const std::size_t n = table.samples;
+  out.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    bool start = k == 0;
+    for (std::size_t p = k; !start && p < table.shape.size(); p += n) {
+      start = std::bit_cast<std::uint64_t>(table.shape[p]) !=
+              std::bit_cast<std::uint64_t>(table.shape[p - 1]);
+    }
+    out[k] = start ? 1 : 0;
+  }
+}
+
 PowerFunction memoize_on_shape(const ClusterPowerModel& cluster,
                                PowerFunction truth) {
   PV_EXPECTS(truth != nullptr, "null ground-truth function");
   return [&cluster, truth = std::move(truth),
-          memo = std::unordered_map<std::uint64_t, double>()](
+          memo = std::unordered_map<std::uint64_t, double>(),
+          last_bits = std::uint64_t{0}, last = std::optional<double>()](
              double t) mutable {
-    const double s = cluster.shape_factor(t);
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &s, sizeof bits);
+    const auto bits = std::bit_cast<std::uint64_t>(cluster.shape_factor(t));
+    if (last && bits == last_bits) return *last;
     const auto it = memo.find(bits);
-    if (it != memo.end()) return it->second;
-    const double v = truth(t);
-    memo.emplace(bits, v);
-    return v;
+    last = it != memo.end() ? it->second
+                            : memo.emplace(bits, truth(t)).first->second;
+    last_bits = bits;
+    return *last;
   };
 }
 

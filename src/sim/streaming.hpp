@@ -11,7 +11,7 @@
 // sim/fleet_state read it for every node.  A steady phase repeats one
 // shape for long runs of samples, a ramp or a drifting core changes it
 // every sample: the kernels recompute a lane's clean reading only where
-// a sample starts a shape run (starts_shape_run), so both regimes run
+// a sample starts a shape run (mark_shape_runs), so both regimes run
 // on the one path.
 //
 // Byte-identity contract: the table's sample times and quadrature
@@ -21,7 +21,6 @@
 // kernels' readings are bit-identical to MeterModel::measure over the
 // node's AC/DC truth function from the same noise draws.
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -47,22 +46,14 @@ struct ShapeTable {
   std::vector<double> shape;
 };
 
-/// True when sample k of `table` starts a shape run: k is 0, or its shape
-/// bits differ from sample k - 1's in some quadrature plane.  A lane's
-/// clean reading is a function of those bits, so it changes only at run
-/// starts.
-[[nodiscard]] inline bool starts_shape_run(const ShapeTable& table,
-                                           std::size_t k) {
-  if (k == 0) return true;
-  const std::size_t n = table.samples;
-  for (std::size_t p = k; p < table.shape.size(); p += n) {
-    if (std::bit_cast<std::uint64_t>(table.shape[p]) !=
-        std::bit_cast<std::uint64_t>(table.shape[p - 1])) {
-      return true;
-    }
-  }
-  return false;
-}
+/// Marks the shape-run starts of `table` into `out` (resized to
+/// table.samples): out[k] is 1 where sample k starts a shape run — k is
+/// 0, or its shape bits differ from sample k - 1's in some quadrature
+/// plane — else 0.  A lane's clean reading is a function of those bits,
+/// so it changes only at run starts.  The lane kernels take these marks,
+/// so a caller marks a table once and every lane it meters reads bytes
+/// instead of comparing planes.
+void mark_shape_runs(const ShapeTable& table, std::vector<std::uint8_t>& out);
 
 /// Readings MeterModel::measure would produce over `w` at `interval` —
 /// the same floor arithmetic, so sample accounting (expected vs
@@ -87,8 +78,10 @@ void build_shape_chunk(const ClusterPowerModel& cluster, const TimeWindow& w,
 /// on t only through the shape factor, and the wrapper evaluates `truth`
 /// once per distinct shape value and returns the doubles the direct call
 /// returns.  Auxiliary subsystems are not such functions; read them
-/// directly.  The memo lives in the returned function (each copy carries
-/// its own), so one thread at a time.
+/// directly.  A call whose shape bits equal the previous call's returns
+/// that call's value without a lookup (an integral's panels repeat one
+/// shape for long runs).  The memo lives in the returned function (each
+/// copy carries its own), so one thread at a time.
 [[nodiscard]] PowerFunction memoize_on_shape(const ClusterPowerModel& cluster,
                                              PowerFunction truth);
 

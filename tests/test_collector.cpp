@@ -509,7 +509,8 @@ TEST(PollChunks, TablesReproduceMeasureBitForBit) {
                     })
                            : electrical.node_ac_function(node);
                 for (const PollChunk& c : plan.chunks) {
-                  stream_lane_window(c.table, fleet, lane, c.first, readings);
+                  stream_lane_window(c.table, c.run_starts, fleet, lane,
+                                     c.first, readings);
                   const PowerTrace oracle = meter.meter.measure(
                       truth, c.window.begin, c.window.end, meter.noise,
                       c.first);

@@ -25,13 +25,17 @@
 //
 // the FIRESTARTER suites at threads {1, 2, 8} over seeds 1..3 x L1/L2/L3,
 // plus DC taps; DriftingShapes at threads {1, 3} over L1/L2/L3 x node
-// AC/DC x perfect/PDU-grade meters.  FIRESTARTER's core phase is one
-// shape level, so only DriftingShapes starts shape runs inside campaign
-// chunks.  Collecting sinks emit at every window close, so their partial
-// transcripts must match across threads and chunk sizes too.  Alongside:
-// dead-lane masking, the pinned live emission schedule, the facility
-// check meter on a zero-auxiliary rig, thread invariance of the sharded
-// provision and of both loop shapes (FleetSoA, run under TSan), the fused
+// AC/DC x perfect/PDU-grade meters.  These rigs sit below the fan-out's
+// work grain (kFanoutGrain), so their clean cases run inline at every
+// thread count and only their faulted cases fan out; FanoutGrain runs
+// clean campaigns above the grain against threads = 1 and the kept scope
+// truth under threads that first use it together.  FIRESTARTER's core
+// phase is one shape level, so only DriftingShapes starts shape runs
+// inside campaign chunks.  Collecting sinks emit at every window close,
+// so their partial transcripts must match across threads and chunk sizes
+// too.  Alongside: dead-lane masking, the pinned live emission schedule,
+// the facility check meter on a zero-auxiliary rig, thread invariance of
+// the sharded provision and of both loop shapes (FleetSoA), the fused
 // kernel against the dense path (each lane's stream_lane_window readings
 // chained in sample order) on hand-built tables whose shape changes
 // mid-chunk, also at the kernel's tile and noise-block edges, and the
@@ -40,20 +44,25 @@
 //
 // The reference clears memoize_truth, so every engine-vs-reference case
 // that reconciles also compares the check meters' memoized truths with
-// direct ones, and every case Assess's memoized truth with the direct
+// direct ones, and every case Assess's kept truth with the direct
 // integral.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <iterator>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -68,6 +77,8 @@
 #include "util/parallel.hpp"
 #include "workload/hpl.hpp"
 #include "workload/profiles.hpp"
+
+#include "pool_gate.hpp"
 
 namespace pv {
 namespace {
@@ -409,9 +420,10 @@ TEST(FleetEngineDifferential, FacilityCheckMeterMatchesScalarPath) {
 // one shape level, so its chunks start no shape run after their first
 // sample.  HPL's shrinking trailing matrix and MPrime's drifting core
 // change the shape at almost every sample, so on these rigs both kernels
-// refill their clean readings inside every chunk.  The threads-3 cases
-// fan the fused kernel out over workers, each marking its own run starts
-// (run under TSan).
+// refill their clean readings inside every chunk.  The rigs sit below the
+// fan-out's work grain, so the clean threads-3 cases run inline; the
+// faulted one fans out, and FanoutGrain (below) fans a drifting rig's
+// clean lanes out over workers, each marking its own run starts.
 
 enum class Drift { kHplCpu, kHplGpuInCore, kMprime };
 
@@ -577,7 +589,10 @@ TEST(StreamingAssessment, NullSinkStillRunsAndMatchesBatch) {
 
 // ---------------------------------------------------------------------------
 // FleetSoA: the sharded provision and both loop shapes under threads.
-// These run in the TSan tier (run_tier1.sh matches the suite name).
+// These run in the TSan tier (run_tier1.sh matches the suite name).  The
+// 96-node campaigns sit below the fan-out's work grain, so they run
+// inline at threads = 8 too; FanoutGrain (below) runs both shapes above
+// it.
 
 void expect_same_fleet(const FleetState& a, const FleetState& b,
                        const std::string& what) {
@@ -616,8 +631,7 @@ TEST(FleetSoA, ShardedProvisionIsThreadCountInvariant) {
 }
 
 TEST(FleetSoA, FusedBatchIsThreadCountInvariant) {
-  // The batch shape shards lanes across the pool; any thread count must
-  // report the byte-identical document (TSan races this).
+  // Any thread count must report the byte-identical document.
   const Rig rig = make_rig(96, Level::kL1, 17);
   CampaignConfig one = base_config(17, 1);
   CampaignConfig eight = base_config(17, 8);
@@ -629,8 +643,8 @@ TEST(FleetSoA, FusedBatchIsThreadCountInvariant) {
 }
 
 TEST(FleetSoA, FusedLiveChunkDriverIsThreadCountInvariant) {
-  // The live shape fans every chunk out and emits between barriers; the
-  // final document and the partial transcript are thread-invariant.
+  // The live shape steps every chunk and emits between steps; the final
+  // document and the partial transcript are thread-invariant.
   const Rig rig = make_rig(96, Level::kL1, 17);
   std::vector<std::string> partials_one;
   std::vector<std::string> partials_eight;
@@ -642,6 +656,194 @@ TEST(FleetSoA, FusedLiveChunkDriverIsThreadCountInvariant) {
   expect_identical(rig.plan, one, eight, "live 1 vs 8 threads");
   EXPECT_FALSE(partials_one.empty());
   EXPECT_EQ(partials_one, partials_eight);
+}
+
+// ---------------------------------------------------------------------------
+// FanoutGrain: the node fan-out's work grain (kFanoutGrain,
+// core/pipeline.hpp).  A clean campaign splits into one lane range per
+// kFanoutGrain lane-samples, up to config.threads, so every rig above
+// runs its clean cases inline; a faulted one keeps the requested width.
+// These campaigns are large enough to fan out: batch, live, reconcile
+// buckets and drifting shapes at threads {1, 2, 8}, each byte-identical
+// to threads = 1 with the Meter trace's `fanout` counter at
+// min(threads, work / grain).  Below the grain a campaign at threads = 8
+// runs inline while every pool worker is parked.  Threads that first use
+// a fresh scenario's kept scope truth together all read the reference
+// stage's bits.  These run in the TSan tier too.
+
+double stage_counter(const CampaignResult& result, const std::string& stage,
+                     const std::string& key) {
+  for (const StageTrace& t : result.stage_traces) {
+    if (t.stage != stage) continue;
+    for (const auto& [k, v] : t.counters) {
+      if (k == key) return v;
+    }
+  }
+  ADD_FAILURE() << "no " << stage << " counter " << key;
+  return 0.0;
+}
+
+// The lane-samples a campaign meters: its Provision trace's samples.
+std::size_t lane_samples(const CampaignResult& result) {
+  for (const StageTrace& t : result.stage_traces) {
+    if (t.stage == "provision") return t.samples;
+  }
+  ADD_FAILURE() << "no Provision trace";
+  return 0;
+}
+
+// Runs `cfg` at threads {1, 2, 8}.  The campaign must hold at least
+// `min_grains` grains of work; each run must report a fan-out of
+// min(threads, work / grain) and match threads = 1's run byte for byte
+// (with a collecting sink, its partial transcript too).
+void expect_fans_out_identically(const Rig& rig, CampaignConfig cfg, Sink sink,
+                                 std::size_t min_grains) {
+  std::optional<CampaignResult> serial;
+  std::vector<std::string> serial_partials;
+  for (const std::size_t threads : {1, 2, 8}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    cfg.threads = threads;
+    std::vector<std::string> partials;
+    if (sink == Sink::kCollecting) {
+      cfg.live.enabled = true;
+      cfg.live.chunk_samples = 256;
+      cfg.live.emit_every_s = 60.0;
+      cfg.live_sink = [&partials](const std::string& line) {
+        partials.push_back(line);
+      };
+    }
+    CampaignResult result =
+        run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
+    const std::size_t grains = lane_samples(result) / kFanoutGrain;
+    ASSERT_GE(grains, min_grains) << what;
+    EXPECT_EQ(stage_counter(result, "meter", "fanout"),
+              static_cast<double>(std::min(threads, grains)))
+        << what;
+    if (!serial) {
+      serial = std::move(result);
+      serial_partials = partials;
+      if (sink == Sink::kCollecting) {
+        EXPECT_FALSE(serial_partials.empty());
+      }
+      continue;
+    }
+    expect_identical(rig.plan, *serial, result, what);
+    EXPECT_EQ(partials, serial_partials) << what;
+  }
+}
+
+TEST(FanoutGrain, CleanBatchAboveTheGrainFansOutByteIdentically) {
+  // 96 nodes x 7200 samples is 10 grains (fan-outs of 2 and 8), 96 x 3600
+  // is 5 (2, and 5 at threads = 8).
+  const Rig rig = make_rig(96, Level::kL3, 3);
+  for (const double interval_s : {0.25, 0.5}) {
+    SCOPED_TRACE("interval " + std::to_string(interval_s));
+    CampaignConfig cfg = base_config(3);
+    cfg.meter_interval_override = Seconds{interval_s};
+    expect_fans_out_identically(rig, cfg, Sink::kNone, 5);
+  }
+}
+
+TEST(FanoutGrain, LiveAndReconcileBucketsAboveTheGrainFanOutByteIdentically) {
+  const Rig rig = make_rig(96, Level::kL3, 5);
+  CampaignConfig cfg = base_config(5);
+  cfg.meter_interval_override = Seconds{0.5};
+  expect_fans_out_identically(rig, cfg, Sink::kCollecting, 5);
+  cfg.reconcile.enabled = true;
+  for (const Sink sink : {Sink::kNone, Sink::kCollecting}) {
+    expect_fans_out_identically(rig, cfg, sink, 5);
+  }
+}
+
+TEST(FanoutGrain, DriftingShapesAboveTheGrainFanOutByteIdentically) {
+  // 64 nodes x 4800 samples of a shape that changes at almost every one:
+  // 4 grains, so every lane range refills its clean row inside its chunks.
+  const Rig rig = make_drifting_rig(Drift::kMprime, Level::kL3);
+  for (const MeterAccuracy& accuracy :
+       {MeterAccuracy::perfect(), MeterAccuracy::pdu_grade()}) {
+    SCOPED_TRACE("noise_sd=" + std::to_string(accuracy.noise_sd));
+    CampaignConfig cfg = base_config(11);
+    cfg.meter_accuracy = accuracy;
+    cfg.meter_interval_override = Seconds{0.25};
+    expect_fans_out_identically(rig, cfg, Sink::kNone, 4);
+  }
+}
+
+TEST(FanoutGrain, CleanCampaignBelowTheGrainRunsInlineWhileThePoolIsParked) {
+  // 16 metered nodes x 360 samples: far below the grain, so threads = 8
+  // runs inline and never touches the parked pool.
+  const Rig rig = make_rig(96, Level::kL1, 2);
+  const CampaignResult serial =
+      run_campaign(*rig.cluster, *rig.electrical, rig.plan, base_config(2));
+  ASSERT_LT(lane_samples(serial), kFanoutGrain);
+
+  PoolGate gate;
+  std::future<CampaignResult> run = std::async(std::launch::async, [&] {
+    return run_campaign(*rig.cluster, *rig.electrical, rig.plan,
+                        base_config(2, 8));
+  });
+  const std::future_status status = run.wait_for(std::chrono::seconds(60));
+  gate.release();  // a campaign that did park finishes now, and fails below
+  ASSERT_EQ(status, std::future_status::ready)
+      << "a below-grain campaign waited on the pool";
+  const CampaignResult eight = run.get();
+  EXPECT_EQ(stage_counter(eight, "meter", "fanout"), 1.0);
+  expect_identical(rig.plan, serial, eight, "threads=8 below the grain");
+}
+
+TEST(FanoutGrain, SmallFaultedCampaignKeepsTheRequestedWidth) {
+  const Rig rig = make_rig(96, Level::kL1, 2);
+  CampaignConfig cfg = base_config(2);
+  cfg.faults.spec = FaultSpec::mild();
+  cfg.faults.dead_meters = {rig.plan.node_indices[2]};
+  const CampaignResult serial =
+      run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
+  ASSERT_LT(lane_samples(serial), kFanoutGrain);
+  EXPECT_EQ(stage_counter(serial, "meter", "fanout"), 1.0);
+  for (const std::size_t threads : {2, 8}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    cfg.threads = threads;
+    const CampaignResult result =
+        run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
+    EXPECT_EQ(stage_counter(result, "meter", "fanout"),
+              static_cast<double>(threads))
+        << what;
+    expect_identical(rig.plan, serial, result, what);
+  }
+}
+
+TEST(FanoutGrain, ThreadsFirstUsingAFreshScenariosTruthReadTheReferenceBits) {
+  // The electrical model integrates its core-phase means on first use.
+  // Eight campaigns start together on a scenario no campaign has assessed;
+  // every one must report the reference stage's true power, which
+  // integrates directly, bit for bit.  L1 scopes the compute part only,
+  // L3 adds the auxiliaries.
+  constexpr std::size_t kRuns = 8;
+  for (const Level level : {Level::kL1, Level::kL3}) {
+    SCOPED_TRACE("L" + std::to_string(static_cast<int>(level)));
+    const Rig rig = make_rig(64, level, 9);
+    const CampaignConfig cfg = base_config(9);
+    const double reference = run_reference(rig, cfg).true_power.value();
+    EXPECT_TRUE(bits_equal(
+        reference,
+        true_scope_power(*rig.cluster, *rig.electrical, rig.plan.spec)
+            .value()));
+
+    std::vector<double> truth(kRuns, 0.0);
+    std::latch start(kRuns);
+    std::vector<std::thread> runs;
+    for (std::size_t i = 0; i < kRuns; ++i) {
+      runs.emplace_back([&, i] {
+        start.arrive_and_wait();
+        truth[i] = run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg)
+                       .true_power.value();
+      });
+    }
+    for (std::thread& t : runs) t.join();
+    for (std::size_t i = 0; i < kRuns; ++i) {
+      EXPECT_TRUE(bits_equal(truth[i], reference)) << "run " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -678,8 +880,10 @@ void dense_chunk(const ShapeTable& table, std::span<const std::int32_t> a_idx,
                  const FleetState& fleet, const FleetProvisionSpec& spec,
                  std::uint64_t k0, std::size_t begin, FleetAccumulators& acc) {
   std::vector<double> readings;
+  std::vector<std::uint8_t> run_starts;
+  mark_shape_runs(table, run_starts);
   for (std::size_t lane = begin; lane < fleet.size(); ++lane) {
-    stream_lane_window(table, fleet, lane, k0, readings);
+    stream_lane_window(table, run_starts, fleet, lane, k0, readings);
     ASSERT_EQ(readings.size(), table.samples);
     const ProvisionedMeter meter = provision_meter(spec, fleet.node[lane]);
     const CompiledPsuCurve* const curve = fleet.curve[lane];

@@ -345,7 +345,9 @@ TEST(DefaultPool, CampaignStartedFromAPoolTaskCompletes) {
   // of that pool starts a threads=2 campaign at the same moment (a
   // barrier holds each until all have started), so no worker is free to
   // serve a sibling's chunks: each nested fan-out must run inline on its
-  // own worker, and every document must equal the one run off-pool.
+  // own worker, and every document must equal the one run off-pool.  The
+  // campaign is faulted: a clean one this small sits below the fan-out's
+  // work grain and would not reach the pool at all.
   ScenarioSpec spec;
   spec.name = "nested-pool";
   spec.nodes = 40;
@@ -356,6 +358,7 @@ TEST(DefaultPool, CampaignStartedFromAPoolTaskCompletes) {
   CampaignConfig config;
   config.seed = 3;
   config.threads = 2;
+  config.faults.spec = FaultSpec::mild();
   const auto document = [&] {
     return render_json(assessment_document(
         plan, run_campaign(*scenario.cluster, *scenario.electrical, plan,

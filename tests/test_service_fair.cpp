@@ -8,9 +8,8 @@
 #include "service/fair.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,58 +21,47 @@
 #include "util/expects.hpp"
 #include "util/parallel.hpp"
 
+#include "pool_gate.hpp"
+
 namespace pv {
 namespace {
 
-/// Parks every worker of default_pool() until release().  Campaigns that
-/// fan out (threads >= 2) borrow that pool, so while the gate is shut each
-/// one blocks in its first fan-out — and with it the service worker that
-/// runs it.  A test can then queue a flood behind held workers however
-/// fast campaigns are, and open the gate once the flood is in.
-class PoolGate {
- public:
-  PoolGate() : pool_(default_pool()) {
-    for (unsigned i = 0; i < pool_.size(); ++i) {
-      pool_.submit([this] {
-        std::unique_lock lock(mu_);
-        ++parked_;
-        cv_.notify_all();
-        cv_.wait(lock, [this] { return open_; });
-        ++left_;
-        cv_.notify_all();
-      });
-    }
-    std::unique_lock lock(mu_);
-    cv_.wait(lock, [this] { return parked_ == pool_.size(); });
-  }
-  ~PoolGate() { release(); }
-  PoolGate(const PoolGate&) = delete;
-  PoolGate& operator=(const PoolGate&) = delete;
-
-  /// Opens the gate and waits until every parked job has let go of it.
-  void release() {
-    std::unique_lock lock(mu_);
-    open_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return left_ == parked_; });
-  }
-
- private:
-  ThreadPool& pool_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  unsigned parked_ = 0;
-  unsigned left_ = 0;
-  bool open_ = false;
+// A request's solo run: its rendered assessment and its Meter trace's
+// `fanout` counter.
+struct Solo {
+  std::string assessment;
+  double fanout = 0.0;
 };
 
-std::string solo_assessment(const ServiceRequest& req) {
+Solo run_solo(const ServiceRequest& req) {
   const Scenario scenario = build_scenario(scenario_spec_of(req));
   const MeasurementPlan plan = plan_of(req, scenario);
   const CampaignConfig config = campaign_config_of(req, plan);
   const CampaignResult result =
       run_campaign(*scenario.cluster, *scenario.electrical, plan, config);
-  return render_json(assessment_document(plan, result));
+  Solo solo{render_json(assessment_document(plan, result))};
+  for (const StageTrace& t : result.stage_traces) {
+    if (t.stage != "meter") continue;
+    for (const auto& [key, value] : t.counters) {
+      if (key == "fanout") solo.fanout = value;
+    }
+  }
+  return solo;
+}
+
+// A request a PoolGate can hold: faulted (mild faults) at threads = 2, so
+// it keeps the requested width.  Its solo run must report a fan-out of 2;
+// run it before the gate shuts, or it parks too.
+ServiceRequest held_request(std::string id, std::size_t nodes,
+                            std::string tenant = "default") {
+  ServiceRequest req;
+  req.id = std::move(id);
+  req.nodes = nodes;
+  req.tenant = std::move(tenant);
+  req.interval_s = 10.0;
+  req.threads = 2;
+  req.faults = "mild";
+  return req;
 }
 
 /// Pops everything, recording the tenant that owned each dispatch.
@@ -215,24 +203,23 @@ TEST(ServiceFairShare, TenantQueueCapShedsTheFloodingTenantOnly) {
   // Hold the single worker until the flood is queued: every request fans
   // out over the gated pool, so whichever one the worker picks up blocks
   // in its first fan-out.
-  PoolGate gate;
-  ServiceRequest busy;
-  busy.id = "busy";
-  busy.nodes = 64;
+  ServiceRequest busy = held_request("busy", 64);
   busy.level = 2;
-  busy.interval_s = 10.0;
-  busy.threads = 2;
+  std::vector<ServiceRequest> flood;
+  for (int i = 0; i < 6; ++i) {
+    flood.push_back(held_request("flood-" + std::to_string(i), 24, "flood"));
+  }
+  const ServiceRequest calm = held_request("calm", 24, "calm");
+  ASSERT_EQ(run_solo(busy).fanout, 2.0);
+  ASSERT_EQ(run_solo(flood.front()).fanout, 2.0);  // all six alike
+  ASSERT_EQ(run_solo(calm).fanout, 2.0);
+
+  PoolGate gate;
   const std::size_t busy_ticket = service.submit(busy).ticket;
 
   std::vector<std::size_t> flood_tickets;
   std::size_t flood_shed = 0;
-  for (int i = 0; i < 6; ++i) {
-    ServiceRequest req;
-    req.id = "flood-" + std::to_string(i);
-    req.nodes = 24;
-    req.tenant = "flood";
-    req.interval_s = 10.0;
-    req.threads = 2;
+  for (const ServiceRequest& req : flood) {
     const AdmissionVerdict verdict = service.submit(req);
     flood_tickets.push_back(verdict.ticket);
     if (verdict.decision == Admission::kShed) ++flood_shed;
@@ -243,12 +230,6 @@ TEST(ServiceFairShare, TenantQueueCapShedsTheFloodingTenantOnly) {
 
   // A calm tenant submitted *after* the flood still gets in: the cap is
   // per-lane, not global.
-  ServiceRequest calm;
-  calm.id = "calm";
-  calm.nodes = 24;
-  calm.tenant = "calm";
-  calm.interval_s = 10.0;
-  calm.threads = 2;
   const AdmissionVerdict calm_verdict = service.submit(calm);
   EXPECT_NE(calm_verdict.decision, Admission::kShed);
   gate.release();
@@ -285,17 +266,27 @@ TEST(ServiceFairShare, FloodingTenantCannotStarveSteadyTenants) {
 
   std::vector<ServiceRequest> steady;
   for (std::size_t i = 0; i < 4; ++i) {
-    ServiceRequest req;
-    req.id = "steady-" + std::to_string(i);
-    req.nodes = 24;
+    ServiceRequest req = held_request("steady-" + std::to_string(i), 24,
+                                      i < 2 ? "steady-a" : "steady-b");
     req.seed = 500 + i;
-    req.tenant = i < 2 ? "steady-a" : "steady-b";
-    req.interval_s = 10.0;
-    req.threads = 2;
     steady.push_back(req);
   }
+  std::vector<ServiceRequest> flood;
+  for (std::size_t i = 0; i < kFlood; ++i) {
+    ServiceRequest req =
+        held_request("flood-" + std::to_string(i), 24, "flood");
+    req.seed = 900 + (i % 3);
+    flood.push_back(req);
+  }
   std::vector<std::string> solo;
-  for (const auto& req : steady) solo.push_back(solo_assessment(req));
+  for (const auto& req : steady) {
+    const Solo run = run_solo(req);
+    EXPECT_EQ(run.fanout, 2.0) << req.id;
+    solo.push_back(run.assessment);
+  }
+  for (std::size_t i = 0; i < 3; ++i) {  // the flood's three seeds
+    EXPECT_EQ(run_solo(flood[i]).fanout, 2.0) << flood[i].id;
+  }
 
   ServiceConfig config;
   config.workers = 2;
@@ -307,14 +298,7 @@ TEST(ServiceFairShare, FloodingTenantCannotStarveSteadyTenants) {
   PoolGate gate;
 
   std::vector<std::size_t> flood_tickets;
-  for (std::size_t i = 0; i < kFlood; ++i) {
-    ServiceRequest req;
-    req.id = "flood-" + std::to_string(i);
-    req.nodes = 24;
-    req.seed = 900 + (i % 3);
-    req.tenant = "flood";
-    req.interval_s = 10.0;
-    req.threads = 2;
+  for (const ServiceRequest& req : flood) {
     const AdmissionVerdict verdict = service.submit(req);
     ASSERT_NE(verdict.decision, Admission::kShed) << req.id;
     flood_tickets.push_back(verdict.ticket);

@@ -400,7 +400,11 @@ echo "OK: multi-chunk windows give one result through the batch and live walks"
 # fan-out (batch: one per campaign; live: one per chunk) must not move a
 # byte — every lane is a pure function of its own node id and RNG
 # streams.  Covers clean lanes with reconcile buckets and faulted lanes
-# with dead and lying meters, batch and live.
+# with dead and lying meters, batch and live.  A clean campaign fans out
+# one lane range per 2^16 lane-samples (kFanoutGrain), so the clean
+# 96-node Level 1 runs here (5760 lane-samples) meter inline at every
+# thread count; their faulted runs keep the requested width, and the
+# above-grain section below fans clean lanes out.
 for extra in "--reconcile 1" \
              "--faults harsh --dead 2 --byzantine 0.05 --reconcile 1"; do
   for live in "" "--live --live-every 600"; do
@@ -421,3 +425,34 @@ for extra in "--reconcile 1" \
 done
 
 echo "OK: node-tap metering is thread-count invariant, batch and live"
+
+# Above the work grain: at --interval 0.5 a 96-node Level 3 campaign
+# meters 345,600 lane-samples, five grains, so --threads 2 and 4 fan its
+# clean lanes (with reconcile buckets) out that wide — the traced JSON's
+# fanout counter must say so — and must not move a byte, batch and live.
+grain_args=(campaign --nodes 96 --cv 0.03 --level 3 --seed 5 --interval 0.5
+            --reconcile 1 --json)
+for live in "" "--live --live-every 600"; do
+  # shellcheck disable=SC2206
+  live_args=($live)
+  serial="$("$powervar" "${grain_args[@]}" "${live_args[@]}")"
+  for threads in 2 4; do
+    fanned="$("$powervar" "${grain_args[@]}" "${live_args[@]}" \
+              --threads "$threads")"
+    if [[ "$serial" != "$fanned" ]]; then
+      echo "FAIL: above-grain campaign diverged between 1 and $threads" \
+           "threads ($live)" >&2
+      diff <(printf '%s\n' "$serial") <(printf '%s\n' "$fanned") >&2 || true
+      exit 1
+    fi
+    traced="$("$powervar" "${grain_args[@]}" "${live_args[@]}" \
+              --threads "$threads" --trace-stages)"
+    if ! grep -q "\"fanout\":$threads[,}]" <<<"$traced"; then
+      echo "FAIL: above-grain campaign at $threads threads did not fan" \
+           "out $threads wide ($live)" >&2
+      exit 1
+    fi
+  done
+done
+
+echo "OK: above-grain clean metering fans out and is thread-count invariant"

@@ -59,13 +59,16 @@ ctest --test-dir "${build_dir}-ubsan" --output-on-failure -j "$jobs" -LE perf
 # campaign service (soak, fair share with parked pool workers, resume
 # with live workers, the scenario cache's single-flight build under
 # racing threads), the thread pool, the bounded queue and the node-tap
-# engine suite (test_meter_engine: the sharded fleet provision, the
-# batch fan-out and the live per-chunk fan-out with emission between
-# barriers, across thread counts, and the drifting-shape suite whose
-# threads-3 cases fan the fused kernel out with per-worker run marks).
-# TSan finds the
-# races ASan cannot; the other deterministic numeric suites gain nothing
-# from it, so the filter keeps this pass fast.
+# engine suites (test_meter_engine: faulted campaigns fan out at every
+# thread count, while the clean rigs of EngineGrid, DriftingShapes and
+# FleetSoA sit below the fan-out's work grain and run inline; FanoutGrain
+# runs the sharded fleet provision, the batch fan-out and the live
+# per-chunk fan-out with emission between barriers on clean campaigns
+# above the grain, reconcile buckets and drifting shapes with per-worker
+# run marks, and threads first reading a scenario's kept scope truth
+# together).  TSan finds the races ASan cannot; the other deterministic
+# numeric suites gain nothing from it, so the filter keeps this pass
+# fast.
 # Wall-time-sensitive gates are excluded as in the other trees.
 echo "=== tier 1: TSan build + concurrency ctest (${build_dir}-tsan) ==="
 cmake -B "${build_dir}-tsan" -S . -DPV_TSAN=ON >/dev/null
@@ -73,7 +76,7 @@ cmake --build "${build_dir}-tsan" -j "$jobs"
 tsan_terms=(ThreadPool ParallelFor DefaultPool BoundedQueue CampaignService
   ServiceChaos ScenarioCacheContention ServiceFairShare ServiceResume
   Collector StreamingEquivalence StreamingAssessment FleetEngineDifferential
-  FleetSoA DriftingShapes)
+  FleetSoA DriftingShapes FanoutGrain)
 # A term that lists no test (its suite renamed or deleted) would silently
 # drop that suite from this pass, so it fails tier-1 instead.
 for term in "${tsan_terms[@]}"; do
