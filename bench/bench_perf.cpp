@@ -16,8 +16,8 @@
 //                   240 nodes, 5 s interval: the eager reference Meter
 //                   stage @1 against the engine @1 and @8; byte-identity,
 //                   speedup_1t and speedup_8t gated;
-//   async_collect   240 nodes, L3, the collector on 1 vs 8 poller
-//                   threads: byte-identity;
+//   async_collect   240 nodes, L3, the collector at threads 1 (polling
+//                   inline) vs 8 (on the shared pool): byte-identity;
 //   fleet1k_l1, fleet10k_l1, fleet10k_l1_pdu
 //                   1 s interval, so the window kernels outweigh the fixed
 //                   provisioning: reference @1 against the engine @1 and
@@ -353,7 +353,6 @@ Json run_row(const Row& row, std::size_t default_reps) {
       CollectorConfig cfg;
       cfg.campaign = base;
       cfg.threads = threads;
-      cfg.queue_capacity = 64;
       return collect_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg)
           .result;
     }

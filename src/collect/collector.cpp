@@ -5,12 +5,10 @@
 #include <bit>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "collect/queue.hpp"
 #include "core/pipeline.hpp"
 #include "trace/wal.hpp"
 #include "util/expects.hpp"
@@ -40,8 +38,6 @@ std::uint64_t fingerprint_config(std::uint64_t h,
   const TransportSpec& t = config.transport;
   h = mix_f64(h, t.latency.base_s);
   h = mix_f64(h, t.latency.jitter_s);
-  h = mix_f64(h, t.latency.tail_prob);
-  h = mix_f64(h, t.latency.tail_scale_s);
   h = mix_f64(h, t.drop_prob);
   h = mix_f64(h, t.duplicate_prob);
   h = mix_f64(h, t.blackhole_fraction);
@@ -51,20 +47,15 @@ std::uint64_t fingerprint_config(std::uint64_t h,
   const PollerConfig& p = config.poller;
   h = mix_f64(h, p.timeout_s);
   h = mix_u64(h, p.max_attempts);
-  h = mix_f64(h, p.backoff.initial_s);
-  h = mix_f64(h, p.backoff.multiplier);
-  h = mix_f64(h, p.backoff.max_s);
-  h = mix_f64(h, p.backoff.jitter_frac);
   h = mix_u64(h, p.breaker.enabled ? 1 : 0);
   h = mix_u64(h, p.breaker.open_after);
   h = mix_f64(h, p.breaker.cooldown_s);
-  h = mix_f64(h, p.breaker.cooldown_multiplier);
-  h = mix_f64(h, p.breaker.cooldown_max_s);
   h = mix_f64(h, p.chunk_duration.value());
   return h;
 }
 
-/// How many pool workers the makespan model divides busy time over.
+/// How many meters are polled at a time, and so how many workers the
+/// makespan model divides busy time over.
 unsigned effective_workers(const CollectorConfig& config) {
   if (config.threads > 0) return config.threads;
   return default_pool().size();
@@ -184,65 +175,48 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
     }
   }
 
-  BoundedQueue<MeterRecord> queue(config.queue_capacity);
-  std::atomic<bool> cancelled{false};
-
-  // The journal thread: the only writer.  A record is only "collected"
-  // once its line hit the log — the crash hook counts journaled meters, so
-  // an aborted run leaves exactly the journaled prefix behind.
-  std::exception_ptr journal_error;
+  // Each poller journals its own record.  A record is only "collected"
+  // once its line hit the log: under the journal lock the crash hook
+  // counts journaled meters and stops the collection, so an aborted run
+  // leaves exactly crash_after_meters records behind.  At a width of one
+  // the pollers run inline and the pool is never started, as Provision
+  // leaves `ctx.pool` null.
+  const unsigned width = effective_workers(config);
+  ThreadPool* pool = width > 1 ? &default_pool() : nullptr;
+  std::mutex journal_mu;
   std::size_t journaled = 0;
-  std::thread writer([&] {
-    try {
-      while (auto rec = queue.pop()) {
-        if (journal) journal->append(encode_meter_record(*rec));
-        ++journaled;
-        if (config.crash_after_meters > 0 &&
-            journaled >= config.crash_after_meters) {
-          cancelled.store(true, std::memory_order_relaxed);
-          queue.close();  // pushers see false and stand down
-          return;
+  std::atomic<bool> stopped{false};
+  const auto crashed = [&] {
+    return config.crash_after_meters > 0 &&
+           journaled >= config.crash_after_meters;
+  };
+  parallel_for_dynamic(
+      pool, to_poll.size(),
+      [&](std::size_t k) {
+        if (stopped.load(std::memory_order_relaxed)) return;
+        try {
+          const std::size_t i = to_poll[k];
+          MeterRecord rec = poll_meter(
+              PollJob{&fleet, i, &chunks, campaign.seed}, transport,
+              config.poller);
+          if (!rec.reading.lost) {
+            rec.reading = node_reading(ctx, i, rec.reading.mean_w,
+                                       rec.reading.energy_j);
+          }
+          const std::lock_guard lock(journal_mu);
+          if (crashed()) return;
+          if (journal) journal->append(encode_meter_record(rec));
+          records[i] = std::move(rec);
+          ++journaled;
+          if (crashed()) stopped.store(true, std::memory_order_relaxed);
+        } catch (...) {
+          stopped.store(true, std::memory_order_relaxed);
+          throw;
         }
-      }
-    } catch (...) {
-      journal_error = std::current_exception();
-      cancelled.store(true, std::memory_order_relaxed);
-      queue.close();
-    }
-  });
+      },
+      width);
 
-  std::optional<ThreadPool> local_pool;
-  if (config.threads > 0) local_pool.emplace(config.threads);
-  ThreadPool* pool = local_pool ? &*local_pool : &default_pool();
-
-  std::exception_ptr poll_error;
-  std::mutex poll_error_mu;
-  parallel_for_dynamic(pool, to_poll.size(), [&](std::size_t k) {
-    if (cancelled.load(std::memory_order_relaxed)) return;
-    try {
-      const std::size_t i = to_poll[k];
-      MeterRecord rec = poll_meter(PollJob{&fleet, i, &chunks, campaign.seed},
-                                   transport, config.poller);
-      if (!rec.reading.lost) {
-        rec.reading = node_reading(ctx, i, rec.reading.mean_w,
-                                   rec.reading.energy_j);
-      }
-      records[i] = rec;
-      queue.push(std::move(rec));  // false after close: we are cancelled
-    } catch (...) {
-      std::lock_guard lock(poll_error_mu);
-      if (!poll_error) poll_error = std::current_exception();
-      cancelled.store(true, std::memory_order_relaxed);
-      queue.close();
-    }
-  });
-  queue.close();
-  writer.join();
-
-  if (journal_error) std::rethrow_exception(journal_error);
-  if (poll_error) std::rethrow_exception(poll_error);
-  if (config.crash_after_meters > 0 &&
-      journaled >= config.crash_after_meters) {
+  if (crashed()) {
     throw CollectionAborted(
         "collect: simulated crash after " + std::to_string(journaled) +
         " meters journaled; resume from '" + config.journal_path + "'");
@@ -274,9 +248,9 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
     lost += rec.reading.lost ? 1 : 0;
     ctx.readings.push_back(rec.reading);
   }
-  const unsigned workers = std::max(1u, effective_workers(config));
-  cq.makespan_s = std::max(cq.busy_max_meter_s,
-                           cq.busy_total_s / static_cast<double>(workers));
+  cq.makespan_s = std::max(
+      cq.busy_max_meter_s,
+      cq.busy_total_s / static_cast<double>(std::max(1u, width)));
 
   trace.items = n;
   trace.samples = samples;

@@ -1,8 +1,9 @@
 #pragma once
 // The asynchronous collection campaign: node meters polled over a flaky
-// simulated transport by a pool of pollers, finished readings journaled
-// to a crash-safe write-ahead log, and the surviving data aggregated
-// through the exact arithmetic of the synchronous campaign.
+// simulated transport by pollers on the process-wide pool, each poller
+// journaling its finished reading to a crash-safe write-ahead log, and
+// the surviving data aggregated through the exact arithmetic of the
+// synchronous campaign.
 //
 // Determinism contract: the outcome of a collection is a pure function of
 // (plan, config) — thread count, scheduling, prior crashes and resumes
@@ -37,10 +38,12 @@ struct CollectorConfig {
   /// journaled *this run* (0 = never).  collect_campaign throws
   /// CollectionAborted, leaving a valid journal behind.
   std::size_t crash_after_meters = 0;
-  /// Poller threads.  0 = the process-wide default pool.
+  /// Meters polled at a time, on util's default_pool() (borrowed: a
+  /// collection starts no threads of its own); 0 means one per pool
+  /// worker, and 1 polls inline on the caller without touching the pool.
+  /// It is also the worker count the modeled makespan divides busy time
+  /// over, so it is part of the fingerprint.
   unsigned threads = 0;
-  /// Bounded queue between pollers and the journal writer (backpressure).
-  std::size_t queue_capacity = 16;
 };
 
 /// Thrown by the simulated crash (crash_after_meters).  The journal on
@@ -69,7 +72,7 @@ struct CollectionOutcome {
 
 /// Runs the asynchronous collection pipeline for a node-tap plan: the
 /// campaign's own stage list (make_campaign_stages) with the Meter slot
-/// swapped for the poller pool.
+/// swapped for the pollers.
 ///
 /// Restrictions, each a contract_error: the plan must tap nodes (kNodeAc
 /// / kNodeDc) — facility and rack taps stay on the synchronous path —

@@ -100,7 +100,7 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
       breaker.on_failure(now_s);
       if (attempt + 1 < config.max_attempts &&
           breaker.state() == BreakerState::kClosed) {
-        const double delay = config.backoff.delay_s(attempt, backoff_rng);
+        const double delay = backoff_delay_s(attempt, backoff_rng);
         now_s += delay;
         busy_s += delay;
       }

@@ -1,7 +1,7 @@
 #pragma once
 // Per-meter poller: drives one meter through the simulated transport with
-// deadlines, capped exponential backoff and a circuit breaker, on a
-// virtual clock.
+// deadlines, capped exponential backoff (backoff_delay_s) and a circuit
+// breaker, on a virtual clock.
 //
 // The poller fetches a meter's windows in *chunks* (a bounded span of
 // trace per request — what a buffered PDU logger or PMDB-style collector
@@ -44,7 +44,6 @@ namespace pv {
 struct PollerConfig {
   double timeout_s = 1.0;        ///< per-request deadline
   std::size_t max_attempts = 3;  ///< attempts per chunk, first included
-  BackoffPolicy backoff;         ///< delay between a chunk's attempts
   BreakerConfig breaker;         ///< per-meter circuit breaker
   Seconds chunk_duration{60.0};  ///< trace seconds fetched per request
 };

@@ -7,15 +7,12 @@
 
 namespace pv {
 
-double BackoffPolicy::delay_s(std::size_t retry, Rng& rng) const {
-  PV_EXPECTS(initial_s >= 0.0 && multiplier >= 1.0 && max_s >= initial_s &&
-                 jitter_frac >= 0.0 && jitter_frac < 1.0,
-             "backoff policy parameters out of range");
+double backoff_delay_s(std::size_t retry, Rng& rng) {
   const double base =
-      std::min(max_s, initial_s * std::pow(multiplier,
-                                           static_cast<double>(retry)));
-  if (jitter_frac == 0.0) return base;
-  return base * (1.0 + jitter_frac * (2.0 * rng.uniform() - 1.0));
+      std::min(kBackoffMaxS,
+               kBackoffInitialS *
+                   std::pow(kBackoffMultiplier, static_cast<double>(retry)));
+  return base * (1.0 + kBackoffJitterFrac * (2.0 * rng.uniform() - 1.0));
 }
 
 const char* to_string(BreakerState s) {
@@ -30,9 +27,8 @@ const char* to_string(BreakerState s) {
 CircuitBreaker::CircuitBreaker(BreakerConfig config)
     : config_(config), next_cooldown_s_(config.cooldown_s) {
   PV_EXPECTS(config.open_after >= 1, "breaker must allow at least one failure");
-  PV_EXPECTS(config.cooldown_s > 0.0 && config.cooldown_multiplier >= 1.0 &&
-                 config.cooldown_max_s >= config.cooldown_s,
-             "breaker cooldown parameters out of range");
+  PV_EXPECTS(config.cooldown_s > 0.0 && config.cooldown_s <= kCooldownMaxS,
+             "breaker cooldown must be in (0, 900] s");
 }
 
 bool CircuitBreaker::allow(double now_s) {
@@ -72,8 +68,8 @@ void CircuitBreaker::on_failure(double now_s) {
 void CircuitBreaker::trip(double now_s) {
   state_ = BreakerState::kOpen;
   open_until_s_ = now_s + next_cooldown_s_;
-  next_cooldown_s_ = std::min(config_.cooldown_max_s,
-                              next_cooldown_s_ * config_.cooldown_multiplier);
+  next_cooldown_s_ =
+      std::min(kCooldownMaxS, next_cooldown_s_ * kCooldownMultiplier);
   consecutive_failures_ = 0;
   ++trips_;
 }

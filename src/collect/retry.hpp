@@ -10,7 +10,7 @@
 //   closed ──(N consecutive failures)──> open
 //   open   ──(cooldown elapses)────────> half-open
 //   half-open ──success──> closed        (cooldown resets)
-//   half-open ──failure──> open          (cooldown escalates, capped)
+//   half-open ──failure──> open          (cooldown doubles, capped at 900 s)
 //
 // While open, requests are rejected instantly — no timeout is paid — so a
 // meter that never answers costs O(failures-to-open + log(run length))
@@ -28,24 +28,28 @@
 
 namespace pv {
 
-/// Capped exponential backoff with deterministic jitter.
-struct BackoffPolicy {
-  double initial_s = 0.25;   ///< delay before the first retry
-  double multiplier = 2.0;   ///< growth per further retry
-  double max_s = 4.0;        ///< cap on any single delay
-  double jitter_frac = 0.1;  ///< +/- fraction drawn from the seeded rng
+/// Capped exponential backoff between a chunk's attempts: retry r waits
+/// min(kBackoffMaxS, kBackoffInitialS * kBackoffMultiplier^r), scaled by
+/// a factor drawn uniformly from 1 +/- kBackoffJitterFrac.
+inline constexpr double kBackoffInitialS = 0.25;
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr double kBackoffMaxS = 4.0;
+inline constexpr double kBackoffJitterFrac = 0.1;
 
-  /// Delay inserted before retry number `retry` (0-based).
-  [[nodiscard]] double delay_s(std::size_t retry, Rng& rng) const;
-};
+/// Delay inserted before retry number `retry` (0-based), its jitter drawn
+/// from the seeded `rng`.
+[[nodiscard]] double backoff_delay_s(std::size_t retry, Rng& rng);
+
+/// A half-open breaker whose probe fails reopens for its last cooldown
+/// times kCooldownMultiplier, at most kCooldownMaxS.
+inline constexpr double kCooldownMultiplier = 2.0;
+inline constexpr double kCooldownMaxS = 900.0;
 
 /// Circuit-breaker tuning.
 struct BreakerConfig {
   bool enabled = true;
-  std::size_t open_after = 3;        ///< consecutive failures to trip
-  double cooldown_s = 60.0;          ///< first open period
-  double cooldown_multiplier = 2.0;  ///< escalation on a failed probe
-  double cooldown_max_s = 900.0;     ///< escalation ceiling
+  std::size_t open_after = 3;  ///< consecutive failures to trip
+  double cooldown_s = 60.0;    ///< first open period, at most kCooldownMaxS
 };
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };

@@ -25,8 +25,8 @@ std::uint64_t mix_streams(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 
 double LatencyModel::draw(Rng& rng) const {
   double lat = base_s + rng.uniform(0.0, std::max(0.0, jitter_s));
-  if (tail_prob > 0.0 && rng.bernoulli(tail_prob)) {
-    lat += -tail_scale_s * std::log(1.0 - rng.uniform());
+  if (rng.bernoulli(kLatencyTailProb)) {
+    lat += -kLatencyTailScaleS * std::log(1.0 - rng.uniform());
   }
   return lat;
 }
@@ -39,10 +39,7 @@ SimTransport::SimTransport(TransportSpec spec, std::uint64_t seed)
              "duplicate probability must be in [0, 1]");
   PV_EXPECTS(spec_.blackhole_fraction >= 0.0 && spec_.blackhole_fraction <= 1.0,
              "blackhole fraction must be in [0, 1]");
-  PV_EXPECTS(spec_.latency.base_s >= 0.0 && spec_.latency.jitter_s >= 0.0 &&
-                 spec_.latency.tail_prob >= 0.0 &&
-                 spec_.latency.tail_prob <= 1.0 &&
-                 spec_.latency.tail_scale_s >= 0.0,
+  PV_EXPECTS(spec_.latency.base_s >= 0.0 && spec_.latency.jitter_s >= 0.0,
              "latency model parameters out of range");
 }
 

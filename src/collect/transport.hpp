@@ -31,13 +31,17 @@ namespace pv {
 [[nodiscard]] std::uint64_t mix_streams(std::uint64_t a, std::uint64_t b,
                                         std::uint64_t c = 0);
 
-/// Reply-latency distribution: a fixed floor plus uniform jitter plus an
-/// occasional exponential heavy tail (the overloaded-BMC case).
+/// The latency model's heavy tail (the overloaded-BMC case): a reply
+/// comes from a slow meter moment with probability kLatencyTailProb and
+/// then waits an extra exponential delay of scale kLatencyTailScaleS.
+inline constexpr double kLatencyTailProb = 0.02;
+inline constexpr double kLatencyTailScaleS = 0.3;
+
+/// Reply-latency distribution: a fixed floor plus uniform jitter plus the
+/// occasional exponential tail above.
 struct LatencyModel {
-  double base_s = 0.02;      ///< minimum round trip
-  double jitter_s = 0.03;    ///< uniform extra, U(0, jitter)
-  double tail_prob = 0.02;   ///< P(reply comes from a slow meter moment)
-  double tail_scale_s = 0.3; ///< exponential tail scale when it does
+  double base_s = 0.02;    ///< minimum round trip
+  double jitter_s = 0.03;  ///< uniform extra, U(0, jitter)
 
   /// Draws one reply latency.
   [[nodiscard]] double draw(Rng& rng) const;
@@ -55,11 +59,6 @@ struct TransportSpec {
   /// Specific meter ids forced to never answer (deterministic scenarios;
   /// the collector also routes FaultPlan::dead_meters here).
   std::vector<std::size_t> blackhole_meters;
-
-  [[nodiscard]] bool faulty() const {
-    return drop_prob > 0.0 || duplicate_prob > 0.0 ||
-           blackhole_fraction > 0.0 || !blackhole_meters.empty();
-  }
 };
 
 /// What one request/reply exchange did.

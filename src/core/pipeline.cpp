@@ -467,21 +467,23 @@ class ProvisionStage final : public CampaignStage {
           ctx.analysis = make_analysis_windows(
               ctx.windows, config.reconcile.analysis_windows);
         }
-        // The fleet build below and the Meter stage fan out into at most
-        // `fanout` lane ranges on the process-wide pool, borrowed: a
-        // campaign starts and joins no threads of its own.  Handing a range
-        // to the pool and joining it costs about 10 us, more than a small
-        // clean campaign's whole kernel, so a clean campaign takes one
-        // range per kFanoutGrain lane-samples, up to config.threads.  A
-        // faulted lane costs about 150x a clean one per sample, so faulted
-        // campaigns keep the requested width.
+        // The fleet build below and the Meter stage fan out into `fanout`
+        // lane ranges on the process-wide pool, borrowed: a campaign
+        // starts and joins no threads of its own.  Handing a range to the
+        // pool and joining it costs about 10 us, more than a small clean
+        // campaign's whole kernel, so a clean campaign asks for one range
+        // per kFanoutGrain lane-samples, up to config.threads.  A faulted
+        // lane costs about 150x a clean one per sample, so faulted
+        // campaigns ask for the requested width.  `fanout` is the number
+        // of ranges parallel_chunks makes at that width.
         const std::size_t threads = std::max<std::size_t>(config.threads, 1);
-        ctx.fanout = ctx.faulty
-                         ? threads
-                         : std::clamp<std::size_t>(
-                               plan.node_count() * ctx.samples_per_meter /
-                                   kFanoutGrain,
-                               1, threads);
+        const std::size_t width =
+            ctx.faulty ? threads
+                       : std::clamp<std::size_t>(
+                             plan.node_count() * ctx.samples_per_meter /
+                                 kFanoutGrain,
+                             1, threads);
+        ctx.fanout = chunk_count(plan.node_count(), width);
         if (ctx.fanout > 1) ctx.pool = &default_pool();
         // Transpose the cohort into the fleet table: calibration
         // columns, per-node noise origins and PSU lanes, in plan order.

@@ -92,12 +92,13 @@ struct CampaignContext {
   bool memoize_truth = false;
   std::size_t samples_per_meter = 0;  ///< expected samples, any one meter
   std::vector<std::size_t> racks;     ///< racks metered (rack-PDU tap only)
-  /// The node fan-out's width, the most lane ranges the fleet build and
-  /// the Meter stage split into, whatever the pool's size (the Meter
-  /// trace's `fanout` counter).  Provision sets it: config.threads (at
-  /// least 1) for a faulted campaign; for a clean one, one range per
-  /// kFanoutGrain lane-samples (plan nodes x samples_per_meter), at least
-  /// 1 and at most config.threads.
+  /// The node fan-out: the lane ranges the fleet build and the Meter
+  /// stage split into, whatever the pool's size (the Meter trace's
+  /// `fanout` counter).  Provision sets it to chunk_count(plan nodes,
+  /// width), the ranges parallel_chunks makes at a width of
+  /// config.threads (at least 1) for a faulted campaign and, for a clean
+  /// one, of one range per kFanoutGrain lane-samples (plan nodes x
+  /// samples_per_meter), at least 1 and at most config.threads.
   std::size_t fanout = 1;
   /// The pool the node fan-outs run on: util's process-wide
   /// default_pool(), borrowed (never owned) by Provision when fanout > 1;

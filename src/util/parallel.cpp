@@ -145,33 +145,50 @@ void parallel_for(ThreadPool* pool, std::size_t n,
   });
 }
 
+std::size_t chunk_count(std::size_t n, std::size_t width) {
+  if (n == 0) return 0;
+  const std::size_t chunks = std::clamp<std::size_t>(width, 1, n);
+  const std::size_t chunk = (n + chunks - 1) / chunks;
+  return (n + chunk - 1) / chunk;
+}
+
 void parallel_chunks(
     ThreadPool* pool, std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t max_chunks) {
   if (n == 0) return;
-  std::size_t chunks = 1;
-  if (pool != nullptr) chunks = max_chunks == 0 ? pool->size() : max_chunks;
-  chunks = std::min(chunks, n);
+  const std::size_t chunks =
+      pool == nullptr
+          ? 1
+          : chunk_count(n, max_chunks == 0 ? pool->size() : max_chunks);
   if (chunks <= 1 || pool->on_worker()) {
     body(0, n);
     return;
   }
+  // ceil(n / chunks) is ceil(n / width): chunk_count keeps the width's
+  // range length.
   const std::size_t chunk = (n + chunks - 1) / chunks;
-  fork_join(*pool, (n + chunk - 1) / chunk, [&](std::size_t j) {
+  fork_join(*pool, chunks, [&](std::size_t j) {
     body(j * chunk, std::min(n, (j + 1) * chunk));
   });
 }
 
 void parallel_for_dynamic(ThreadPool* pool, std::size_t n,
-                          const std::function<void(std::size_t)>& body) {
+                          const std::function<void(std::size_t)>& body,
+                          std::size_t max_workers) {
   if (n == 0) return;
-  if (pool == nullptr || pool->size() <= 1 || pool->on_worker()) {
+  const std::size_t workers =
+      pool == nullptr
+          ? 1
+          : std::min<std::size_t>(
+                {max_workers == 0 ? pool->size() : max_workers, pool->size(),
+                 n});
+  if (workers <= 1 || pool->on_worker()) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
   std::atomic<std::size_t> next{0};
-  fork_join(*pool, std::min<std::size_t>(pool->size(), n), [&](std::size_t) {
+  fork_join(*pool, workers, [&](std::size_t) {
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= n) break;

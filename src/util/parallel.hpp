@@ -100,15 +100,23 @@ void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain = 256);
 
-/// Runs body(begin, end) over a partition of [0, n) into contiguous
-/// ranges — at most one per pool worker, or at most `max_chunks` if
-/// nonzero (the caller's requested fan-out, honored whatever the pool's
-/// size).  Unlike parallel_for, the body sees its whole range at once, so
-/// scratch buffers allocated per chunk are reused across every index in
-/// it — the shape the streaming campaign kernels need.  Exceptions from
-/// body are rethrown on the caller (first wins).  With a null pool, a
-/// single range, or a caller on one of the pool's workers, runs
-/// body(0, n) inline.
+/// The number of contiguous ranges parallel_chunks splits [0, n) into at
+/// a fan-out of `width`: min(width, n) ranges of ceil(n / min(width, n))
+/// indices, the last one short, so a width that does not divide n can
+/// make fewer (10 indices at a width of 8 are 5 ranges of 2).  Passing
+/// the count back as the width gives the same partition.  0 for n = 0;
+/// a width of 0 counts as 1.
+[[nodiscard]] std::size_t chunk_count(std::size_t n, std::size_t width);
+
+/// Runs body(begin, end) over a partition of [0, n) into chunk_count(n,
+/// w) contiguous ranges, w being `max_chunks` if nonzero (the caller's
+/// requested fan-out, honored whatever the pool's size) and the pool's
+/// size otherwise.  Unlike parallel_for, the body sees its whole range at
+/// once, so scratch buffers allocated per chunk are reused across every
+/// index in it — the shape the streaming campaign kernels need.
+/// Exceptions from body are rethrown on the caller (first wins).  With a
+/// null pool, a single range, or a caller on one of the pool's workers,
+/// runs body(0, n) inline.
 void parallel_chunks(
     ThreadPool* pool, std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& body,
@@ -117,17 +125,20 @@ void parallel_chunks(
 /// Runs body(i) for i in [0, n) with dynamic (work-stealing-ish) index
 /// assignment: workers grab the next index from a shared counter, so wildly
 /// uneven per-index cost (e.g. meters behind a flaky transport retrying to
-/// their deadline next to healthy ones) still load-balances.  Use
-/// parallel_for when per-index cost is uniform — its contiguous chunks are
-/// cheaper.  Exceptions from body are rethrown on the caller (first wins).
-/// With a null pool, a single worker, or a caller on one of the pool's
-/// workers, runs inline on the caller in order.
+/// their deadline next to healthy ones) still load-balances.  At most
+/// `max_workers` of the pool's workers take part if nonzero (all of them
+/// otherwise).  Use parallel_for when per-index cost is uniform — its
+/// contiguous chunks are cheaper.  Exceptions from body are rethrown on
+/// the caller (first wins).  With a null pool, a width of one, or a
+/// caller on one of the pool's workers, runs inline on the caller in
+/// order.
 void parallel_for_dynamic(ThreadPool* pool, std::size_t n,
-                          const std::function<void(std::size_t)>& body);
+                          const std::function<void(std::size_t)>& body,
+                          std::size_t max_workers = 0);
 
 /// Process-wide pool, started on first use (one worker per hardware
 /// thread) and joined at exit.  Campaigns borrow it for their fan-out,
-/// the collector for its pollers.
+/// the collector for its pollers; neither starts threads of its own.
 ThreadPool& default_pool();
 
 }  // namespace pv

@@ -1,29 +1,27 @@
 // Tests for the asynchronous collection pipeline: transport faults,
-// retry/backoff, circuit breakers, the bounded queue, and crash-safe
-// checkpoint/resume.  The load-bearing property throughout: the collected
-// result is a pure function of (plan, config) — thread count, scheduling
-// and crashes cannot change a bit of it.
+// retry/backoff, circuit breakers, pollers on the shared pool journaling
+// their own records, and crash-safe checkpoint/resume.  The load-bearing
+// property throughout: the collected result is a pure function of (plan,
+// config) — thread count, scheduling and crashes cannot change a bit of
+// it.
 
 #include "collect/collector.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "collect/poller.hpp"
-#include "collect/queue.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "sim/fleet.hpp"
 #include "sim/fleet_state.hpp"
 #include "sim/streaming.hpp"
+#include "trace/wal.hpp"
 #include "util/expects.hpp"
 #include "workload/profiles.hpp"
 
@@ -205,41 +203,53 @@ TEST(Collector, BreakerBoundsTheBusyTimeOfDeadMeters) {
 }
 
 TEST(Collector, KillAndResumeIsByteIdenticalToUninterrupted) {
+  // Each poller journals its own record under the lock that also runs the
+  // crash hook, so at any poller count the crashed journal holds exactly
+  // crash_after_meters records and the resumed run repolls the rest.
   const Rig rig = make_rig(160);
-  CollectorConfig config = fast_config();
-  config.transport.drop_prob = 0.1;
-  config.transport.blackhole_fraction = 0.1;
+  for (const unsigned threads : {1u, 4u, 8u}) {
+    const std::string tag = "threads" + std::to_string(threads);
+    SCOPED_TRACE(tag);
+    CollectorConfig config = fast_config();
+    config.threads = threads;
+    config.transport.drop_prob = 0.1;
+    config.transport.blackhole_fraction = 0.1;
 
-  CollectorConfig clean = config;
-  clean.journal_path = temp_journal("collector_clean.wal");
-  const auto uninterrupted =
-      collect_campaign(*rig.cluster, *rig.electrical, rig.plan, clean);
+    CollectorConfig clean = config;
+    clean.journal_path = temp_journal("collector_clean_" + tag + ".wal");
+    const auto uninterrupted =
+        collect_campaign(*rig.cluster, *rig.electrical, rig.plan, clean);
 
-  CollectorConfig crashing = config;
-  crashing.journal_path = temp_journal("collector_crash.wal");
-  crashing.crash_after_meters = 5;
-  EXPECT_THROW(
-      collect_campaign(*rig.cluster, *rig.electrical, rig.plan, crashing),
-      CollectionAborted);
+    CollectorConfig crashing = config;
+    crashing.journal_path = temp_journal("collector_crash_" + tag + ".wal");
+    crashing.crash_after_meters = 5;
+    EXPECT_THROW(
+        collect_campaign(*rig.cluster, *rig.electrical, rig.plan, crashing),
+        CollectionAborted);
+    const WalReplay crashed = replay_wal(crashing.journal_path);
+    ASSERT_TRUE(crashed.exists);
+    EXPECT_EQ(crashed.records.size(), 5u);
+    EXPECT_EQ(crashed.torn_lines, 0u);
 
-  CollectorConfig resuming = config;
-  resuming.journal_path = crashing.journal_path;
-  resuming.resume = true;
-  const auto resumed =
-      collect_campaign(*rig.cluster, *rig.electrical, rig.plan, resuming);
-  EXPECT_EQ(resumed.meters_resumed, 5u);
-  EXPECT_EQ(resumed.meters_polled, rig.plan.node_count() - 5);
-  EXPECT_EQ(resumed.journal_torn_lines, 0u);
+    CollectorConfig resuming = config;
+    resuming.journal_path = crashing.journal_path;
+    resuming.resume = true;
+    const auto resumed =
+        collect_campaign(*rig.cluster, *rig.electrical, rig.plan, resuming);
+    EXPECT_EQ(resumed.meters_resumed, 5u);
+    EXPECT_EQ(resumed.meters_polled, rig.plan.node_count() - 5);
+    EXPECT_EQ(resumed.journal_torn_lines, 0u);
 
-  // The headline contract: not close — byte-identical.
-  EXPECT_EQ(result_signature(rig.plan, uninterrupted.result),
-            result_signature(rig.plan, resumed.result));
-  EXPECT_EQ(uninterrupted.result.submitted_power.value(),
-            resumed.result.submitted_power.value());
-  EXPECT_EQ(uninterrupted.result.submitted_energy.value(),
-            resumed.result.submitted_energy.value());
-  EXPECT_EQ(uninterrupted.result.data_quality.collection.busy_total_s,
-            resumed.result.data_quality.collection.busy_total_s);
+    // The headline contract: not close — byte-identical.
+    EXPECT_EQ(result_signature(rig.plan, uninterrupted.result),
+              result_signature(rig.plan, resumed.result));
+    EXPECT_EQ(uninterrupted.result.submitted_power.value(),
+              resumed.result.submitted_power.value());
+    EXPECT_EQ(uninterrupted.result.submitted_energy.value(),
+              resumed.result.submitted_energy.value());
+    EXPECT_EQ(uninterrupted.result.data_quality.collection.busy_total_s,
+              resumed.result.data_quality.collection.busy_total_s);
+  }
 }
 
 TEST(Collector, ResumingACompleteJournalRepollsNothing) {
@@ -528,43 +538,6 @@ TEST(PollChunks, TablesReproduceMeasureBitForBit) {
       }
     }
   }
-}
-
-TEST(BoundedQueue, BackpressureBlocksUntilConsumed) {
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.push(1));
-  ASSERT_TRUE(q.push(2));
-  std::atomic<bool> third_pushed{false};
-  std::thread producer([&] {
-    q.push(3);  // must block: capacity 2
-    third_pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(third_pushed.load());  // still stuck behind the full queue
-  EXPECT_EQ(q.pop().value(), 1);      // frees a slot
-  producer.join();
-  EXPECT_TRUE(third_pushed.load());
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-}
-
-TEST(BoundedQueue, CloseUnblocksProducersAndDrainsConsumers) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(7));
-  std::thread producer([&] {
-    EXPECT_FALSE(q.push(8));  // blocked on full, woken by close -> false
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  producer.join();
-  EXPECT_EQ(q.pop().value(), 7);          // close still drains queued items
-  EXPECT_FALSE(q.pop().has_value());      // then reports end-of-stream
-  EXPECT_FALSE(q.push(9));                // closed for good
-  q.close();                              // idempotent
-}
-
-TEST(BoundedQueue, RejectsZeroCapacity) {
-  EXPECT_THROW(BoundedQueue<int>{0}, contract_error);
 }
 
 }  // namespace

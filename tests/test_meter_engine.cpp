@@ -662,10 +662,12 @@ TEST(FleetSoA, FusedLiveChunkDriverIsThreadCountInvariant) {
 // FanoutGrain: the node fan-out's work grain (kFanoutGrain,
 // core/pipeline.hpp).  A clean campaign splits into one lane range per
 // kFanoutGrain lane-samples, up to config.threads, so every rig above
-// runs its clean cases inline; a faulted one keeps the requested width.
-// These campaigns are large enough to fan out: batch, live, reconcile
-// buckets and drifting shapes at threads {1, 2, 8}, each byte-identical
-// to threads = 1 with the Meter trace's `fanout` counter at
+// runs its clean cases inline; a faulted one keeps the requested width,
+// and its `fanout` counter is the lane ranges parallel_chunks makes at
+// it (2 lanes at threads = 8 are 2 ranges, 10 lanes are 5).  These
+// campaigns are large enough to fan out: batch, live, reconcile buckets
+// and drifting shapes at threads {1, 2, 8}, each byte-identical to
+// threads = 1 with the Meter trace's `fanout` counter at
 // min(threads, work / grain).  Below the grain a campaign at threads = 8
 // runs inline while every pool worker is parked.  Threads that first use
 // a fresh scenario's kept scope truth together all read the reference
@@ -792,23 +794,40 @@ TEST(FanoutGrain, CleanCampaignBelowTheGrainRunsInlineWhileThePoolIsParked) {
 }
 
 TEST(FanoutGrain, SmallFaultedCampaignKeepsTheRequestedWidth) {
-  const Rig rig = make_rig(96, Level::kL1, 2);
-  CampaignConfig cfg = base_config(2);
-  cfg.faults.spec = FaultSpec::mild();
-  cfg.faults.dead_meters = {rig.plan.node_indices[2]};
-  const CampaignResult serial =
-      run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
-  ASSERT_LT(lane_samples(serial), kFanoutGrain);
-  EXPECT_EQ(stage_counter(serial, "meter", "fanout"), 1.0);
-  for (const std::size_t threads : {2, 8}) {
-    const std::string what = "threads=" + std::to_string(threads);
-    cfg.threads = threads;
-    const CampaignResult result =
+  // A faulted campaign asks for its threads whatever its work, and its
+  // `fanout` is the lane ranges parallel_chunks makes at that width:
+  // 16 lanes split 2 and 8 ways, 2 lanes at most 2 ways, and 10 lanes at
+  // a width of 8 into 5 ranges of 2.
+  struct Case {
+    std::size_t nodes;
+    Level level;
+    std::size_t lanes;
+    std::vector<std::pair<std::size_t, double>> fanout_at;  // threads -> fanout
+  };
+  const std::vector<Case> cases = {
+      {96, Level::kL1, 16, {{2, 2.0}, {8, 8.0}}},
+      {2, Level::kL3, 2, {{2, 2.0}, {8, 2.0}}},
+      {10, Level::kL3, 10, {{2, 2.0}, {8, 5.0}}},
+  };
+  for (const Case& c : cases) {
+    const Rig rig = make_rig(c.nodes, c.level, 2);
+    SCOPED_TRACE(std::to_string(c.lanes) + " lanes");
+    ASSERT_EQ(rig.plan.node_count(), c.lanes);
+    CampaignConfig cfg = base_config(2);
+    cfg.faults.spec = FaultSpec::mild();
+    if (c.lanes > 2) cfg.faults.dead_meters = {rig.plan.node_indices[2]};
+    const CampaignResult serial =
         run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
-    EXPECT_EQ(stage_counter(result, "meter", "fanout"),
-              static_cast<double>(threads))
-        << what;
-    expect_identical(rig.plan, serial, result, what);
+    ASSERT_LT(lane_samples(serial), kFanoutGrain);
+    EXPECT_EQ(stage_counter(serial, "meter", "fanout"), 1.0);
+    for (const auto& [threads, fanout] : c.fanout_at) {
+      const std::string what = "threads=" + std::to_string(threads);
+      cfg.threads = threads;
+      const CampaignResult result =
+          run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
+      EXPECT_EQ(stage_counter(result, "meter", "fanout"), fanout) << what;
+      expect_identical(rig.plan, serial, result, what);
+    }
   }
 }
 

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "collect/collector.hpp"
 #include "core/campaign.hpp"
 #include "core/doc.hpp"
 #include "core/report.hpp"
@@ -250,6 +253,35 @@ TEST(ParallelForDynamic, InlineWhenNoPool) {
   EXPECT_EQ(order, expect);
 }
 
+TEST(ParallelForDynamic, RunsAtMostTheRequestedWidth) {
+  ThreadPool pool(4);
+  std::atomic<int> live{0};
+  std::atomic<int> peak{0};
+  parallel_for_dynamic(
+      &pool, 200,
+      [&](std::size_t) {
+        const int now = live.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        live.fetch_sub(1);
+      },
+      2);
+  EXPECT_LE(peak.load(), 2);
+  // A width of one runs inline on the caller, in order.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for_dynamic(
+      &pool, 5,
+      [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+      },
+      1);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
 TEST(ParallelForDynamic, PropagatesBodyException) {
   ThreadPool pool(4);
   EXPECT_THROW(parallel_for_dynamic(&pool, 1000,
@@ -311,6 +343,39 @@ TEST(ThreadPool, ParallelChunksHonorsTheRequestedFanOut) {
   EXPECT_EQ(ranges, want);
 }
 
+TEST(ThreadPool, ChunkCountIsTheRangesParallelChunksMakes) {
+  // A width that does not divide n can make fewer ranges: 10 indices at
+  // a width of 8 are 5 ranges of 2.  Passing the count back as the width
+  // gives the same partition.
+  EXPECT_EQ(chunk_count(10, 8), 5u);
+  EXPECT_EQ(chunk_count(2, 8), 2u);
+  EXPECT_EQ(chunk_count(16, 8), 8u);
+  EXPECT_EQ(chunk_count(7, 0), 1u);
+  EXPECT_EQ(chunk_count(0, 4), 0u);
+  ThreadPool pool(1);
+  const auto partition = [&pool](std::size_t n, std::size_t width) {
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    parallel_chunks(
+        &pool, n,
+        [&](std::size_t b, std::size_t e) {
+          std::scoped_lock lock(mu);
+          ranges.emplace_back(b, e);
+        },
+        width);
+    std::sort(ranges.begin(), ranges.end());
+    return ranges;
+  };
+  for (std::size_t n = 1; n <= 64; ++n) {
+    for (std::size_t width = 1; width <= 16; ++width) {
+      const auto ranges = partition(n, width);
+      const std::size_t count = chunk_count(n, width);
+      ASSERT_EQ(ranges.size(), count) << n << " at a width of " << width;
+      ASSERT_EQ(partition(n, count), ranges) << n << " at " << width;
+    }
+  }
+}
+
 TEST(ThreadPool, NestedFanOutOnTheSamePoolRunsInline) {
   ThreadPool pool(2);
   std::atomic<int> inner_calls{0};
@@ -340,32 +405,11 @@ TEST(DefaultPool, IsSingletonAndUsable) {
   EXPECT_EQ(n.load(), 1000);
 }
 
-TEST(DefaultPool, CampaignStartedFromAPoolTaskCompletes) {
-  // Campaigns borrow default_pool() for their fan-out.  Here every worker
-  // of that pool starts a threads=2 campaign at the same moment (a
-  // barrier holds each until all have started), so no worker is free to
-  // serve a sibling's chunks: each nested fan-out must run inline on its
-  // own worker, and every document must equal the one run off-pool.  The
-  // campaign is faulted: a clean one this small sits below the fan-out's
-  // work grain and would not reach the pool at all.
-  ScenarioSpec spec;
-  spec.name = "nested-pool";
-  spec.nodes = 40;
-  spec.fleet_seed = 3;
-  const Scenario scenario = build_scenario(spec);
-  const MeasurementPlan plan =
-      scenario.plan(MethodologySpec::get(Level::kL1, Revision::kV2015), 3);
-  CampaignConfig config;
-  config.seed = 3;
-  config.threads = 2;
-  config.faults.spec = FaultSpec::mild();
-  const auto document = [&] {
-    return render_json(assessment_document(
-        plan, run_campaign(*scenario.cluster, *scenario.electrical, plan,
-                           config)));
-  };
-  const std::string want = document();
-
+// Runs `document` on every worker of default_pool() at the same moment (a
+// barrier holds each until all have started), so no worker is free to
+// serve a sibling's fan-out, and returns what each run rendered.
+std::vector<std::string> render_on_every_pool_worker(
+    const std::function<std::string()>& document) {
   ThreadPool& pool = default_pool();
   const unsigned tasks = pool.size();
   std::vector<std::string> got(tasks);
@@ -390,11 +434,71 @@ TEST(DefaultPool, CampaignStartedFromAPoolTaskCompletes) {
       cv.notify_all();
     });
   }
-  {
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return done == tasks; });
+  std::unique_lock lock(mu);
+  cv.wait(lock, [&] { return done == tasks; });
+  return got;
+}
+
+TEST(DefaultPool, CampaignStartedFromAPoolTaskCompletes) {
+  // Campaigns borrow default_pool() for their fan-out.  Every worker of
+  // that pool starts a threads=2 campaign at once, so each nested fan-out
+  // must run inline on its own worker, and every document must equal the
+  // one run off-pool.  The campaign is faulted: a clean one this small
+  // sits below the fan-out's work grain and would not reach the pool at
+  // all.
+  ScenarioSpec spec;
+  spec.name = "nested-pool";
+  spec.nodes = 40;
+  spec.fleet_seed = 3;
+  const Scenario scenario = build_scenario(spec);
+  const MeasurementPlan plan =
+      scenario.plan(MethodologySpec::get(Level::kL1, Revision::kV2015), 3);
+  CampaignConfig config;
+  config.seed = 3;
+  config.threads = 2;
+  config.faults.spec = FaultSpec::mild();
+  const auto document = [&] {
+    return render_json(assessment_document(
+        plan, run_campaign(*scenario.cluster, *scenario.electrical, plan,
+                           config)));
+  };
+  const std::string want = document();
+  const std::vector<std::string> got = render_on_every_pool_worker(document);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want) << "task " << i;
   }
-  for (unsigned i = 0; i < tasks; ++i) EXPECT_EQ(got[i], want) << "task " << i;
+}
+
+TEST(DefaultPool, CollectionStartedFromAPoolTaskCompletes) {
+  // The collector polls on default_pool() too, up to `threads` meters at
+  // a time.  Every worker of that pool starts a threads=4 collection at
+  // once over a lossy transport, so each nested poll loop must run inline
+  // on its own worker, and every document must equal the one collected
+  // off-pool, byte for byte.
+  ScenarioSpec spec;
+  spec.name = "nested-collect";
+  spec.nodes = 40;
+  spec.fleet_seed = 5;
+  const Scenario scenario = build_scenario(spec);
+  const MeasurementPlan plan =
+      scenario.plan(MethodologySpec::get(Level::kL1, Revision::kV2015), 5);
+  CollectorConfig config;
+  config.campaign.seed = 5;
+  config.campaign.meter_interval_override = Seconds{10.0};
+  config.threads = 4;
+  config.transport.drop_prob = 0.2;
+  config.transport.blackhole_fraction = 0.1;
+  const auto document = [&] {
+    return render_json(assessment_document(
+        plan, collect_campaign(*scenario.cluster, *scenario.electrical, plan,
+                               config)
+                  .result));
+  };
+  const std::string want = document();
+  const std::vector<std::string> got = render_on_every_pool_worker(document);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want) << "task " << i;
+  }
 }
 
 }  // namespace

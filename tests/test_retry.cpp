@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "util/expects.hpp"
@@ -11,58 +13,55 @@
 namespace pv {
 namespace {
 
+// The constant schedule's nominal delay before retry r: min(4, 0.25 * 2^r).
+double nominal_delay_s(std::size_t retry) {
+  return std::min(4.0, 0.25 * std::ldexp(1.0, static_cast<int>(retry)));
+}
+
 TEST(BackoffPolicy, GrowsExponentiallyUpToTheCap) {
-  BackoffPolicy p;
-  p.initial_s = 0.5;
-  p.multiplier = 2.0;
-  p.max_s = 3.0;
-  p.jitter_frac = 0.0;
+  // 0.25, 0.5, 1, 2 s, then the 4 s cap from retry 4 on, each within
+  // +/-10% jitter.
   Rng rng(1);
-  EXPECT_DOUBLE_EQ(p.delay_s(0, rng), 0.5);
-  EXPECT_DOUBLE_EQ(p.delay_s(1, rng), 1.0);
-  EXPECT_DOUBLE_EQ(p.delay_s(2, rng), 2.0);
-  EXPECT_DOUBLE_EQ(p.delay_s(3, rng), 3.0);  // capped
-  EXPECT_DOUBLE_EQ(p.delay_s(9, rng), 3.0);  // stays capped
+  for (std::size_t r = 0; r <= 6; ++r) {
+    const double d = backoff_delay_s(r, rng);
+    EXPECT_GE(d, 0.9 * nominal_delay_s(r)) << "retry " << r;
+    EXPECT_LE(d, 1.1 * nominal_delay_s(r)) << "retry " << r;
+  }
+  const double late = backoff_delay_s(30, rng);  // stays capped
+  EXPECT_GE(late, 0.9 * 4.0);
+  EXPECT_LE(late, 1.1 * 4.0);
 }
 
 TEST(BackoffPolicy, JitterStaysWithinItsFraction) {
-  BackoffPolicy p;
-  p.initial_s = 1.0;
-  p.multiplier = 1.0;
-  p.max_s = 1.0;
-  p.jitter_frac = 0.25;
+  // Every draw lies within +/-10% of the nominal delay, and the draws
+  // spread over that band rather than sitting at its centre.
   Rng rng(2);
-  for (int i = 0; i < 1000; ++i) {
-    const double d = p.delay_s(0, rng);
-    ASSERT_GE(d, 0.75);
-    ASSERT_LE(d, 1.25);
+  for (std::size_t r = 0; r <= 6; ++r) {
+    double lo = 2.0;
+    double hi = 0.0;
+    for (int i = 0; i < 1000; ++i) {
+      const double ratio = backoff_delay_s(r, rng) / nominal_delay_s(r);
+      ASSERT_GE(ratio, 0.9) << "retry " << r;
+      ASSERT_LE(ratio, 1.1) << "retry " << r;
+      lo = std::min(lo, ratio);
+      hi = std::max(hi, ratio);
+    }
+    EXPECT_LT(lo, 0.91) << "retry " << r;
+    EXPECT_GT(hi, 1.09) << "retry " << r;
   }
 }
 
 TEST(BackoffPolicy, JitterIsDeterministicPerSeed) {
-  BackoffPolicy p;
   Rng a(7), b(7);
   for (std::size_t r = 0; r < 20; ++r) {
-    ASSERT_EQ(p.delay_s(r, a), p.delay_s(r, b));
+    ASSERT_EQ(backoff_delay_s(r, a), backoff_delay_s(r, b));
   }
-}
-
-TEST(BackoffPolicy, RejectsNonsenseParameters) {
-  Rng rng(1);
-  BackoffPolicy p;
-  p.multiplier = 0.5;  // shrinking backoff is a config bug
-  EXPECT_THROW(p.delay_s(0, rng), contract_error);
-  p = BackoffPolicy{};
-  p.max_s = 0.01;  // cap below the initial delay
-  EXPECT_THROW(p.delay_s(0, rng), contract_error);
 }
 
 BreakerConfig quick_breaker() {
   BreakerConfig c;
   c.open_after = 3;
   c.cooldown_s = 10.0;
-  c.cooldown_multiplier = 2.0;
-  c.cooldown_max_s = 35.0;
   return c;
 }
 
@@ -110,21 +109,26 @@ TEST(CircuitBreaker, HalfOpenProbeSuccessCloses) {
 }
 
 TEST(CircuitBreaker, FailedProbeEscalatesTheCooldownCapped) {
-  CircuitBreaker b(quick_breaker());
+  // Each failed probe doubles the cooldown, up to the 900 s cap:
+  // 100, 200, 400, 800, then 900 for good.
+  BreakerConfig c = quick_breaker();
+  c.cooldown_s = 100.0;
+  CircuitBreaker b(c);
   b.on_failure(0.0);
   b.on_failure(0.0);
-  b.on_failure(0.0);  // trip 1: open until 10, next cooldown 20
-  ASSERT_TRUE(b.allow(10.0));
-  b.on_failure(10.0);  // failed probe, trip 2: open until 30, next 35 (cap)
+  b.on_failure(0.0);  // trip 1: open for 100 s
   EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_DOUBLE_EQ(b.open_until_s(), 30.0);
-  ASSERT_TRUE(b.allow(30.0));
-  b.on_failure(30.0);  // trip 3: open until 65, cooldown pinned at the cap
-  EXPECT_DOUBLE_EQ(b.open_until_s(), 65.0);
-  ASSERT_TRUE(b.allow(65.0));
-  b.on_failure(65.0);  // trip 4: still the cap
   EXPECT_DOUBLE_EQ(b.open_until_s(), 100.0);
-  EXPECT_EQ(b.trips(), 4u);
+  double now = 100.0;
+  for (const double cooldown : {200.0, 400.0, 800.0, 900.0, 900.0}) {
+    ASSERT_FALSE(b.allow(now - 1.0));
+    ASSERT_TRUE(b.allow(now));  // half-open probe
+    b.on_failure(now);          // fails: reopen, escalated
+    EXPECT_EQ(b.state(), BreakerState::kOpen);
+    EXPECT_DOUBLE_EQ(b.open_until_s(), now + cooldown);
+    now += cooldown;
+  }
+  EXPECT_EQ(b.trips(), 6u);
 }
 
 TEST(CircuitBreaker, DisabledBreakerNeverBlocks) {
@@ -144,8 +148,12 @@ TEST(CircuitBreaker, RejectsNonsenseConfig) {
   c.open_after = 0;
   EXPECT_THROW(CircuitBreaker{c}, contract_error);
   c = quick_breaker();
-  c.cooldown_max_s = 1.0;  // ceiling below the first cooldown
+  c.cooldown_s = 0.0;
   EXPECT_THROW(CircuitBreaker{c}, contract_error);
+  c.cooldown_s = 901.0;  // a first cooldown above the escalation cap
+  EXPECT_THROW(CircuitBreaker{c}, contract_error);
+  c.cooldown_s = 900.0;
+  EXPECT_NO_THROW(CircuitBreaker{c});
 }
 
 TEST(BreakerState, NamesAreStable) {

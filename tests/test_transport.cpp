@@ -28,14 +28,28 @@ TEST(LatencyModel, DrawsStayInPhysicalRange) {
   LatencyModel lat;
   lat.base_s = 0.01;
   lat.jitter_s = 0.02;
-  lat.tail_prob = 0.1;
-  lat.tail_scale_s = 0.5;
   Rng rng(7);
   for (int i = 0; i < 10000; ++i) {
     const double d = lat.draw(rng);
     ASSERT_GE(d, lat.base_s);
     ASSERT_LT(d, 60.0);  // exponential tail, but not absurd
   }
+  // Without jitter, every draw above the floor came from the tail: about
+  // 2% of them, each an Exp(0.3 s) excess.
+  lat.jitter_s = 0.0;
+  constexpr int kDraws = 40000;
+  int tail = 0;
+  double excess_s = 0.0;
+  for (int i = 0; i < kDraws; ++i) {
+    const double d = lat.draw(rng);
+    if (d > lat.base_s) {
+      ++tail;
+      excess_s += d - lat.base_s;
+    }
+  }
+  EXPECT_NEAR(static_cast<double>(tail) / kDraws, kLatencyTailProb, 0.005);
+  ASSERT_GT(tail, 0);
+  EXPECT_NEAR(excess_s / tail, kLatencyTailScaleS, 0.05);
 }
 
 TEST(SimTransport, ExchangeIsDeterministicPerIdentity) {
@@ -67,7 +81,6 @@ TEST(SimTransport, ExchangeIsDeterministicPerIdentity) {
 
 TEST(SimTransport, PerfectNetworkAlwaysAnswers) {
   const SimTransport t(TransportSpec{}, 1);
-  EXPECT_FALSE(TransportSpec{}.faulty());
   for (std::size_t chunk = 0; chunk < 100; ++chunk) {
     const Exchange ex = t.exchange(3, chunk, 0, 10.0);
     ASSERT_TRUE(ex.ok);

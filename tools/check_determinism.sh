@@ -54,6 +54,13 @@ if [[ -s "$tmpdir/crash.out" ]]; then
   echo "FAIL: crashed collection printed a (partial) report" >&2
   exit 1
 fi
+# The pollers journal under the lock that runs the crash hook, so the
+# crashed journal holds exactly the --crash-after count of records.
+crash_records="$(grep -c '^R ' "$tmpdir/crash.wal" || true)"
+if [[ "$crash_records" -ne 3 ]]; then
+  echo "FAIL: crashed journal holds $crash_records records, expected 3" >&2
+  exit 1
+fi
 
 resumed_out="$("$powervar" "${collect_args[@]}" \
                --checkpoint "$tmpdir/crash.wal" --resume 1 2>/dev/null)"

@@ -58,8 +58,9 @@ ctest --test-dir "${build_dir}-ubsan" --output-on-failure -j "$jobs" -LE perf
 # ThreadSanitizer tree for the genuinely concurrent surfaces: the
 # campaign service (soak, fair share with parked pool workers, resume
 # with live workers, the scenario cache's single-flight build under
-# racing threads), the thread pool, the bounded queue and the node-tap
-# engine suites (test_meter_engine: faulted campaigns fan out at every
+# racing threads), the thread pool, the collector's pollers journaling
+# on the shared pool (Collector, and DefaultPool's collection started
+# from a pool task) and the node-tap engine suites (test_meter_engine: faulted campaigns fan out at every
 # thread count, while the clean rigs of EngineGrid, DriftingShapes and
 # FleetSoA sit below the fan-out's work grain and run inline; FanoutGrain
 # runs the sharded fleet provision, the batch fan-out and the live
@@ -73,7 +74,7 @@ ctest --test-dir "${build_dir}-ubsan" --output-on-failure -j "$jobs" -LE perf
 echo "=== tier 1: TSan build + concurrency ctest (${build_dir}-tsan) ==="
 cmake -B "${build_dir}-tsan" -S . -DPV_TSAN=ON >/dev/null
 cmake --build "${build_dir}-tsan" -j "$jobs"
-tsan_terms=(ThreadPool ParallelFor DefaultPool BoundedQueue CampaignService
+tsan_terms=(ThreadPool ParallelFor DefaultPool CampaignService
   ServiceChaos ScenarioCacheContention ServiceFairShare ServiceResume
   Collector StreamingEquivalence StreamingAssessment FleetEngineDifferential
   FleetSoA DriftingShapes FanoutGrain)
